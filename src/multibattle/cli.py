@@ -123,9 +123,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exact grid-bid search")
     _add_variant_arg(p)
     p.add_argument("--turns", type=int, required=True)
-    p.add_argument("--b2", type=int, required=True, help="P2 budget in grid units")
-    p.add_argument("--b1", type=int, default=None, help="evaluate this P1 budget instead of searching")
-    p.add_argument("--grid-unit", default="1", help="bid grid unit (rational)")
+    p.add_argument("--b2", type=int, required=True, help="P2 budget: an amount, a multiple of --grid-unit")
+    p.add_argument(
+        "--b1",
+        type=int,
+        default=None,
+        help="evaluate this P1 budget (an amount, a multiple of --grid-unit) instead of searching",
+    )
+    p.add_argument("--grid-unit", default="1", help="bid grid unit (rational); b_star counts these units")
 
     p = sub.add_parser("simulate", help="play one game against an adversary")
     _add_variant_arg(p)

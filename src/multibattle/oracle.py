@@ -7,7 +7,8 @@ which realizes the "epsilon more" of the continuous analysis exactly.
 
 The search memoizes on (remaining turns, countdown pair, budgets): scores
 influence the rest of the game only through the countdown pair, so the key
-is sound. Two reductions keep the tree small without giving up exactness:
+is sound. Budgets enter the key as integers (see GridEvaluator). Two
+reductions keep the tree small without giving up exactness:
 
 * Zero-value turns are settled without bids. Winning one changes no score
   and the countdown shift does not depend on the winner, so any nonzero
@@ -32,7 +33,6 @@ from .core import (
     DomainError,
     GameState,
     Numeric,
-    Pricing,
     ResourceError,
     ValueModel,
     ceil_div,
@@ -42,64 +42,43 @@ from .core import (
 class GridEvaluator:
     """Reusable memoized evaluator for one variant, in grid units.
 
-    Budgets and bids are integers (P1's budget may be a Fraction of units
-    under all-pay with fractional alpha, where losing costs alpha times a
-    bid). The memo persists across calls, so a single evaluator can serve
-    a whole budget search or a whole simulated game.
+    Budgets and bids are integers of grid units, except that under all-pay
+    with fractional alpha = an/d a lost turn costs P1 ``an/d`` of its bid,
+    so its budget lives on the finer grid of 1/d units. Internally P1's
+    budget is held scaled by d, as the integer ``A = a * d``: conceding a
+    bid p leaves ``A - p * d``, losing an all-pay turn leaves ``A - an * p``
+    (an = 0 under first-price, where d = 1), and P1 can bid at most
+    ``A // d``. Every memo key is therefore a tuple of ints. A budget off
+    the 1/d grid raises DomainError.
+
+    The memo persists across calls, so a single evaluator can serve a
+    whole budget search or a whole simulated game.
     """
 
     def __init__(self, variant: AuctionVariant):
         self.variant = variant
-        self._alpha = variant.alpha
-        self._all_pay = variant.pricing is Pricing.ALL_PAY
+        # First-price variants carry alpha = 0: d = 1, an = 0.
+        self._d = variant.alpha.denominator
+        self._an = variant.alpha.numerator
         self._set01 = variant.values is ValueModel.SET01
         self._memo: dict = {}
         self.nodes_expanded = 0
+
+    def _scaled(self, a) -> int:
+        """P1's budget ``a`` (grid units) as an integer count of 1/d units."""
+        if isinstance(a, int):
+            return a * self._d
+        scaled = Fraction(a) * self._d
+        if scaled.denominator != 1:
+            raise DomainError(f"P1 budget {a} is not a multiple of 1/{self._d} grid unit")
+        return scaled.numerator
 
     def win(self, remaining: int, i: int, j: int, a, b: int) -> bool:
         """True iff P1 forces a win with ``remaining`` turns left.
 
         ``a`` and ``b`` are the players' budgets in grid units.
         """
-        if i <= 0:
-            return True
-        if j <= 0:
-            return False
-        if remaining <= 0:
-            # Unreachable from consistent states; fall back to the score
-            # tie rules (i <= j means P1 is not behind).
-            return i <= j
-        key = (remaining, i, j, a, b)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        self.nodes_expanded += 1
-        res = self._value_one_turn(remaining, i, j, a, b)
-        if self._set01:
-            if res:
-                res = self._zero_value_turn(remaining, i, j, a, b)
-        self._memo[key] = res
-        return res
-
-    def _zero_value_turn(self, remaining: int, i: int, j: int, a, b: int) -> bool:
-        if i + j == remaining + 1:
-            return self.win(remaining - 1, i - 1, j - 1, a, b)
-        return self.win(remaining - 1, i, j, a, b)
-
-    def _value_one_turn(self, remaining: int, i: int, j: int, a, b: int) -> bool:
-        alpha = self._alpha
-        all_pay = self._all_pay
-        for p in range(int(a) + 1):
-            # P2 concedes: P1 pays its own bid, P2 pays nothing.
-            if not self.win(remaining - 1, i - 1, j, a - p, b):
-                continue
-            q = p + 1
-            if q <= b:
-                loss = a - alpha * p if all_pay else a
-                if not self.win(remaining - 1, i, j - 1, loss, b - q):
-                    continue
-            return True
-        return False
+        return self._win(remaining, i, j, self._scaled(a), b)
 
     def win_given_value(self, remaining: int, i: int, j: int, a, b: int, value: int) -> bool:
         """Like win(), but with the current turn's value already chosen."""
@@ -108,8 +87,74 @@ class GridEvaluator:
         if j <= 0:
             return False
         if value == 0:
-            return self._zero_value_turn(remaining, i, j, a, b)
-        return self._value_one_turn(remaining, i, j, a, b)
+            return self._zero_value_turn(remaining, i, j, self._scaled(a), b)
+        return self._value_one_turn(remaining, i, j, self._scaled(a), b)
+
+    def _win(self, remaining: int, i: int, j: int, A: int, b: int) -> bool:
+        if i <= 0:
+            return True
+        if j <= 0:
+            return False
+        key = (remaining, i, j, A, b)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        return self._expand(key)
+
+    def _expand(self, key: tuple) -> bool:
+        """Solve a position with no memo entry and a live countdown pair."""
+        remaining, i, j, A, b = key
+        if remaining <= 0:
+            # Unreachable from consistent states; fall back to the score
+            # tie rules (i <= j means P1 is not behind).
+            return i <= j
+        self.nodes_expanded += 1
+        res = self._value_one_turn(remaining, i, j, A, b)
+        if self._set01:
+            if res:
+                res = self._zero_value_turn(remaining, i, j, A, b)
+        self._memo[key] = res
+        return res
+
+    def _zero_value_turn(self, remaining: int, i: int, j: int, A: int, b: int) -> bool:
+        if i + j == remaining + 1:
+            return self._win(remaining - 1, i - 1, j - 1, A, b)
+        return self._win(remaining - 1, i, j, A, b)
+
+    def _value_one_turn(self, remaining: int, i: int, j: int, A: int, b: int) -> bool:
+        # The hot loop: the children's base cases depend only on the
+        # countdown pair, so they are settled once, and the memo lookups
+        # are inlined. Children are queried in the order concede, beat.
+        lookup = self._memo.get
+        expand = self._expand
+        d, an = self._d, self._an
+        r = remaining - 1
+        i1 = i - 1
+        j1 = j - 1
+        concede_wins = i1 <= 0
+        beat_loses = j1 <= 0
+        for p in range(A // d + 1):
+            # P2 concedes: P1 pays its own bid, P2 pays nothing.
+            if not concede_wins:
+                key = (r, i1, j, A - p * d, b)
+                won = lookup(key)
+                if won is None:
+                    won = expand(key)
+                if not won:
+                    continue
+            # P2 beats the bid by one unit, if she can afford it.
+            q = p + 1
+            if q <= b:
+                if beat_loses:
+                    continue
+                key = (r, i, j1, A - an * p, b - q)
+                won = lookup(key)
+                if won is None:
+                    won = expand(key)
+                if not won:
+                    continue
+            return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -218,8 +263,11 @@ def min_winning_budget(
     amount, default 4 * b2, above every variant's limiting ratio); running
     past it raises ResourceError.
 
-    Practical sizing guidance: turns <= 5 and b2 <= 30 at grid unit 1 stay
-    comfortably under a second; cost grows quickly beyond that.
+    Practical sizing guidance, for the linear scan at grid unit 1 on a
+    2-vCPU x86 host under CPython 3.11: turns <= 9 with b2 <= 30 stays under
+    a second on every variant; turns = 11 with b2 = 40 takes 2-5 s on the
+    value-set variants (fixed-value ones stay well under a second). Cost
+    grows quickly with both.
     """
     g = Fraction(grid_unit)
     if g <= 0:
@@ -257,11 +305,14 @@ def min_winning_budget(
         if wins(0):
             found = 0
         else:
-            hi = 1
-            while hi <= cap_units and not wins(hi):
-                hi *= 2
-            if hi <= cap_units:
-                lo = hi // 2  # known losing
+            lo, hi = 0, 1  # lo is known losing
+            while hi < cap_units and not wins(hi):
+                lo, hi = hi, 2 * hi
+            # Doubling may overshoot b*'s power of two past the ceiling;
+            # the ceiling itself is then the last candidate. An unclamped
+            # hi was just queried, so asking again is a memo hit.
+            hi = min(hi, cap_units)
+            if hi > lo and wins(hi):
                 while hi - lo > 1:
                     mid = (lo + hi) // 2
                     if wins(mid):

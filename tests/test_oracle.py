@@ -8,10 +8,14 @@ with it everywhere the reference can reach.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multibattle import oracle as oracle_module
 from multibattle import (
     AP_FIXED1,
     AP_SET01,
@@ -35,6 +39,12 @@ from multibattle import (
 F = Fraction
 AP_SET_HALF = AuctionVariant.all_pay(ValueModel.SET01, F(1, 2))
 AP_FIXED_HALF = AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 2))
+AP_SET_THIRD = AuctionVariant.all_pay(ValueModel.SET01, F(1, 3))
+ALL_VARIANTS = [FP_SET01, FP_FIXED1, AP_SET01, AP_FIXED1, AP_SET_THIRD, AP_FIXED_HALF]
+
+
+def variant_id(v):
+    return v.short_name if v.alpha in (0, 1) else f"{v.short_name}@{v.alpha}"
 
 
 def naive_solve(variant, turns, b1, b2):
@@ -257,3 +267,181 @@ def test_evaluator_memo_persists_across_queries():
     first = ev.nodes_expanded
     assert ev.win(3, 2, 2, 6, 4)
     assert ev.nodes_expanded == first
+
+
+def test_bisect_tries_the_ceiling_past_the_last_power_of_two():
+    # b* = 6 lies between 4 and the ceiling 7: doubling jumps to 8.
+    assert min_winning_budget(FP_SET01, 3, 4, ceiling=7).b_star == 6
+    assert min_winning_budget(FP_SET01, 3, 4, ceiling=7, method="bisect").b_star == 6
+    assert min_winning_budget(FP_SET01, 3, 4, ceiling=6, method="bisect").b_star == 6
+
+
+def test_bisect_finds_b_star_between_64_and_the_default_ceiling():
+    # Default ceiling 4 * 24 = 96; b* = 67 lies above the last power of two.
+    assert min_winning_budget(AP_SET01, 9, 24, method="bisect").b_star == 67
+
+
+class FractionGridEvaluator:
+    """The evaluator as it was before budgets were scaled to integers.
+
+    P1's budget stays in grid units, so under all-pay every budget and
+    memo key is a Fraction. Kept here only as the differential reference.
+    """
+
+    def __init__(self, variant):
+        self.variant = variant
+        self._alpha = variant.alpha
+        self._all_pay = variant.pricing.value == "all-pay"
+        self._set01 = variant.values is ValueModel.SET01
+        self._memo = {}
+        self.nodes_expanded = 0
+
+    def win(self, remaining, i, j, a, b):
+        if i <= 0:
+            return True
+        if j <= 0:
+            return False
+        if remaining <= 0:
+            return i <= j
+        key = (remaining, i, j, a, b)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        self.nodes_expanded += 1
+        res = self._value_one_turn(remaining, i, j, a, b)
+        if self._set01:
+            if res:
+                res = self._zero_value_turn(remaining, i, j, a, b)
+        self._memo[key] = res
+        return res
+
+    def _zero_value_turn(self, remaining, i, j, a, b):
+        if i + j == remaining + 1:
+            return self.win(remaining - 1, i - 1, j - 1, a, b)
+        return self.win(remaining - 1, i, j, a, b)
+
+    def _value_one_turn(self, remaining, i, j, a, b):
+        for p in range(int(a) + 1):
+            if not self.win(remaining - 1, i - 1, j, a - p, b):
+                continue
+            q = p + 1
+            if q <= b:
+                loss = a - self._alpha * p if self._all_pay else a
+                if not self.win(remaining - 1, i, j - 1, loss, b - q):
+                    continue
+            return True
+        return False
+
+    def win_given_value(self, remaining, i, j, a, b, value):
+        if i <= 0:
+            return True
+        if j <= 0:
+            return False
+        if value == 0:
+            return self._zero_value_turn(remaining, i, j, a, b)
+        return self._value_one_turn(remaining, i, j, a, b)
+
+
+@pytest.fixture
+def with_reference(monkeypatch):
+    """Run a call through the module's search code on the reference evaluator."""
+
+    def call(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(oracle_module, "GridEvaluator", FractionGridEvaluator)
+            return fn(*args, **kwargs)
+
+    return call
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DomainError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+def test_searches_match_the_fraction_reference(variant, with_reference):
+    for turns, b2 in itertools.product(range(1, 8), (1, 2, 3, 5, 8, 12)):
+        if turns >= 6 and b2 > 8:
+            continue  # the reference needs seconds here; T=7 b2=8 covers the depth
+        found = {}
+        for method in ("linear", "bisect"):
+            new = min_winning_budget(variant, turns, b2, method=method)
+            old = with_reference(min_winning_budget, variant, turns, b2, method=method)
+            assert (new.b_star, new.nodes_expanded) == (old.b_star, old.nodes_expanded), (
+                variant_id(variant), turns, b2, method)
+            found[method] = new.b_star
+        assert found["linear"] == found["bisect"]
+        b_star = found["linear"]
+        for b1 in {max(b_star - 1, 0), b_star}:
+            for pending in (None, 0, 1):
+                inst = OracleInstance(variant, turns, b1, b2)
+                new = _outcome(evaluate, inst, pending_value=pending)
+                old = _outcome(with_reference, evaluate, inst, pending_value=pending)
+                assert new == old, (variant_id(variant), turns, b2, b1, pending)
+                if pending is None:
+                    assert new.can_win == (b1 >= b_star)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+def test_mid_game_evaluation_matches_the_fraction_reference(variant, with_reference):
+    """Random integer-bid openings, then exact evaluation of where they lead."""
+    rng = random.Random(f"mid-game {variant_id(variant)}")
+    cfg = GameConfig(variant, turns=7, budget_p2=6)
+    for _ in range(40):
+        b1 = rng.randint(6, 16)
+        inst = OracleInstance(variant, 7, b1, 6)
+        state = initial_state(cfg, b1)
+        for _ in range(rng.randint(1, 3)):
+            if state.countdown.i <= 0 or state.countdown.j <= 0:
+                break
+            value = 1 if variant.values is ValueModel.FIXED1 else rng.randint(0, 1)
+            bid1 = rng.randint(0, int(state.budget_p1)) if value else 0
+            bid2 = rng.randint(0, int(state.budget_p2)) if value else 0
+            state = settle_turn(cfg, state, value, bid1, bid2)
+        new = _outcome(evaluate, inst, state=state)
+        old = _outcome(with_reference, evaluate, inst, state=state)
+        assert new == old, (variant_id(variant), state)
+
+
+@pytest.mark.parametrize("variant", [AP_SET_THIRD, AP_FIXED_HALF], ids=variant_id)
+def test_budgets_on_the_alpha_grid_match_the_fraction_reference(variant):
+    """Losing all-pay turns leave P1 with fractions of a grid unit."""
+    d = variant.alpha.denominator
+    new, old = GridEvaluator(variant), FractionGridEvaluator(variant)
+    for remaining, i, j in ((3, 2, 2), (4, 2, 3), (5, 3, 3), (5, 2, 2)):
+        for k, b in itertools.product(range(0, 10 * d), range(0, 6)):
+            a = F(k, d)
+            assert new.win(remaining, i, j, a, b) == old.win(remaining, i, j, a, b), (remaining, i, j, a, b)
+            for value in (0, 1):
+                assert new.win_given_value(remaining, i, j, a, b, value) == old.win_given_value(
+                    remaining, i, j, a, b, value
+                )
+            assert new.nodes_expanded == old.nodes_expanded
+    with pytest.raises(DomainError):
+        new.win(3, 2, 2, F(1, 2 * d), 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(ALL_VARIANTS),
+    remaining=st.integers(1, 6),
+    data=st.data(),
+)
+def test_winnability_is_monotone_in_both_budgets(variant, remaining, data):
+    """More P1 budget never hurts P1; more P2 budget never helps P1.
+
+    The bisect search and the omnipotent adversary both rely on this.
+    """
+    i = data.draw(st.integers(1, remaining), label="i")
+    j = data.draw(st.integers(1, remaining + 1 - i), label="j")
+    d = variant.alpha.denominator
+    a = F(data.draw(st.integers(0, 10 * d), label="a units of 1/d"), d)
+    b = data.draw(st.integers(0, 8), label="b")
+    ev = GridEvaluator(variant)
+    if ev.win(remaining, i, j, a, b):
+        assert ev.win(remaining, i, j, a + F(1, d), b)
+    if ev.win(remaining, i, j, a, b + 1):
+        assert ev.win(remaining, i, j, a, b)
