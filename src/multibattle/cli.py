@@ -170,7 +170,7 @@ def _cmd_matrix(ns) -> int:
 def _cmd_bid(ns) -> int:
     variant = _variant_from(ns)
     matrix = None
-    if variant.pricing is Pricing.ALL_PAY and variant.alpha not in (0, 1):
+    if not variant.has_closed_form:
         matrix = build_matrix(variant, max(ns.i, ns.j), exact=True)
     fraction = optimal_bid_fraction(variant, ns.i, ns.j, matrix=matrix, exact=True)
     budget = _parse_fraction(ns.opponent_budget)

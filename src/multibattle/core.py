@@ -3,8 +3,9 @@
 A contest is a sequence of T turns. Each turn an object worth 0 or 1 point
 is put up for auction: both players bid simultaneously from their remaining
 budgets, the higher bid takes the object, and ties go to P1 (the dealer).
-Under first-price rules only the winner pays (her own bid); under all-pay
-rules the winner pays her bid and the loser pays ``alpha`` times hers.
+The winner pays her bid and the loser pays ``alpha`` times hers: all-pay
+rules take ``alpha`` in [0, 1], and first-price (only the winner pays) is
+the case ``alpha = 0``.
 P1 also wins final score ties.
 
 Win detection uses countdown values: with T' the maximum combined score
@@ -117,8 +118,9 @@ class ValueModel(Enum):
 class AuctionVariant:
     """Pricing rule plus value model, with the all-pay ratio ``alpha``.
 
-    ``alpha`` is the fraction of a losing bid the loser forfeits; it is
-    meaningful only for all-pay pricing and must be 0 for first-price.
+    ``alpha`` is the fraction of a losing bid the loser forfeits, and it
+    alone carries the pricing rule: first-price is alpha = 0, so
+    ``pricing`` only names the variant (a first-price one takes no alpha).
     """
 
     pricing: Pricing
@@ -148,6 +150,11 @@ class AuctionVariant:
         return f"{p}-{v}"
 
     @property
+    def has_closed_form(self) -> bool:
+        """Whether matrix entries have a closed form: alpha in {0, 1}, its only integers."""
+        return self.alpha.denominator == 1
+
+    @property
     def is_triangular(self) -> bool:
         """Whether matrix states with i > j are unwinnable for this variant."""
         return self.values is ValueModel.SET01
@@ -166,7 +173,6 @@ class GameConfig:
     variant: AuctionVariant
     turns: int
     budget_p2: Fraction = Fraction(1)
-    score_budget_weight: Fraction = Fraction(0)
 
     def __post_init__(self):
         object.__setattr__(self, "budget_p2", Fraction(self.budget_p2))
@@ -174,8 +180,6 @@ class GameConfig:
             raise DomainError(f"turns must be >= 1, got {self.turns}")
         if self.budget_p2 <= 0:
             raise DomainError("budget_p2 must be positive")
-        if self.score_budget_weight != 0:
-            raise DomainError("score_budget_weight is fixed to 0")
 
 
 @dataclass(frozen=True)
@@ -248,9 +252,8 @@ def settle_turn(
 ) -> GameState:
     """Resolve one auction turn and return the successor state.
 
-    The higher bid wins the object; P1 wins ties. First-price: only the
-    winner pays (her own bid). All-pay: the winner pays her bid and the
-    loser pays ``alpha`` times her own bid.
+    The higher bid wins the object; P1 wins ties. The winner pays her bid
+    and the loser pays ``alpha`` times her own (nothing under first-price).
     """
     if value not in (0, 1):
         raise DomainError(f"turn value must be 0 or 1, got {value!r}")
@@ -267,12 +270,8 @@ def settle_turn(
 
     p1_wins = bid_p1 >= bid_p2
     alpha = config.variant.alpha
-    if config.variant.pricing is Pricing.FIRST_PRICE:
-        pay1 = bid_p1 if p1_wins else Fraction(0)
-        pay2 = bid_p2 if not p1_wins else Fraction(0)
-    else:
-        pay1 = bid_p1 if p1_wins else alpha * bid_p1
-        pay2 = bid_p2 if not p1_wins else alpha * bid_p2
+    pay1 = bid_p1 if p1_wins else alpha * bid_p1
+    pay2 = alpha * bid_p2 if p1_wins else bid_p2
 
     s1 = state.score_p1 + (value if p1_wins else 0)
     s2 = state.score_p2 + (value if not p1_wins else 0)

@@ -2,23 +2,26 @@
 
 Entry (i, j) is the smallest ratio of P1's budget to P2's budget that
 guarantees P1 the win from a state where P1 still needs i value-1 wins and
-P2 needs j. Each of the four variants (value model x pricing) has its own
-recurrence; the two value-set variants are upper triangular (with i > j the
-adversary can zero out every turn P1 could take, so no budget suffices),
-the two fixed-value variants are full grids.
+P2 needs j. The two value-set variants are upper triangular (with i > j
+the adversary can zero out every turn P1 could take, so no budget
+suffices); the two fixed-value variants are full grids.
 
-Row and column 1 are the bases. The diagonal of a triangular matrix obeys
-``x[i][i] = 1 + x[i-1][i]`` (P1 must take the next contested turn at P2's
-full budget), and every other entry is fixed by the indifference between
+Every variant fills by one recurrence. First-price pricing is all-pay
+with alpha = 0 (the loser pays alpha times her bid), so the pricing rule
+enters only through alpha. Row 0 is all zero (a player who needs nothing
+has won), and each row starts from its boundary: the diagonal
+``x[i][i] = 1 + x[i-1][i]`` on value-set matrices (P1 must take the next
+contested turn at P2's full budget), column 1 ``x[i][1] = i`` on
+fixed-value ones. Every other entry is fixed by the indifference between
 winning and losing the turn at the optimal bid fraction:
 
-    first-price:  x[i][j] = x[i][j-1] * (1 + x[i-1][j]) / (1 + x[i][j-1])
-    all-pay:      x[i][j] = x[i-1][j] + (x[i][j-1] - x[i-1][j])
-                                        / (x[i][j-1] + 1 - alpha)
+    x[i][j] = x[i-1][j] + (x[i][j-1] - x[i-1][j]) / (x[i][j-1] + 1 - alpha)
 
-Closed forms exist for every first-price variant and for all-pay at
-alpha in {0, 1}; ``verify_matrix`` checks the dynamic program against them
-entry by entry in exact arithmetic.
+At alpha = 0 this is ``x[i][j-1] * (1 + x[i-1][j]) / (1 + x[i][j-1])``.
+Closed forms exist at alpha in {0, 1}; ``verify_matrix`` checks the
+recurrence against them entry by entry in exact arithmetic. At other
+alphas ``obr`` and ``handicap_obr`` run the recurrence two rows at a
+time, in O(n) memory.
 
 The fixed-value all-pay matrix at general alpha is an extension derived
 from the same indifference argument; it is only closed-form-verified at
@@ -30,16 +33,15 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .core import (
     UNWINNABLE,
     AuctionVariant,
     DomainError,
     NoClosedFormError,
-    Pricing,
     Ratio,
     Unwinnable,
-    ValueModel,
     ceil_div,
 )
 
@@ -110,155 +112,79 @@ class CountdownMatrix:
         }
 
 
-def _fill_set01_first_price(n: int, exact: bool) -> list[list]:
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    rows: list[list] = [[zero] * (n + 1)]
-    row1 = [zero] * (n + 1)
-    for j in range(1, n + 1):
-        row1[j] = Fraction(1, j) if exact else 1.0 / j
-    rows.append(row1)
-    for i in range(2, n + 1):
-        above = rows[i - 1]
-        row = [zero] * (n + 1)
-        left = one + above[i]
-        row[i] = left
-        for j in range(i + 1, n + 1):
-            left = left * (one + above[j]) / (one + left)
-            row[j] = left
-        rows.append(row)
-    return rows
+def _rows(variant: AuctionVariant, n: int, exact: bool):
+    """Yield rows 0..n of the n-column countdown matrix, one list each.
 
-
-def _fill_set01_all_pay(n: int, alpha: Fraction, exact: bool) -> list[list]:
+    Only the row above is kept, so a caller that needs one row holds O(n)
+    numbers. Value-set rows start on the diagonal; their entries left of
+    it are zero placeholders.
+    """
     zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    a = alpha if exact else float(alpha)
-    keep = one - a  # loser's surviving share of a bid
-    rows: list[list] = [[zero] * (n + 1)]
+    keep = 1 - (variant.alpha if exact else float(variant.alpha))  # loser keeps this share of a bid
+    above = [zero] * (n + 1)
+    yield above
     for i in range(1, n + 1):
-        above = rows[i - 1]
         row = [zero] * (n + 1)
-        left = one + above[i]
-        row[i] = left
-        for j in range(i + 1, n + 1):
-            up = above[j]
-            left = (left * up + left - a * up) / (left + keep)
-            row[j] = left
-        rows.append(row)
-    return rows
-
-
-def _fill_fixed1_first_price(n: int, exact: bool) -> list[list]:
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    rows: list[list] = [[zero] * (n + 1)]
-    row1 = [zero] * (n + 1)
-    for j in range(1, n + 1):
-        row1[j] = Fraction(1, j) if exact else 1.0 / j
-    rows.append(row1)
-    for i in range(2, n + 1):
-        above = rows[i - 1]
-        row = [zero] * (n + 1)
-        left = Fraction(i) if exact else float(i)
-        row[1] = left
-        for j in range(2, n + 1):
-            left = left * (one + above[j]) / (one + left)
-            row[j] = left
-        rows.append(row)
-    return rows
-
-
-def _fill_fixed1_all_pay(n: int, alpha: Fraction, exact: bool) -> list[list]:
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    a = alpha if exact else float(alpha)
-    keep = one - a
-    rows: list[list] = [[zero] * (n + 1)]
-    row1 = [zero] * (n + 1)
-    left = one
-    row1[1] = left
-    for j in range(2, n + 1):
-        left = left / (left + keep)
-        row1[j] = left
-    rows.append(row1)
-    for i in range(2, n + 1):
-        above = rows[i - 1]
-        row = [zero] * (n + 1)
-        left = Fraction(i) if exact else float(i)
-        row[1] = left
-        for j in range(2, n + 1):
+        if variant.is_triangular:
+            start, left = i, 1 + above[i]
+        else:
+            start, left = 1, zero + i
+        row[start] = left
+        for j in range(start + 1, n + 1):
             up = above[j]
             left = up + (left - up) / (left + keep)
             row[j] = left
-        rows.append(row)
-    return rows
+        yield row
+        above = row
 
 
 def build_matrix(variant: AuctionVariant, n: int, exact: bool = False) -> CountdownMatrix:
     """Build the countdown matrix of size n for the given variant.
 
-    O(n^2) entry computations; fill is row-major with the diagonal first
-    in each row (each entry needs only its left and upper neighbours).
+    O(n^2) entry computations; fill is row-major from each row's boundary
+    (each entry needs only its left and upper neighbours).
     """
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
-    if variant.values is ValueModel.SET01:
-        if variant.pricing is Pricing.FIRST_PRICE:
-            rows = _fill_set01_first_price(n, exact)
-        else:
-            rows = _fill_set01_all_pay(n, variant.alpha, exact)
-    else:
-        if variant.pricing is Pricing.FIRST_PRICE:
-            rows = _fill_fixed1_first_price(n, exact)
-        else:
-            rows = _fill_fixed1_all_pay(n, variant.alpha, exact)
-    return CountdownMatrix(variant, n, rows, exact)
+    return CountdownMatrix(variant, n, list(_rows(variant, n, exact)), exact)
 
 
 def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) -> Ratio:
     """Closed-form matrix entry, where one exists.
 
-    set01 first-price:        i * (j - i + 3) / ((j - i + 1) * (j + 2))
-    set01 all-pay, alpha=1:   1 + (i - 1) * (j - i + 3) / ((j - i + 1) * (j + 1))
-    fixed first-price:        i / j
-    fixed all-pay, alpha=1:   (i + j - 1) / j
+    set01, alpha=0:   i * (j - i + 3) / ((j - i + 1) * (j + 2))
+    set01, alpha=1:   1 + (i - 1) * (j - i + 3) / ((j - i + 1) * (j + 1))
+    fixed, alpha=0:   i / j
+    fixed, alpha=1:   (i + j - 1) / j
 
-    All-pay with alpha=0 reduces to the first-price form of the same value
-    model; other alphas have no closed form and raise NoClosedFormError.
-    Triangular variants return UNWINNABLE for i > j.
+    First-price is alpha = 0. Other alphas have no closed form and raise
+    NoClosedFormError. Triangular variants return UNWINNABLE for i > j.
     """
     if i < 1 or j < 1:
         raise DomainError(f"closed form needs i, j >= 1, got ({i}, {j})")
-    alpha = variant.alpha
-    if variant.pricing is Pricing.ALL_PAY and alpha not in (0, 1):
+    if not variant.has_closed_form:
         raise NoClosedFormError(
-            f"no closed form for all-pay with alpha={alpha}; build the matrix instead"
+            f"no closed form for all-pay with alpha={variant.alpha}; build the matrix instead"
         )
-    effective_first_price = (
-        variant.pricing is Pricing.FIRST_PRICE
-        or (variant.pricing is Pricing.ALL_PAY and alpha == 0)
-    )
-    if variant.values is ValueModel.SET01:
+    if variant.is_triangular:
         if i > j:
             return UNWINNABLE
-        if effective_first_price:
+        if variant.alpha == 0:
             val = Fraction(i * (j - i + 3), (j - i + 1) * (j + 2))
         else:
             val = 1 + Fraction((i - 1) * (j - i + 3), (j - i + 1) * (j + 1))
+    elif variant.alpha == 0:
+        val = Fraction(i, j)
     else:
-        if effective_first_price:
-            val = Fraction(i, j)
-        else:
-            val = Fraction(i + j - 1, j)
+        val = Fraction(i + j - 1, j)
     return val if exact else float(val)
 
 
-def _diagonal_entry(variant: AuctionVariant, h: int, exact: bool) -> Ratio:
-    try:
-        return closed_form(variant, h, h, exact=exact)
-    except NoClosedFormError:
-        return build_matrix(variant, h, exact=exact).entry(h, h)
+def _entry(variant: AuctionVariant, i: int, j: int, exact: bool) -> Ratio:
+    """x[i][j] from the closed form, or else from rolling rows of the recurrence."""
+    if variant.has_closed_form:
+        return closed_form(variant, i, j, exact=exact)
+    return next(islice(_rows(variant, j, exact), i, None))[j]
 
 
 def obr(variant: AuctionVariant, turns: int, exact: bool = False) -> Ratio:
@@ -269,7 +195,7 @@ def obr(variant: AuctionVariant, turns: int, exact: bool = False) -> Ratio:
     if turns < 1:
         raise DomainError(f"turns must be >= 1, got {turns}")
     h = ceil_div(turns, 2)
-    return _diagonal_entry(variant, h, exact)
+    return _entry(variant, h, h, exact)
 
 
 def handicap_obr(variant: AuctionVariant, turns: int, k: int, exact: bool = False) -> Ratio:
@@ -287,10 +213,7 @@ def handicap_obr(variant: AuctionVariant, turns: int, k: int, exact: bool = Fals
     j = ceil_div(turns + k, 2)
     if i <= 0:
         return Fraction(0) if exact else 0.0
-    try:
-        return closed_form(variant, i, j, exact=exact)
-    except NoClosedFormError:
-        return build_matrix(variant, j, exact=exact).entry(i, j)
+    return _entry(variant, i, j, exact)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    AuctionVariant,
     ContestError,
     DomainError,
     FaultRecord,
@@ -31,19 +30,31 @@ from .core import (
     GameTrace,
     Numeric,
     Player,
-    Pricing,
     ResourceError,
     TurnRecord,
     ValueModel,
-    ceil_div,
     countdown_for,
     initial_state,
     settle_turn,
     winner_if_decided,
 )
-from .matrices import CountdownMatrix, build_matrix
+# This module calls neither build_matrix nor optimal_bid_fraction, but
+# perfbench/tracing.py wraps both under this module's names, so they stay.
+from .matrices import CountdownMatrix, build_matrix  # noqa: F401
 from .oracle import GridEvaluator
-from .strategy import StrategyState, next_bid, observe_outcome, optimal_bid_fraction
+from .strategy import StrategyState, next_bid, observe_outcome, optimal_bid_fraction  # noqa: F401
+
+
+def _policy_bid(s: StrategyState, value: int, budget: Fraction) -> Fraction:
+    """The strategy's bid, capped at the budget P1 holds.
+
+    From states the strategy cannot plan for (already decided in its
+    model, or unwinnable under a triangular variant) it bids zero.
+    """
+    cd = s.countdown
+    if cd.i <= 0 or cd.j <= 0 or (s.variant.is_triangular and cd.i > cd.j):
+        return Fraction(0)
+    return min(next_bid(s, value), budget)
 
 
 class StrategyPolicy:
@@ -51,9 +62,7 @@ class StrategyPolicy:
 
     Bids are capped at the remaining budget; with a starting budget at or
     above the variant's optimal ratio the cap never binds, below it the
-    policy degrades gracefully instead of overbidding. From states the
-    strategy cannot plan for (already decided in its model, or unwinnable
-    under a triangular variant) it bids zero.
+    policy degrades gracefully instead of overbidding (see ``_policy_bid``).
     """
 
     def __init__(self, matrix: CountdownMatrix | None = None):
@@ -66,13 +75,7 @@ class StrategyPolicy:
         )
 
     def bid(self, state: GameState, value: int) -> Fraction:
-        s = self._state
-        cd = s.countdown
-        if cd.i <= 0 or cd.j <= 0:
-            return Fraction(0)
-        if s.variant.is_triangular and cd.i > cd.j:
-            return Fraction(0)
-        return min(next_bid(s, value), state.budget_p1)
+        return _policy_bid(self._state, value, state.budget_p1)
 
     def observe(
         self,
@@ -209,8 +212,6 @@ class OmnipotentAdversary:
         remaining = self._config.turns - state.turn_index
         cd = state.countdown
         p = Fraction(p1_bid)
-        alpha = self._config.variant.alpha
-        all_pay = self._config.variant.pricing is Pricing.ALL_PAY
         # Conceding: P1 takes the turn and pays its bid.
         a_concede = self._units(state.budget_p1 - p)
         b_concede = self._units(state.budget_p2)
@@ -219,7 +220,7 @@ class OmnipotentAdversary:
         # Beating: one grid step above P1's bid, if affordable and winning.
         q = self._grid * (int(p / self._grid) + 1)
         if q <= state.budget_p2:
-            a_beat = self._units(state.budget_p1 - (alpha * p if all_pay else 0))
+            a_beat = self._units(state.budget_p1 - self._config.variant.alpha * p)
             b_beat = self._units(state.budget_p2 - q)
             if not self._ev.win(remaining - 1, cd.i, cd.j - 1, a_beat, b_beat):
                 return q
@@ -348,6 +349,8 @@ def exhaustive_adversary_check(
     The adversary may pick any value each turn and any bid that is a
     rational with denominator at most ``denominator_bound * b2``, up to
     its remaining budget. Returns a win-all verdict or one losing trace.
+    P1 runs the same code as ``StrategyPolicy``: ``StrategyState.fresh``,
+    ``_policy_bid`` and ``observe_outcome``.
 
     Three kinds of adversary moves are skipped because they are strictly
     dominated and cannot change the verdict: nonzero bids on zero-value
@@ -359,31 +362,23 @@ def exhaustive_adversary_check(
     Intended for small T (documented: T <= 5); the memo is capped at
     ``max_states`` and overruns raise ResourceError with progress counts.
     """
-    variant = config.variant
     turns = config.turns
     b2 = config.budget_p2
     b1 = Fraction(budget_p1)
     bids = _grid_bids(b2, denominator_bound)
-    h = ceil_div(turns, 2)
-    matrix = None
-    if variant.pricing is Pricing.ALL_PAY and variant.alpha not in (0, 1):
-        matrix = build_matrix(variant, h, exact=True)
-    alpha = variant.alpha
-    all_pay = variant.pricing is Pricing.ALL_PAY
-    set01 = variant.values is ValueModel.SET01
+    fresh = StrategyState.fresh(config.variant, turns, b2)
+    alpha = config.variant.alpha
+    set01 = config.variant.values is ValueModel.SET01
 
     MISS = object()
     memo: dict = {}
 
-    def policy_bid(s1: int, s2: int, tracked: Fraction, rem: Fraction) -> Fraction:
-        i_s, j_s = h - s1, h - s2
-        if i_s <= 0 or j_s <= 0 or (set01 and i_s > j_s):
-            return Fraction(0)
-        frac = optimal_bid_fraction(variant, i_s, j_s, matrix=matrix, exact=True)
-        return min(frac * tracked, rem)
+    def explore(remaining, s1, s2, rem, policy, adv_budget):
+        """None when P1 wins every line below; else the losing line.
 
-    def explore(remaining, s1, s2, rem, tracked, adv_budget):
-        """None when P1 wins every line below; else the losing line."""
+        ``policy`` is P1's strategy state; its countdown follows from the
+        scores, so its tracked budget is all the memo key needs of it.
+        """
         cd = countdown_for(turns, turns - remaining, s1, s2)
         if cd.i == 0:
             return None
@@ -391,7 +386,7 @@ def exhaustive_adversary_check(
             return ()
         if remaining == 0:
             return None if s1 >= s2 else ()
-        key = (remaining, s1, s2, rem, tracked, adv_budget)
+        key = (remaining, s1, s2, rem, policy.tracked_opponent_budget, adv_budget)
         hit = memo.get(key, MISS)
         if hit is not MISS:
             return hit
@@ -402,34 +397,33 @@ def exhaustive_adversary_check(
             )
         line = None
         if set01:
-            sub = explore(remaining - 1, s1, s2, rem, tracked, adv_budget)
+            # The policy bids nothing on a zero-value turn and learns nothing from it.
+            sub = explore(remaining - 1, s1, s2, rem, policy, adv_budget)
             if sub is not None:
                 line = ((0, Fraction(0)),) + sub
         if line is None:
-            p = policy_bid(s1, s2, tracked, rem)
+            p = _policy_bid(policy, 1, rem)
             # Adversary concedes the value-1 turn: P1 pays its bid.
-            sub = explore(remaining - 1, s1 + 1, s2, rem - p, tracked, adv_budget)
+            won = observe_outcome(policy, 1, p, True)
+            sub = explore(remaining - 1, s1 + 1, s2, rem - p, won, adv_budget)
             if sub is not None:
                 line = ((1, Fraction(0)),) + sub
             else:
-                new_rem = rem - alpha * p if all_pay else rem
-                new_tracked = tracked - p
-                for q in bids[bisect_right(bids, p):]:
-                    if q > adv_budget:
-                        break
-                    sub = explore(
-                        remaining - 1, s1, s2 + 1, new_rem, new_tracked, adv_budget - q
-                    )
+                lost = observe_outcome(policy, 1, p, False)
+                rem_lost = rem - alpha * p
+                for q in bids[bisect_right(bids, p):bisect_right(bids, adv_budget)]:
+                    sub = explore(remaining - 1, s1, s2 + 1, rem_lost, lost, adv_budget - q)
                     if sub is not None:
                         line = ((1, q),) + sub
                         break
         memo[key] = line
         return line
 
-    line = explore(turns, 0, 0, b1, b2, b2)
+    line = explore(turns, 0, 0, b1, fresh, b2)
     if line is None:
         return AdversarySweepVerdict(True, None, len(memo))
-    trace = run_game(config, b1, StrategyPolicy(matrix=matrix), _ScriptedAdversary(line), seed=0)
+    policy = StrategyPolicy(matrix=fresh.matrix)
+    trace = run_game(config, b1, policy, _ScriptedAdversary(line), seed=0)
     if trace.winner is not Player.P2:
         raise ContestError(
             "internal inconsistency: enumerated losing line did not replay to a P2 win"

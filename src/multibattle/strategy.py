@@ -4,13 +4,13 @@ The policy tracks the opponent's budget pessimistically (it never assumes
 P2 spent more than can be proven from public information) and, on every
 value-1 turn at countdown pair (i, j), bids the fraction
 
-    first-price:  r* = (x[i][j-1] - x[i-1][j]) / (1 + x[i][j-1])
-    all-pay:      r* = (x[i][j-1] - x[i-1][j]) / (x[i][j-1] + 1 - alpha)
+    r* = (x[i][j-1] - x[i-1][j]) / (x[i][j-1] + 1 - alpha)
 
-of the tracked budget, where x is the variant's countdown matrix. The two
-outcomes of the turn then cost exactly the same in matrix terms, which is
-what makes the guarantee inductive: winning leaves a state needing
-x[i-1][j] per tracked unit, losing leaves x[i][j-1] per shrunken unit.
+of the tracked budget, where x is the variant's countdown matrix and
+first-price is alpha = 0. The two outcomes of the turn then cost exactly
+the same in matrix terms, which is what makes the guarantee inductive:
+winning leaves a state needing x[i-1][j] per tracked unit, losing leaves
+x[i][j-1] per unit of what the opponent keeps after paying for her win.
 
 Two families of states bid the whole tracked budget instead: triangular
 diagonals (P1 cannot afford to lose the next contested turn, and the
@@ -20,7 +20,7 @@ with j = 1 (P2 could take any turn P1 does not fully defend).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -29,7 +29,6 @@ from .core import (
     DomainError,
     GameDecidedError,
     Numeric,
-    Pricing,
     UnwinnableStateError,
     ValueModel,
     ceil_div,
@@ -55,8 +54,8 @@ def optimal_bid_fraction(
 ) -> Fraction | float:
     """Fraction of the tracked opponent budget to bid at countdown (i, j).
 
-    Pass a prebuilt matrix for all-pay variants with alpha outside {0, 1}
-    (they have no closed form). Raises GameDecidedError when either
+    Pass a prebuilt matrix for variants without a closed form (all-pay
+    with alpha outside {0, 1}). Raises GameDecidedError when either
     countdown is zero and UnwinnableStateError for triangular i > j.
     """
     if i <= 0 or j <= 0:
@@ -70,8 +69,6 @@ def optimal_bid_fraction(
         return one
     lose = _entry(variant, i, j - 1, matrix, exact)
     win = _entry(variant, i - 1, j, matrix, exact)
-    if variant.pricing is Pricing.FIRST_PRICE:
-        return (lose - win) / (one + lose)
     alpha = variant.alpha if exact else float(variant.alpha)
     return (lose - win) / (lose + one - alpha)
 
@@ -102,7 +99,7 @@ class StrategyState:
         if turns < 1:
             raise DomainError(f"turns must be >= 1, got {turns}")
         h = ceil_div(turns, 2)
-        if matrix is None and variant.pricing is Pricing.ALL_PAY and variant.alpha not in (0, 1):
+        if matrix is None and not variant.has_closed_form:
             matrix = build_matrix(variant, h, exact=True)
         return cls(variant, Fraction(opponent_budget), CountdownPair(h, h), matrix)
 
@@ -135,32 +132,21 @@ def observe_outcome(
     the pair alone (the matrix indices already encode remaining need, and
     planning for the unshrunk pair is the conservative side).
 
-    Budget tracking is pessimistic. First-price: a P2 win with no
-    disclosed bid costs her at least P1's own bid (she had to beat it);
-    a P1 win costs her nothing. All-pay: a P2 win is tracked the same
-    way, and on a P1 win the undisclosed losing bid is assumed to be 0,
-    the least she could have forfeited.
+    The opponent pays what every loser and winner pays: her bid if she
+    won, ``alpha`` times it if she lost. Budget tracking is pessimistic,
+    so an undisclosed bid is taken at the least it could have been: P1's
+    own bid when she won (she had to beat it; ties go to P1), zero when
+    she lost, which leaves the tracked budget alone.
     """
-    my_bid = Fraction(my_bid)
+    cd = state.countdown
+    if turn_value == 1 and i_won:
+        cd = CountdownPair(max(0, cd.i - 1), cd.j)
+    elif turn_value == 1:
+        cd = CountdownPair(cd.i, max(0, cd.j - 1))
     b = state.tracked_opponent_budget
-    if turn_value == 1:
-        cd = state.countdown
-        if i_won:
-            cd = CountdownPair(max(0, cd.i - 1), cd.j)
-        else:
-            cd = CountdownPair(cd.i, max(0, cd.j - 1))
-    else:
-        cd = state.countdown
-
-    disclosed = None if disclosed_opponent_bid is None else Fraction(disclosed_opponent_bid)
-    if state.variant.pricing is Pricing.FIRST_PRICE:
-        if not i_won:
-            b = b - (disclosed if disclosed is not None else my_bid)
-    else:
-        if not i_won:
-            b = b - (disclosed if disclosed is not None else my_bid)
-        else:
-            b = b - state.variant.alpha * (disclosed if disclosed is not None else Fraction(0))
-    if b < 0:
-        b = Fraction(0)
-    return replace(state, tracked_opponent_budget=b, countdown=cd)
+    if disclosed_opponent_bid is not None or not i_won:
+        her_bid = Fraction(my_bid if disclosed_opponent_bid is None else disclosed_opponent_bid)
+        b -= state.variant.alpha * her_bid if i_won else her_bid
+        if b < 0:
+            b = Fraction(0)
+    return StrategyState(state.variant, b, cd, state.matrix)

@@ -138,8 +138,6 @@ def test_config_validation():
         GameConfig(FP_SET01, turns=0)
     with pytest.raises(DomainError):
         GameConfig(FP_SET01, turns=3, budget_p2=0)
-    with pytest.raises(DomainError):
-        GameConfig(FP_SET01, turns=3, score_budget_weight=F(1, 10))
 
 
 def test_variant_validation():

@@ -9,6 +9,7 @@ from multibattle import (
     FP_FIXED1,
     FP_SET01,
     AllInAdversary,
+    AuctionVariant,
     DomainError,
     FixedBidsPolicy,
     GameConfig,
@@ -19,6 +20,7 @@ from multibattle import (
     RandomSeededAdversary,
     ResourceError,
     StrategyPolicy,
+    ValueModel,
     exhaustive_adversary_check,
     obr,
     run_game,
@@ -171,6 +173,17 @@ def test_exhaustive_check_all_pay_variant():
     cfg = GameConfig(AP_SET01, turns=3)
     verdict = exhaustive_adversary_check(cfg, F(2), denominator_bound=8)
     assert verdict.win_all
+
+
+def test_exhaustive_check_at_a_fractional_alpha():
+    # No closed form: the sweep runs the policy on its exact DP matrix.
+    variant = AuctionVariant.all_pay(ValueModel.SET01, F(1, 3))
+    cfg = GameConfig(variant, turns=5)
+    ratio = obr(variant, 5, exact=True)
+    assert exhaustive_adversary_check(cfg, ratio, denominator_bound=8).win_all
+    below = exhaustive_adversary_check(cfg, ratio * F(9, 10), denominator_bound=8)
+    assert not below.win_all
+    assert below.counterexample.winner is Player.P2
 
 
 def test_exhaustive_check_respects_its_state_budget():

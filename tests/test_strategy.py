@@ -138,7 +138,14 @@ def test_observe_clamps_tracking_at_zero():
     assert after.tracked_opponent_budget == 0
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.short_name)
+@pytest.mark.parametrize(
+    "variant",
+    [pytest.param(v, id=v.short_name) for v in ALL_VARIANTS]
+    + [
+        pytest.param(AuctionVariant.all_pay(ValueModel.SET01, F(1, 3)), id="ap-set-third"),
+        pytest.param(AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 2)), id="ap-fixed-half"),
+    ],
+)
 def test_indifference_identity(variant):
     """Winning and losing a turn at r* require exactly the entry's budget."""
     n = 25
@@ -149,10 +156,7 @@ def test_indifference_identity(variant):
         for j in range(lo, n + 1):
             r = optimal_bid_fraction(variant, i, j, matrix=m)
             win_branch = r + m.entry(i - 1, j)
-            if variant.pricing.value == "first-price":
-                lose_branch = (1 - r) * m.entry(i, j - 1)
-            else:
-                lose_branch = alpha * r + (1 - r) * m.entry(i, j - 1)
+            lose_branch = alpha * r + (1 - r) * m.entry(i, j - 1)
             assert win_branch == m.entry(i, j), (i, j)
             assert lose_branch == m.entry(i, j), (i, j)
 
