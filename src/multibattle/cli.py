@@ -169,10 +169,7 @@ def _cmd_matrix(ns) -> int:
 
 def _cmd_bid(ns) -> int:
     variant = _variant_from(ns)
-    matrix = None
-    if not variant.has_closed_form:
-        matrix = build_matrix(variant, max(ns.i, ns.j), exact=True)
-    fraction = optimal_bid_fraction(variant, ns.i, ns.j, matrix=matrix, exact=True)
+    fraction = optimal_bid_fraction(variant, ns.i, ns.j)
     budget = _parse_fraction(ns.opponent_budget)
     print(f"r* = {_fmt(fraction, ns.exact)}")
     print(f"bid = {_fmt(fraction * budget, ns.exact)}")

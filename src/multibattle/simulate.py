@@ -40,7 +40,7 @@ from .core import (
 )
 # This module calls neither build_matrix nor optimal_bid_fraction, but
 # perfbench/tracing.py wraps both under this module's names, so they stay.
-from .matrices import CountdownMatrix, build_matrix  # noqa: F401
+from .matrices import build_matrix  # noqa: F401
 from .oracle import GridEvaluator
 from .strategy import StrategyState, next_bid, observe_outcome, optimal_bid_fraction  # noqa: F401
 
@@ -65,14 +65,10 @@ class StrategyPolicy:
     policy degrades gracefully instead of overbidding (see ``_policy_bid``).
     """
 
-    def __init__(self, matrix: CountdownMatrix | None = None):
-        self._matrix = matrix
-        self._state: StrategyState | None = None
+    _state: StrategyState | None = None
 
     def begin(self, config: GameConfig, budget_p1: Fraction) -> None:
-        self._state = StrategyState.fresh(
-            config.variant, config.turns, config.budget_p2, matrix=self._matrix
-        )
+        self._state = StrategyState.fresh(config.variant, config.turns, config.budget_p2)
 
     def bid(self, state: GameState, value: int) -> Fraction:
         return _policy_bid(self._state, value, state.budget_p1)
@@ -170,13 +166,12 @@ class RandomSeededAdversary:
 class OmnipotentAdversary:
     """Best response computed by the exact grid oracle at each turn.
 
-    Both budgets are floored onto the bid grid before each oracle query
-    (giving the adversary the aggressive reading of off-grid amounts), and
-    the reply to P1's bid is the smallest grid bid that beats it, when
-    beating it leads to a position the oracle scores as lost for a
-    grid-bidding P1. Values: it prefers a value it can win under, trying
-    1 first; if the oracle sees no win anywhere it plays value 1 and
-    concedes the bidding.
+    Oracle queries floor both budgets onto the bid grid (the adversary's
+    aggressive reading of off-grid amounts). Against P1's bid it settles
+    the turn with ``settle_turn`` and concedes if that leaves P1 lost,
+    else bids one grid step above P1 if affordable and that leaves P1
+    lost, else concedes. Values: it prefers a value it can win under,
+    trying 1 first, and plays value 1 when the oracle sees no win anywhere.
     """
 
     def __init__(self, grid_unit: Numeric | None = None):
@@ -193,37 +188,30 @@ class OmnipotentAdversary:
         if self._ev is None or self._ev.variant != config.variant:
             self._ev = GridEvaluator(config.variant)
 
-    def _units(self, amount: Fraction) -> int:
-        return int(Fraction(amount) / self._grid)
-
-    def choose_value(self, state: GameState, rng: random.Random) -> int:
+    def _p1_wins(self, state: GameState, value: int | None = None) -> bool:
+        """The oracle's verdict on ``state``, with this turn's value fixed if given."""
         remaining = self._config.turns - state.turn_index
         cd = state.countdown
-        a = self._units(state.budget_p1)
-        b = self._units(state.budget_p2)
+        a = int(state.budget_p1 / self._grid)
+        b = int(state.budget_p2 / self._grid)
+        if value is None:
+            return self._ev.win(remaining, cd.i, cd.j, a, b)
+        return self._ev.win_given_value(remaining, cd.i, cd.j, a, b, value)
+
+    def choose_value(self, state: GameState, rng: random.Random) -> int:
         for value in (1, 0):
-            if not self._ev.win_given_value(remaining, cd.i, cd.j, a, b, value):
+            if not self._p1_wins(state, value):
                 return value
         return 1
 
     def choose_bid(self, state: GameState, value: int, p1_bid: Fraction, rng) -> Fraction:
         if value == 0:
             return Fraction(0)
-        remaining = self._config.turns - state.turn_index
-        cd = state.countdown
-        p = Fraction(p1_bid)
-        # Conceding: P1 takes the turn and pays its bid.
-        a_concede = self._units(state.budget_p1 - p)
-        b_concede = self._units(state.budget_p2)
-        if not self._ev.win(remaining - 1, cd.i - 1, cd.j, a_concede, b_concede):
+        if not self._p1_wins(settle_turn(self._config, state, 1, p1_bid, 0)):
             return Fraction(0)
-        # Beating: one grid step above P1's bid, if affordable and winning.
-        q = self._grid * (int(p / self._grid) + 1)
-        if q <= state.budget_p2:
-            a_beat = self._units(state.budget_p1 - self._config.variant.alpha * p)
-            b_beat = self._units(state.budget_p2 - q)
-            if not self._ev.win(remaining - 1, cd.i, cd.j - 1, a_beat, b_beat):
-                return q
+        q = self._grid * (int(Fraction(p1_bid) / self._grid) + 1)
+        if q <= state.budget_p2 and not self._p1_wins(settle_turn(self._config, state, 1, p1_bid, q)):
+            return q
         return Fraction(0)
 
 
@@ -359,14 +347,14 @@ def exhaustive_adversary_check(
     adversary's options are a subset of a richer one's). All winning bids
     are enumerated.
 
-    Intended for small T (documented: T <= 5); the memo is capped at
-    ``max_states`` and overruns raise ResourceError with progress counts.
+    Sized for small games: T <= 11 with a bound of 8 explores at most
+    6.6k states at the optimal ratio. The memo is capped at ``max_states``;
+    overruns raise ResourceError with progress counts.
     """
     turns = config.turns
     b2 = config.budget_p2
     b1 = Fraction(budget_p1)
     bids = _grid_bids(b2, denominator_bound)
-    fresh = StrategyState.fresh(config.variant, turns, b2)
     alpha = config.variant.alpha
     set01 = config.variant.values is ValueModel.SET01
 
@@ -384,8 +372,6 @@ def exhaustive_adversary_check(
             return None
         if cd.j == 0:
             return ()
-        if remaining == 0:
-            return None if s1 >= s2 else ()
         key = (remaining, s1, s2, rem, policy.tracked_opponent_budget, adv_budget)
         hit = memo.get(key, MISS)
         if hit is not MISS:
@@ -419,11 +405,10 @@ def exhaustive_adversary_check(
         memo[key] = line
         return line
 
-    line = explore(turns, 0, 0, b1, fresh, b2)
+    line = explore(turns, 0, 0, b1, StrategyState.fresh(config.variant, turns, b2), b2)
     if line is None:
         return AdversarySweepVerdict(True, None, len(memo))
-    policy = StrategyPolicy(matrix=fresh.matrix)
-    trace = run_game(config, b1, policy, _ScriptedAdversary(line), seed=0)
+    trace = run_game(config, b1, StrategyPolicy(), _ScriptedAdversary(line), seed=0)
     if trace.winner is not Player.P2:
         raise ContestError(
             "internal inconsistency: enumerated losing line did not replay to a P2 win"

@@ -31,18 +31,13 @@ from .core import (
     Numeric,
     UnwinnableStateError,
     ValueModel,
-    ceil_div,
 )
 from .matrices import CountdownMatrix, build_matrix, closed_form
 
 
-def _entry(variant: AuctionVariant, i: int, j: int, matrix: CountdownMatrix | None, exact: bool):
-    """Matrix value x[i][j] with the virtual zero row, from DP or closed form."""
-    if i == 0:
-        return Fraction(0) if exact else 0.0
-    if matrix is not None:
-        return matrix.entry(i, j)
-    return closed_form(variant, i, j, exact=exact)
+def _dp_matrix(variant: AuctionVariant, n: int) -> CountdownMatrix | None:
+    """The exact size-n matrix the policy reads, or None where the closed form serves."""
+    return None if variant.has_closed_form else build_matrix(variant, n, exact=True)
 
 
 def optimal_bid_fraction(
@@ -50,27 +45,31 @@ def optimal_bid_fraction(
     i: int,
     j: int,
     matrix: CountdownMatrix | None = None,
-    exact: bool = True,
-) -> Fraction | float:
-    """Fraction of the tracked opponent budget to bid at countdown (i, j).
+) -> Fraction:
+    """Exact fraction of the tracked opponent budget to bid at countdown (i, j).
 
-    Pass a prebuilt matrix for variants without a closed form (all-pay
-    with alpha outside {0, 1}). Raises GameDecidedError when either
-    countdown is zero and UnwinnableStateError for triangular i > j.
+    Entries come from ``matrix`` if given, else from the closed form, else
+    (alpha outside {0, 1}) from a matrix of size max(i, j) built per call.
+    Raises GameDecidedError when either countdown is zero and
+    UnwinnableStateError for triangular i > j.
     """
     if i <= 0 or j <= 0:
         raise GameDecidedError(f"countdown ({i}, {j}) already decides the game")
     if variant.is_triangular and i > j:
         raise UnwinnableStateError(f"state ({i}, {j}) cannot be won under {variant.short_name}")
-    one = Fraction(1) if exact else 1.0
     if variant.is_triangular and i == j:
-        return one
+        return Fraction(1)
     if variant.values is ValueModel.FIXED1 and j == 1:
-        return one
-    lose = _entry(variant, i, j - 1, matrix, exact)
-    win = _entry(variant, i - 1, j, matrix, exact)
-    alpha = variant.alpha if exact else float(variant.alpha)
-    return (lose - win) / (lose + one - alpha)
+        return Fraction(1)
+    if matrix is None:
+        matrix = _dp_matrix(variant, max(i, j))
+    if matrix is None:
+        lose = closed_form(variant, i, j - 1, exact=True)
+        win = closed_form(variant, i - 1, j, exact=True) if i > 1 else 0
+    else:
+        lose = matrix.entry(i, j - 1)
+        win = matrix.entry(i - 1, j)
+    return (lose - win) / (lose + 1 - variant.alpha)
 
 
 @dataclass(frozen=True)
@@ -88,20 +87,12 @@ class StrategyState:
     matrix: CountdownMatrix | None = None
 
     @classmethod
-    def fresh(
-        cls,
-        variant: AuctionVariant,
-        turns: int,
-        opponent_budget: Numeric,
-        matrix: CountdownMatrix | None = None,
-    ) -> "StrategyState":
+    def fresh(cls, variant: AuctionVariant, turns: int, opponent_budget: Numeric) -> "StrategyState":
         """Start-of-game state; builds a matrix when no closed form exists."""
         if turns < 1:
             raise DomainError(f"turns must be >= 1, got {turns}")
-        h = ceil_div(turns, 2)
-        if matrix is None and not variant.has_closed_form:
-            matrix = build_matrix(variant, h, exact=True)
-        return cls(variant, Fraction(opponent_budget), CountdownPair(h, h), matrix)
+        countdown = CountdownPair.fresh(turns)
+        return cls(variant, Fraction(opponent_budget), countdown, _dp_matrix(variant, countdown.i))
 
 
 def next_bid(state: StrategyState, turn_value: int) -> Fraction:
@@ -115,7 +106,7 @@ def next_bid(state: StrategyState, turn_value: int) -> Fraction:
     if turn_value == 0:
         return Fraction(0)
     i, j = state.countdown.i, state.countdown.j
-    fraction = optimal_bid_fraction(state.variant, i, j, matrix=state.matrix, exact=True)
+    fraction = optimal_bid_fraction(state.variant, i, j, matrix=state.matrix)
     return fraction * state.tracked_opponent_budget
 
 

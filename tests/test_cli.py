@@ -94,6 +94,17 @@ def test_bid_command_scales_by_opponent_budget(capsys):
     assert out.splitlines()[1] == "bid = 7/5"
 
 
+def test_bid_command_without_a_closed_form(capsys):
+    variant = ("--variant", "ap-set", "--alpha", "1/3")
+    code, out, _ = run(capsys, "bid", *variant, "--i", "2", "--j", "3", "--exact")
+    assert code == 0
+    assert out == "r* = 321/646\nbid = 321/646\n"
+    code, out, err = run(capsys, "bid", *variant, "--i", "0", "--j", "0", "--exact")
+    assert code == 1
+    assert out == ""
+    assert err == "error: countdown (0, 0) already decides the game\n"
+
+
 def test_bid_unwinnable_state_is_a_domain_error(capsys):
     code, _, err = run(capsys, "bid", "--variant", "fp-set", "--i", "3", "--j", "2")
     assert code == 1

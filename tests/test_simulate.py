@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multibattle import (
+    AP_FIXED1,
     AP_SET01,
     FP_FIXED1,
     FP_SET01,
@@ -20,9 +23,12 @@ from multibattle import (
     RandomSeededAdversary,
     ResourceError,
     StrategyPolicy,
+    StrategyState,
     ValueModel,
+    build_matrix,
     exhaustive_adversary_check,
     obr,
+    observe_outcome,
     run_game,
 )
 from multibattle.simulate import _grid_bids
@@ -50,6 +56,27 @@ def test_omnipotent_adversary_cannot_beat_the_optimal_budget():
     cfg = GameConfig(FP_SET01, turns=3)
     trace = run_game(cfg, F(3, 2), StrategyPolicy(), OmnipotentAdversary())
     assert trace.winner is Player.P1
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        pytest.param(AP_SET01, id="ap-set"),
+        pytest.param(AP_FIXED1, id="ap-fixed"),
+        pytest.param(AuctionVariant.all_pay(ValueModel.SET01, F(1, 3)), id="ap-set-third"),
+        pytest.param(AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 2)), id="ap-fixed-half"),
+    ],
+)
+@pytest.mark.parametrize("turns", [3, 5])
+def test_omnipotent_adversary_on_all_pay_variants(variant, turns):
+    # Below the optimal ratio she must beat P1's bids, paying for them
+    # while P1's losing bids cost alpha times their size.
+    cfg = GameConfig(variant, turns)
+    ratio = obr(variant, turns, exact=True)
+    held = run_game(cfg, ratio, StrategyPolicy(), OmnipotentAdversary(F(1, 24)))
+    assert (held.winner, held.reason) == (Player.P1, "countdown")
+    short = run_game(cfg, ratio * F(9, 10), StrategyPolicy(), OmnipotentAdversary(F(1, 24)))
+    assert (short.winner, short.reason) == (Player.P2, "exhausted")
 
 
 def test_fixed_value_games_need_no_more_than_matching_budgets():
@@ -103,6 +130,40 @@ def test_trace_budgets_follow_the_pricing_rule(variant, seed):
         b2 -= pay2
         assert (rec.budget_p1, rec.budget_p2) == (b1, b2)
         assert b1 >= 0 and b2 >= 0
+
+
+@settings(deadline=None)
+@given(
+    variant=st.sampled_from(
+        [
+            FP_SET01,
+            FP_FIXED1,
+            AP_SET01,
+            AP_FIXED1,
+            AuctionVariant.all_pay(ValueModel.SET01, F(1, 3)),
+            AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 2)),
+        ]
+    ),
+    turns=st.integers(1, 11),
+    adversary=st.sampled_from([RandomSeededAdversary, AllInAdversary, MatchPlusEpsilonAdversary]),
+    surplus=st.fractions(0, 1, max_denominator=20),
+    seed=st.integers(0, 2**16),
+)
+def test_policy_keeps_its_margin_over_the_matrix(variant, turns, adversary, surplus, seed):
+    """From at or above obr, P1's budget covers x[i][j] tracked P2 budgets after every turn."""
+    cfg = GameConfig(variant, turns)
+    b1 = obr(variant, turns, exact=True) * (1 + surplus)
+    trace = run_game(cfg, b1, StrategyPolicy(), adversary(), seed=seed)
+    assert trace.winner is Player.P1
+    s = StrategyState.fresh(variant, turns, cfg.budget_p2)
+    matrix = build_matrix(variant, s.countdown.i, exact=True)
+    for rec in trace.turns:
+        s = observe_outcome(s, rec.value, rec.bid_p1, rec.winner is Player.P1)
+        i, j = s.countdown.i, s.countdown.j
+        if i == 0 or j == 0:
+            continue
+        assert not (variant.is_triangular and i > j)
+        assert rec.budget_p1 - matrix.entry(i, j) * s.tracked_opponent_budget >= 0, (rec.index, i, j)
 
 
 def test_p1_overbid_is_a_fault():

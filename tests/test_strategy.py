@@ -60,6 +60,14 @@ def test_bid_fraction_general_alpha_needs_a_matrix():
     assert r == (lose - win) / (lose + 1 - F(1, 2))
 
 
+def test_bid_fraction_without_a_matrix_builds_one():
+    variant = AuctionVariant.all_pay(ValueModel.SET01, F(1, 3))
+    matrix = build_matrix(variant, 3, exact=True)
+    r = optimal_bid_fraction(variant, 2, 3)
+    assert r == optimal_bid_fraction(variant, 2, 3, matrix=matrix)
+    assert r == F(321, 646)
+
+
 def test_next_bid_values():
     s = StrategyState(FP_SET01, F(1), CountdownPair(2, 3))
     assert next_bid(s, 1) == F(7, 15)
