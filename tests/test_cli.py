@@ -214,3 +214,14 @@ def test_bad_number_exits_one(capsys):
     )
     assert code == 1
     assert "not a number" in err
+
+
+def test_negative_budget_exits_one(capsys):
+    code, out, err = run(
+        capsys,
+        "simulate", "--variant", "fp-set", "--turns", "3", "--ratio", "-1",
+        "--adversary", "allin",
+    )
+    assert code == 1
+    assert out == ""
+    assert "budget_p1 must be nonnegative" in err

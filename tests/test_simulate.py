@@ -1,5 +1,7 @@
 """Playouts, adversaries, trace invariants, and the exhaustive sweep."""
 
+import itertools
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -26,12 +28,13 @@ from multibattle import (
     StrategyState,
     ValueModel,
     build_matrix,
+    countdown_for,
     exhaustive_adversary_check,
     obr,
     observe_outcome,
     run_game,
 )
-from multibattle.simulate import _grid_bids
+from multibattle.simulate import _grid_bids, _policy_bid, _ScriptedAdversary
 
 F = Fraction
 
@@ -245,6 +248,108 @@ def test_exhaustive_check_at_a_fractional_alpha():
     below = exhaustive_adversary_check(cfg, ratio * F(9, 10), denominator_bound=8)
     assert not below.win_all
     assert below.counterexample.winner is Player.P2
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        pytest.param(FP_SET01, id="fp-set"),
+        pytest.param(AP_SET01, id="ap-set"),
+        pytest.param(AuctionVariant.all_pay(ValueModel.SET01, F(1, 3)), id="ap-set-third"),
+        pytest.param(AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 2)), id="ap-fixed-half"),
+    ],
+)
+def test_exhaustive_check_at_eleven_turns(variant):
+    cfg = GameConfig(variant, turns=11)
+    ratio = obr(variant, 11, exact=True)
+    at = exhaustive_adversary_check(cfg, ratio, denominator_bound=8)
+    assert at.win_all
+    # One beat reply per contested turn keeps the sweep small (807 at most here).
+    assert at.states_explored <= 807
+    below = exhaustive_adversary_check(cfg, ratio * F(9, 10), denominator_bound=8)
+    assert not below.win_all
+    assert below.counterexample.winner is Player.P2
+
+
+def reference_sweep(config, budget_p1, denominator_bound):
+    """The sweep as it was before it played ``settle_turn``'s successors.
+
+    It does its own turn arithmetic and tries every affordable winning
+    grid bid, cheapest first. Kept here only as the differential reference.
+    Returns (win_all, counterexample JSON or None, states explored).
+    """
+    turns = config.turns
+    b2 = config.budget_p2
+    b1 = F(budget_p1)
+    bids = _grid_bids(b2, denominator_bound)
+    alpha = config.variant.alpha
+    set01 = config.variant.values is ValueModel.SET01
+    memo = {}
+
+    def explore(remaining, s1, s2, rem, policy, adv_budget):
+        cd = countdown_for(turns, turns - remaining, s1, s2)
+        if cd.i == 0:
+            return None
+        if cd.j == 0:
+            return ()
+        key = (remaining, s1, s2, rem, policy.tracked_opponent_budget, adv_budget)
+        if key in memo:
+            return memo[key]
+        line = None
+        if set01:
+            sub = explore(remaining - 1, s1, s2, rem, policy, adv_budget)
+            if sub is not None:
+                line = ((0, F(0)),) + sub
+        if line is None:
+            p = _policy_bid(policy, 1, rem)
+            won = observe_outcome(policy, 1, p, True)
+            sub = explore(remaining - 1, s1 + 1, s2, rem - p, won, adv_budget)
+            if sub is not None:
+                line = ((1, F(0)),) + sub
+            else:
+                lost = observe_outcome(policy, 1, p, False)
+                for q in bids[bisect_right(bids, p):bisect_right(bids, adv_budget)]:
+                    sub = explore(remaining - 1, s1, s2 + 1, rem - alpha * p, lost, adv_budget - q)
+                    if sub is not None:
+                        line = ((1, q),) + sub
+                        break
+        memo[key] = line
+        return line
+
+    line = explore(turns, 0, 0, b1, StrategyState.fresh(config.variant, turns, b2), b2)
+    if line is None:
+        return True, None, len(memo)
+    trace = run_game(config, b1, StrategyPolicy(), _ScriptedAdversary(line))
+    return False, trace.to_json(), len(memo)
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        pytest.param(FP_SET01, id="fp-set"),
+        pytest.param(FP_FIXED1, id="fp-fixed"),
+        pytest.param(AP_SET01, id="ap-set"),
+        pytest.param(AP_FIXED1, id="ap-fixed"),
+        pytest.param(AuctionVariant.all_pay(ValueModel.SET01, F(1, 3)), id="ap-set-third"),
+        pytest.param(AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 2)), id="ap-fixed-half"),
+    ],
+)
+def test_exhaustive_check_matches_the_full_bid_reference(variant):
+    """Only the cheapest winning bid is tried; verdicts and traces must not move."""
+    losses = 0
+    for turns, b2, d, scale in itertools.product(
+        range(1, 8), (F(1), F(3, 2)), (4, 8), (F(1, 2), F(9, 10), F(1), F(11, 10))
+    ):
+        cfg = GameConfig(variant, turns, b2)
+        b1 = obr(variant, turns, exact=True) * b2 * scale
+        new = exhaustive_adversary_check(cfg, b1, d)
+        win_all, counterexample, states = reference_sweep(cfg, b1, d)
+        case = (turns, b2, d, scale)
+        assert new.win_all == win_all, case
+        assert (new.counterexample and new.counterexample.to_json()) == counterexample, case
+        assert new.states_explored <= states, case
+        losses += not win_all
+    assert losses > 0
 
 
 def test_exhaustive_check_respects_its_state_budget():
