@@ -57,7 +57,6 @@ from .oracle import (
 from .simulate import (
     AdversarySweepVerdict,
     AllInAdversary,
-    FixedBidsPolicy,
     MatchPlusEpsilonAdversary,
     OmnipotentAdversary,
     RandomSeededAdversary,

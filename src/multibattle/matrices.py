@@ -23,6 +23,29 @@ recurrence against them entry by entry in exact arithmetic. At other
 alphas ``obr`` and ``handicap_obr`` run the recurrence two rows at a
 time, in O(n) memory.
 
+Exact values are computed on reduced integer pairs ``(num, den)``, not
+on ``Fraction`` objects. With left = ln/ld, up = un/ud and alpha = an/ad,
+one entry is
+
+    dp  = ln*ad + (ad - an)*ld
+    num = un*dp + (ln*ud - un*ld)*ad
+    den = ud*dp
+
+divided by their gcd, so every stored pair is in lowest terms with a
+positive denominator, the form ``Fraction`` keeps. An exact
+``CountdownMatrix`` holds each row as a list of numerators and a list of
+denominators. A value becomes a ``Fraction`` only where it leaves this
+module: ``CountdownMatrix.entry`` and ``defined_entries``, exact
+``closed_form``, ``obr`` and ``handicap_obr``, and a mismatch in a
+``verify_matrix`` report. CSV and JSON format the pair directly, and
+``pair`` and ``closed_form_pair`` hand pairs to the strategy's bid
+fraction. The float recurrence runs on floats throughout.
+
+A matrix fill is O(n^2) entries, so ``build_matrix`` and the fills behind
+``obr``, ``handicap_obr`` and ``verify_matrix`` refuse a side above
+``MAX_EXACT_SIDE`` (exact) or ``MAX_FLOAT_SIDE`` (float) with
+ResourceError, before allocating anything.
+
 The fixed-value all-pay matrix at general alpha is an extension derived
 from the same indifference argument; it is only closed-form-verified at
 its alpha in {0, 1} endpoints and is flagged accordingly in reports.
@@ -34,6 +57,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 from .core import (
     UNWINNABLE,
@@ -41,9 +65,24 @@ from .core import (
     DomainError,
     NoClosedFormError,
     Ratio,
-    Unwinnable,
+    ResourceError,
     ceil_div,
 )
+
+# Largest matrix side a fill accepts. Exact entries at a fractional alpha
+# grow by about one digit per row, so the exact fill's time grows faster
+# than n^2; a float matrix holds n^2 Python floats.
+MAX_EXACT_SIDE = 512
+MAX_FLOAT_SIDE = 2048
+
+
+def _check_side(n: int, exact: bool) -> None:
+    if n < 1:
+        raise DomainError(f"matrix size must be >= 1, got {n}")
+    limit = MAX_EXACT_SIDE if exact else MAX_FLOAT_SIDE
+    if n > limit:
+        kind = "exact" if exact else "float"
+        raise ResourceError(f"matrix side {n} exceeds the {kind} ceiling of {limit}")
 
 
 class CountdownMatrix:
@@ -51,84 +90,92 @@ class CountdownMatrix:
 
     Rows are indexed 1..n with a virtual all-zero row 0 (a player who
     needs nothing wins for free). For triangular variants, entries with
-    i > j read as the UNWINNABLE sentinel.
+    i > j read as the UNWINNABLE sentinel. An exact matrix stores row i as
+    ``(numerators, denominators)``; a float matrix as a list of floats.
     """
 
-    def __init__(self, variant: AuctionVariant, n: int, rows: list[list], exact: bool):
+    def __init__(self, variant: AuctionVariant, n: int, rows: list, exact: bool):
         self.variant = variant
         self.n = n
         self.exact = exact
         self._rows = rows
 
-    def entry(self, i: int, j: int) -> Ratio:
+    def _row(self, i: int, j: int):
         if not (0 <= i <= self.n and 1 <= j <= self.n):
             raise DomainError(f"entry ({i}, {j}) outside matrix of size {self.n}")
-        if i == 0:
-            return self._rows[0][j]
+        return self._rows[i]
+
+    def entry(self, i: int, j: int) -> Ratio:
+        row = self._row(i, j)
         if self.variant.is_triangular and i > j:
             return UNWINNABLE
-        return self._rows[i][j]
+        if self.exact:
+            return Fraction(row[0][j], row[1][j])
+        return row[j]
+
+    def pair(self, i: int, j: int) -> tuple[int, int]:
+        """Exact entry (i, j) as its reduced (numerator, denominator) pair.
+
+        Defined entries only: a triangular matrix reads (0, 1) below its
+        diagonal, where ``entry`` gives UNWINNABLE.
+        """
+        if not self.exact:
+            raise DomainError("a float matrix has no exact pairs")
+        nums, dens = self._row(i, j)
+        return nums[j], dens[j]
 
     def defined_entries(self):
         """Yield (i, j, value) over all defined entries, row-major."""
         for i in range(1, self.n + 1):
-            start = i if self.variant.is_triangular else 1
-            row = self._rows[i]
-            for j in range(start, self.n + 1):
-                yield i, j, row[j]
+            for j in range(i if self.variant.is_triangular else 1, self.n + 1):
+                yield i, j, self.entry(i, j)
 
-    def _cell_text(self, i: int, j: int) -> str:
-        v = self.entry(i, j)
-        if isinstance(v, Unwinnable):
-            return "inf"
+    def _cells(self, i: int, text: bool) -> list:
+        """Row i's cells, columns 1..n: CSV text, or else JSON values."""
+        start = i if self.variant.is_triangular else 1
+        cells = ["inf" if text else None] * (start - 1)
+        row = self._rows[i]
         if self.exact:
-            return str(v)
-        return format(v, ".17g")
+            nums, dens = row
+            cells += [str(n) if d == 1 else f"{n}/{d}" for n, d in zip(nums[start:], dens[start:])]
+        elif text:
+            cells += [format(v, ".17g") for v in row[start:]]
+        else:
+            cells += row[start:]
+        return cells
 
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write("i\\j," + ",".join(str(j) for j in range(1, self.n + 1)) + "\n")
         for i in range(1, self.n + 1):
-            cells = [self._cell_text(i, j) for j in range(1, self.n + 1)]
-            out.write(f"{i}," + ",".join(cells) + "\n")
+            out.write(f"{i}," + ",".join(self._cells(i, text=True)) + "\n")
         return out.getvalue()
 
     def to_json_dict(self) -> dict:
-        def cell(i, j):
-            v = self.entry(i, j)
-            if isinstance(v, Unwinnable):
-                return None
-            if self.exact:
-                return str(v)
-            return v
-
         return {
             "variant": self.variant.short_name,
             "alpha": float(self.variant.alpha),
             "n": self.n,
-            "entries": [
-                [cell(i, j) for j in range(1, self.n + 1)] for i in range(1, self.n + 1)
-            ],
+            "entries": [self._cells(i, text=False) for i in range(1, self.n + 1)],
         }
 
 
-def _rows(variant: AuctionVariant, n: int, exact: bool):
-    """Yield rows 0..n of the n-column countdown matrix, one list each.
+def _float_rows(variant: AuctionVariant, n: int):
+    """Yield rows 0..n of the n-column countdown matrix in floats, one list each.
 
     Only the row above is kept, so a caller that needs one row holds O(n)
     numbers. Value-set rows start on the diagonal; their entries left of
     it are zero placeholders.
     """
-    zero = Fraction(0) if exact else 0.0
-    keep = 1 - (variant.alpha if exact else float(variant.alpha))  # loser keeps this share of a bid
-    above = [zero] * (n + 1)
+    keep = 1 - float(variant.alpha)  # loser keeps this share of a bid
+    above = [0.0] * (n + 1)
     yield above
     for i in range(1, n + 1):
-        row = [zero] * (n + 1)
+        row = [0.0] * (n + 1)
         if variant.is_triangular:
             start, left = i, 1 + above[i]
         else:
-            start, left = 1, zero + i
+            start, left = 1, 0.0 + i
         row[start] = left
         for j in range(start + 1, n + 1):
             up = above[j]
@@ -138,15 +185,65 @@ def _rows(variant: AuctionVariant, n: int, exact: bool):
         above = row
 
 
+def _pair_rows(variant: AuctionVariant, n: int):
+    """Yield rows 0..n exactly, each as (numerators, denominators) of reduced pairs.
+
+    The same recurrence and row order as ``_float_rows``; placeholders
+    left of a value-set diagonal are (0, 1).
+    """
+    an, ad = variant.alpha.numerator, variant.alpha.denominator
+    kn = ad - an  # the loser keeps kn/ad of a bid
+    above_n, above_d = [0] * (n + 1), [1] * (n + 1)
+    yield above_n, above_d
+    for i in range(1, n + 1):
+        nums, dens = [0] * (n + 1), [1] * (n + 1)
+        if variant.is_triangular:
+            start, ln, ld = i, above_n[i] + above_d[i], above_d[i]
+        else:
+            start, ln, ld = 1, i, 1
+        nums[start], dens[start] = ln, ld
+        for j in range(start + 1, n + 1):
+            un, ud = above_n[j], above_d[j]
+            dp = ln * ad + kn * ld
+            num = un * dp + (ln * ud - un * ld) * ad
+            den = ud * dp
+            g = gcd(num, den)
+            ln, ld = num // g, den // g
+            nums[j], dens[j] = ln, ld
+        yield nums, dens
+        above_n, above_d = nums, dens
+
+
 def build_matrix(variant: AuctionVariant, n: int, exact: bool = False) -> CountdownMatrix:
     """Build the countdown matrix of size n for the given variant.
 
     O(n^2) entry computations; fill is row-major from each row's boundary
-    (each entry needs only its left and upper neighbours).
+    (each entry needs only its left and upper neighbours). Raises
+    ResourceError above ``MAX_EXACT_SIDE``/``MAX_FLOAT_SIDE``.
     """
-    if n < 1:
-        raise DomainError(f"matrix size must be >= 1, got {n}")
-    return CountdownMatrix(variant, n, list(_rows(variant, n, exact)), exact)
+    _check_side(n, exact)
+    rows = _pair_rows if exact else _float_rows
+    return CountdownMatrix(variant, n, list(rows(variant, n)), exact)
+
+
+def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
+    """Closed-form entry (i, j) as a reduced (numerator, denominator) pair.
+
+    Needs ``variant.has_closed_form``, i, j >= 1 and, on a triangular
+    variant, i <= j; ``closed_form`` checks all three.
+    """
+    if variant.is_triangular:
+        if variant.alpha == 0:
+            num, den = i * (j - i + 3), (j - i + 1) * (j + 2)
+        else:
+            den = (j - i + 1) * (j + 1)
+            num = den + (i - 1) * (j - i + 3)
+    elif variant.alpha == 0:
+        num, den = i, j
+    else:
+        num, den = i + j - 1, j
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) -> Ratio:
@@ -166,25 +263,21 @@ def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) ->
         raise NoClosedFormError(
             f"no closed form for all-pay with alpha={variant.alpha}; build the matrix instead"
         )
-    if variant.is_triangular:
-        if i > j:
-            return UNWINNABLE
-        if variant.alpha == 0:
-            val = Fraction(i * (j - i + 3), (j - i + 1) * (j + 2))
-        else:
-            val = 1 + Fraction((i - 1) * (j - i + 3), (j - i + 1) * (j + 1))
-    elif variant.alpha == 0:
-        val = Fraction(i, j)
-    else:
-        val = Fraction(i + j - 1, j)
-    return val if exact else float(val)
+    if variant.is_triangular and i > j:
+        return UNWINNABLE
+    num, den = closed_form_pair(variant, i, j)
+    return Fraction(num, den) if exact else num / den
 
 
 def _entry(variant: AuctionVariant, i: int, j: int, exact: bool) -> Ratio:
     """x[i][j] from the closed form, or else from rolling rows of the recurrence."""
     if variant.has_closed_form:
         return closed_form(variant, i, j, exact=exact)
-    return next(islice(_rows(variant, j, exact), i, None))[j]
+    _check_side(j, exact)
+    if exact:
+        nums, dens = next(islice(_pair_rows(variant, j), i, None))
+        return Fraction(nums[j], dens[j])
+    return next(islice(_float_rows(variant, j), i, None))[j]
 
 
 def obr(variant: AuctionVariant, turns: int, exact: bool = False) -> Ratio:
@@ -237,15 +330,17 @@ class MatrixVerifyReport:
 def verify_matrix(variant: AuctionVariant, n: int) -> MatrixVerifyReport:
     """Check every defined DP entry against the closed form, exactly.
 
+    Compares reduced integer pairs row by row, holding two rows at a time.
     Raises NoClosedFormError for variants without one (all-pay with
     alpha outside {0, 1}).
     """
     closed_form(variant, 1, 1, exact=True)  # fail fast if no closed form
-    matrix = build_matrix(variant, n, exact=True)
+    _check_side(n, exact=True)
     checked = 0
-    for i, j, value in matrix.defined_entries():
-        expect = closed_form(variant, i, j, exact=True)
-        checked += 1
-        if value != expect:
-            return MatrixVerifyReport(variant, n, False, checked, (i, j, value, expect))
+    for i, (nums, dens) in enumerate(islice(_pair_rows(variant, n), 1, None), 1):
+        for j in range(i if variant.is_triangular else 1, n + 1):
+            checked += 1
+            dp, cf = (nums[j], dens[j]), closed_form_pair(variant, i, j)
+            if dp != cf:
+                return MatrixVerifyReport(variant, n, False, checked, (i, j, Fraction(*dp), Fraction(*cf)))
     return MatrixVerifyReport(variant, n, True, checked)

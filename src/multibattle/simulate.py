@@ -82,27 +82,6 @@ class StrategyPolicy:
         self._state = observe_outcome(self._state, value, my_bid, i_won, disclosed_opponent_bid)
 
 
-class FixedBidsPolicy:
-    """Scripted P1 that plays a fixed bid sequence (mainly for tests)."""
-
-    def __init__(self, bids):
-        self._bids = [Fraction(b) for b in bids]
-        self._at = 0
-
-    def begin(self, config: GameConfig, budget_p1: Fraction) -> None:
-        self._at = 0
-
-    def bid(self, state: GameState, value: int) -> Fraction:
-        if self._at >= len(self._bids):
-            return Fraction(0)
-        b = self._bids[self._at]
-        self._at += 1
-        return b
-
-    def observe(self, value, my_bid, i_won, disclosed_opponent_bid=None) -> None:
-        pass
-
-
 class AllInAdversary:
     """Always plays value 1 and bids the whole remaining budget on it."""
 

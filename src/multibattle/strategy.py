@@ -32,7 +32,11 @@ from .core import (
     UnwinnableStateError,
     ValueModel,
 )
-from .matrices import CountdownMatrix, build_matrix, closed_form
+from .matrices import CountdownMatrix, build_matrix, closed_form_pair
+
+# perfbench/tracing.py wraps closed_form under this module's name, so it
+# stays imported although the bid fraction reads closed_form_pair.
+from .matrices import closed_form  # noqa: F401
 
 
 def _dp_matrix(variant: AuctionVariant, n: int) -> CountdownMatrix | None:
@@ -48,8 +52,10 @@ def optimal_bid_fraction(
 ) -> Fraction:
     """Exact fraction of the tracked opponent budget to bid at countdown (i, j).
 
-    Entries come from ``matrix`` if given, else from the closed form, else
-    (alpha outside {0, 1}) from a matrix of size max(i, j) built per call.
+    Entries come from ``matrix`` (exact) if given, else from the closed
+    form, else (alpha outside {0, 1}) from a matrix of size max(i, j)
+    built per call. They are read as integer pairs, and the one Fraction
+    made is the result.
     Raises GameDecidedError when either countdown is zero and
     UnwinnableStateError for triangular i > j.
     """
@@ -64,12 +70,14 @@ def optimal_bid_fraction(
     if matrix is None:
         matrix = _dp_matrix(variant, max(i, j))
     if matrix is None:
-        lose = closed_form(variant, i, j - 1, exact=True)
-        win = closed_form(variant, i - 1, j, exact=True) if i > 1 else 0
+        ln, ld = closed_form_pair(variant, i, j - 1)
+        wn, wd = closed_form_pair(variant, i - 1, j) if i > 1 else (0, 1)
     else:
-        lose = matrix.entry(i, j - 1)
-        win = matrix.entry(i - 1, j)
-    return (lose - win) / (lose + 1 - variant.alpha)
+        ln, ld = matrix.pair(i, j - 1)
+        wn, wd = matrix.pair(i - 1, j)
+    # (lose - win) / (lose + 1 - alpha) with lose = ln/ld, win = wn/wd, alpha = an/ad
+    an, ad = variant.alpha.numerator, variant.alpha.denominator
+    return Fraction((ln * wd - wn * ld) * ad, wd * (ln * ad + (ad - an) * ld))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 
 from multibattle import cli
 from multibattle.core import ResourceError
-from multibattle.matrices import MatrixVerifyReport
+from multibattle.matrices import MAX_EXACT_SIDE, MAX_FLOAT_SIDE, MatrixVerifyReport
 from multibattle import FP_SET01
 
 
@@ -193,6 +193,18 @@ def test_resource_errors_exit_two(monkeypatch, capsys):
     code, _, err = run(capsys, "oracle", "--variant", "fp-set", "--turns", "3", "--b2", "4")
     assert code == 2
     assert "exhausted" in err
+
+
+def test_sizes_above_the_matrix_ceiling_exit_two(capsys):
+    for argv in (
+        ["matrix", "--variant", "fp-set", "--size", str(MAX_FLOAT_SIDE + 1)],
+        ["matrix", "--variant", "fp-set", "--size", str(MAX_EXACT_SIDE + 1), "--exact"],
+        ["obr", "--variant", "ap-set", "--alpha", "1/3", "--turns", str(2 * MAX_FLOAT_SIDE + 1)],
+        ["obr", "--variant", "ap-fixed", "--alpha", "1/2", "--turns", str(2 * MAX_EXACT_SIDE + 1), "--exact"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: matrix side ") and "ceiling" in err, argv
 
 
 def test_unknown_variant_exits_one(capsys):

@@ -1,5 +1,6 @@
 """Countdown matrices: recurrences, closed forms, queries, serialization."""
 
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -16,14 +17,16 @@ from multibattle import (
     AuctionVariant,
     DomainError,
     NoClosedFormError,
+    ResourceError,
     ValueModel,
     build_matrix,
     closed_form,
     handicap_obr,
     obr,
+    optimal_bid_fraction,
     verify_matrix,
 )
-from multibattle.matrices import MatrixVerifyReport
+from multibattle.matrices import MAX_EXACT_SIDE, MAX_FLOAT_SIDE, MatrixVerifyReport
 
 F = Fraction
 
@@ -32,6 +35,13 @@ ALL_VARIANTS = [FP_SET01, FP_FIXED1, AP_SET01, AP_FIXED1]
 FRACTIONAL_VARIANTS = [
     AuctionVariant.all_pay(ValueModel.SET01, F(1, 3)),
     AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 2)),
+]
+REFERENCE_VARIANTS = [
+    pytest.param(v, id=name)
+    for v, name in zip(
+        ALL_VARIANTS + FRACTIONAL_VARIANTS + [AuctionVariant.all_pay(ValueModel.SET01, F(2, 7))],
+        ["fp-set", "fp-fixed", "ap-set", "ap-fixed", "ap-set-third", "ap-fixed-half", "ap-set-two-sevenths"],
+    )
 ]
 
 
@@ -183,6 +193,148 @@ def test_obr_without_closed_form_runs_in_linear_memory(variant):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_exact_obr_without_closed_form_runs_in_linear_memory():
+    # Two rows of h = 80 exact pairs at ap-set alpha=1/3 peak near 15 kB;
+    # the full 80 x 80 matrix would peak near 400 kB.
+    variant = FRACTIONAL_VARIANTS[0]
+    tracemalloc.start()
+    try:
+        obr(variant, 160, exact=True)
+        handicap_obr(variant, 160, 3, exact=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+# ------------------------------------------- Fraction reference recurrence
+
+
+def _fraction_rows(variant, n):
+    """Rows 0..n of the recurrence in Fraction arithmetic: the reference for the pair fill."""
+    keep = 1 - variant.alpha
+    above = [F(0)] * (n + 1)
+    yield above
+    for i in range(1, n + 1):
+        row = [F(0)] * (n + 1)
+        if variant.is_triangular:
+            start, left = i, 1 + above[i]
+        else:
+            start, left = 1, F(i)
+        row[start] = left
+        for j in range(start + 1, n + 1):
+            up = above[j]
+            left = up + (left - up) / (left + keep)
+            row[j] = left
+        yield row
+        above = row
+
+
+def _reference_cells(variant, rows, n):
+    """Rows 1..n as the Fraction matrix printed them: str(entry), None below a triangle."""
+    return [
+        [None if variant.is_triangular and i > j else str(rows[i][j]) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+
+
+@pytest.mark.parametrize("variant", REFERENCE_VARIANTS)
+def test_pair_fill_matches_the_fraction_reference(variant):
+    for n in (1, 2, 5, 17, 40):
+        rows = list(_fraction_rows(variant, n))
+        m = build_matrix(variant, n, exact=True)
+        for i in range(0, n + 1):
+            for j in range(1, n + 1):
+                got = m.entry(i, j)
+                if variant.is_triangular and i > j:
+                    assert got is UNWINNABLE
+                else:
+                    assert type(got) is F and got == rows[i][j], (n, i, j)
+        defined = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                   if not (variant.is_triangular and i > j)]
+        assert list(m.defined_entries()) == [(i, j, rows[i][j]) for i, j in defined]
+
+        cells = _reference_cells(variant, rows, n)
+        csv = "i\\j," + ",".join(str(j) for j in range(1, n + 1)) + "\n" + "".join(
+            f"{i}," + ",".join("inf" if c is None else c for c in row) + "\n"
+            for i, row in enumerate(cells, 1)
+        )
+        assert m.to_csv() == csv
+        doc = {"variant": variant.short_name, "alpha": float(variant.alpha), "n": n, "entries": cells}
+        assert json.dumps(m.to_json_dict()) == json.dumps(doc)
+
+
+@pytest.mark.parametrize("variant", REFERENCE_VARIANTS)
+def test_exact_ratios_match_the_fraction_reference(variant):
+    rows = list(_fraction_rows(variant, 42))
+    for turns in range(1, 82):
+        h = -(-turns // 2)
+        assert obr(variant, turns, exact=True) == rows[h][h], turns
+        for k in range(4):
+            i, j = -(-(turns - k) // 2), -(-(turns + k) // 2)
+            got = handicap_obr(variant, turns, k, exact=True)
+            assert type(got) is F and got == (rows[i][j] if i > 0 else 0), (turns, k)
+
+
+@pytest.mark.parametrize("variant", REFERENCE_VARIANTS)
+def test_bid_fraction_matches_the_fraction_reference(variant):
+    n = 30
+    rows = list(_fraction_rows(variant, n))
+    m = build_matrix(variant, n, exact=True)
+    for i in range(1, n + 1):
+        for j in range(i if variant.is_triangular else 1, n + 1):
+            if (variant.is_triangular and i == j) or (not variant.is_triangular and j == 1):
+                want = F(1)
+            else:
+                lose, win = rows[i][j - 1], rows[i - 1][j]
+                want = (lose - win) / (lose + 1 - variant.alpha)
+            assert optimal_bid_fraction(variant, i, j, matrix=m) == want, (i, j)
+            if variant.has_closed_form or (i + j) % 7 == 0:
+                assert optimal_bid_fraction(variant, i, j) == want, (i, j)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.short_name)
+def test_float_closed_form_rounds_the_exact_one(variant):
+    for i in range(1, 41):
+        for j in range(1, 41):
+            exact = closed_form(variant, i, j, exact=True)
+            if exact is UNWINNABLE:
+                assert closed_form(variant, i, j) is UNWINNABLE
+            else:
+                assert closed_form(variant, i, j) == float(exact), (i, j)
+
+
+# ------------------------------------------------------------------- ceiling
+
+
+def _no_work(call):
+    """Run a call that must raise ResourceError before it allocates; return the error."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError) as err:
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
+    return err.value
+
+
+def test_fills_refuse_a_side_above_the_ceiling():
+    third = FRACTIONAL_VARIANTS[0]
+    assert "exceeds the float ceiling" in str(_no_work(lambda: build_matrix(FP_SET01, MAX_FLOAT_SIDE + 1)))
+    assert "exceeds the exact ceiling" in str(
+        _no_work(lambda: build_matrix(FP_SET01, MAX_EXACT_SIDE + 1, exact=True))
+    )
+    _no_work(lambda: verify_matrix(AP_FIXED1, MAX_EXACT_SIDE + 1))
+    _no_work(lambda: obr(third, 2 * MAX_FLOAT_SIDE + 1))
+    _no_work(lambda: obr(third, 2 * MAX_EXACT_SIDE + 1, exact=True))
+    _no_work(lambda: handicap_obr(third, 2 * MAX_FLOAT_SIDE - 1, 3))
+    # At the ceiling the rolling float fill still runs; closed forms have none.
+    assert obr(third, 2 * MAX_FLOAT_SIDE) > 0
+    assert obr(FP_SET01, 10**6, exact=True) == closed_form(FP_SET01, 5 * 10**5, 5 * 10**5, exact=True)
 
 
 # -------------------------------------------------------------------- queries

@@ -16,7 +16,6 @@ from multibattle import (
     AllInAdversary,
     AuctionVariant,
     DomainError,
-    FixedBidsPolicy,
     GameConfig,
     MatchPlusEpsilonAdversary,
     OmnipotentAdversary,
@@ -37,6 +36,16 @@ from multibattle import (
 from multibattle.simulate import _grid_bids, _policy_bid, _ScriptedAdversary
 
 F = Fraction
+
+# The four base variants and two without a closed form.
+SIX_VARIANTS = [
+    FP_SET01,
+    FP_FIXED1,
+    AP_SET01,
+    AP_FIXED1,
+    AuctionVariant.all_pay(ValueModel.SET01, F(1, 3)),
+    AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 2)),
+]
 
 
 def test_strategy_beats_the_all_in_adversary_at_the_optimal_ratio():
@@ -137,16 +146,7 @@ def test_trace_budgets_follow_the_pricing_rule(variant, seed):
 
 @settings(deadline=None)
 @given(
-    variant=st.sampled_from(
-        [
-            FP_SET01,
-            FP_FIXED1,
-            AP_SET01,
-            AP_FIXED1,
-            AuctionVariant.all_pay(ValueModel.SET01, F(1, 3)),
-            AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 2)),
-        ]
-    ),
+    variant=st.sampled_from(SIX_VARIANTS),
     turns=st.integers(1, 11),
     adversary=st.sampled_from([RandomSeededAdversary, AllInAdversary, MatchPlusEpsilonAdversary]),
     surplus=st.fractions(0, 1, max_denominator=20),
@@ -167,6 +167,50 @@ def test_policy_keeps_its_margin_over_the_matrix(variant, turns, adversary, surp
             continue
         assert not (variant.is_triangular and i > j)
         assert rec.budget_p1 - matrix.entry(i, j) * s.tracked_opponent_budget >= 0, (rec.index, i, j)
+
+
+@settings(deadline=None)
+@given(
+    variant=st.sampled_from(SIX_VARIANTS),
+    turns=st.integers(1, 21),
+    adversary=st.sampled_from([RandomSeededAdversary, AllInAdversary, MatchPlusEpsilonAdversary]),
+    scale=st.fractions(F(1, 2), 2, max_denominator=20),
+    seed=st.integers(0, 2**16),
+)
+def test_budget_drops_equal_payments(variant, turns, adversary, scale, seed):
+    """Each turn a player's budget falls by her payment: her bid on a win, alpha times it on a loss."""
+    cfg = GameConfig(variant, turns)
+    b1 = obr(variant, turns, exact=True) * scale
+    trace = run_game(cfg, b1, StrategyPolicy(), adversary(), seed=seed)
+    assert trace.reason != "fault"
+    alpha = variant.alpha
+    b2 = cfg.budget_p2
+    for rec in trace.turns:
+        p1_won = rec.winner is Player.P1
+        assert p1_won == (rec.bid_p1 >= rec.bid_p2)
+        pay1 = rec.bid_p1 if p1_won else alpha * rec.bid_p1
+        pay2 = alpha * rec.bid_p2 if p1_won else rec.bid_p2
+        assert (b1 - rec.budget_p1, b2 - rec.budget_p2) == (pay1, pay2), rec.index
+        b1, b2 = rec.budget_p1, rec.budget_p2
+
+
+class FixedBidsPolicy:
+    """Scripted P1 that plays a fixed bid sequence, then zeros."""
+
+    def __init__(self, bids):
+        self._bids = list(bids)
+
+    def begin(self, config, budget_p1):
+        self._at = 0
+
+    def bid(self, state, value):
+        if self._at >= len(self._bids):
+            return F(0)
+        self._at += 1
+        return self._bids[self._at - 1]
+
+    def observe(self, value, my_bid, i_won, disclosed_opponent_bid=None):
+        pass
 
 
 def test_p1_overbid_is_a_fault():
