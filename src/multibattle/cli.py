@@ -22,7 +22,7 @@ from .core import (
     ResourceError,
     ValueModel,
 )
-from .matrices import build_matrix, handicap_obr, obr, verify_matrix
+from .matrices import build_matrix, handicap_obr, matrix_csv_lines, obr, verify_matrix
 from .oracle import OracleInstance, evaluate, min_winning_budget
 from .simulate import (
     AllInAdversary,
@@ -159,11 +159,11 @@ def _cmd_obr(ns) -> int:
 
 def _cmd_matrix(ns) -> int:
     variant = _variant_from(ns)
-    matrix = build_matrix(variant, ns.size, exact=ns.exact)
     if ns.format == "csv":
-        sys.stdout.write(matrix.to_csv())
+        for line in matrix_csv_lines(variant, ns.size, exact=ns.exact):
+            sys.stdout.write(line)
     else:
-        print(json.dumps(matrix.to_json_dict()))
+        print(json.dumps(build_matrix(variant, ns.size, exact=ns.exact).to_json_dict()))
     return 0
 
 

@@ -12,6 +12,18 @@ Win detection uses countdown values: with T' the maximum combined score
 still achievable, player P1 needs ``ceil(T'/2) - score_p1`` more points to
 clinch the game, and symmetrically for P2. A countdown of zero means that
 player has already won (P1 checked first, consistent with the tie rules).
+
+Turn arithmetic runs on integer pairs. Budgets and bids are reduced
+``Fraction``s, and the helpers below work on their ``numerator`` and
+``denominator``: ``affordable`` and ``at_least`` compare by
+cross-multiplying, and ``paid`` takes a payment n/d off a budget bn/bd
+as one ``Fraction(bn*d - n*bd, bd*d)``. A new ``Fraction`` is made only
+for a value that leaves a function: ``as_fraction`` wraps a bid given as
+an int or float once (a ``Fraction`` passes through), ``paid`` makes
+each new budget, and the strategy makes its bid from the bid-fraction
+pair times the tracked budget. ``Fraction`` operators dispatch through
+the ``numbers`` ABCs and re-normalise every result; at the sizes a game
+reaches, that costs more than the integer work.
 """
 
 from __future__ import annotations
@@ -94,6 +106,32 @@ Ratio = Numeric | Unwinnable
 
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def as_fraction(x: Numeric) -> Fraction:
+    """``x`` itself when it is a Fraction, else its exact Fraction."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def affordable(bid: Fraction, budget: Fraction) -> bool:
+    """Whether ``0 <= bid <= budget``; both are Fractions or ints."""
+    n = bid.numerator
+    return n >= 0 and n * budget.denominator <= budget.numerator * bid.denominator
+
+
+def at_least(a: Fraction, b: Fraction) -> bool:
+    """Whether ``a >= b``; both are Fractions or ints."""
+    return a.numerator * b.denominator >= b.numerator * a.denominator
+
+
+def paid(budget: Fraction, amount: Fraction, an: int = 1, ad: int = 1) -> Fraction:
+    """``budget - (an/ad) * amount`` as one Fraction; ``budget`` itself when nothing is paid."""
+    n = an * amount.numerator
+    if not n:
+        return budget
+    d = ad * amount.denominator
+    bn, bd = budget.numerator, budget.denominator
+    return Fraction(bn * d - n * bd, bd * d)
 
 
 class Player(Enum):
@@ -223,8 +261,9 @@ class GameState:
     countdown: CountdownPair
 
     def __post_init__(self):
-        if self.budget_p1 < 0 or self.budget_p2 < 0:
-            raise DomainError("budgets must be nonnegative")
+        for b in (self.budget_p1, self.budget_p2):
+            if (b.numerator if type(b) is Fraction else b) < 0:
+                raise DomainError("budgets must be nonnegative")
         if self.score_p1 < 0 or self.score_p2 < 0:
             raise DomainError("scores must be nonnegative")
 
@@ -261,24 +300,29 @@ def settle_turn(
         raise DomainError("fixed-value contests only auction value-1 objects")
     if state.turn_index >= config.turns:
         raise GameDecidedError("all turns already played")
-    bid_p1 = Fraction(bid_p1)
-    bid_p2 = Fraction(bid_p2)
-    if not 0 <= bid_p1 <= state.budget_p1:
+    bid_p1 = as_fraction(bid_p1)
+    bid_p2 = as_fraction(bid_p2)
+    b1 = as_fraction(state.budget_p1)
+    b2 = as_fraction(state.budget_p2)
+    if not affordable(bid_p1, b1):
         raise OverbidError(f"P1 bid {bid_p1} outside [0, {state.budget_p1}]")
-    if not 0 <= bid_p2 <= state.budget_p2:
+    if not affordable(bid_p2, b2):
         raise OverbidError(f"P2 bid {bid_p2} outside [0, {state.budget_p2}]")
 
-    p1_wins = bid_p1 >= bid_p2
+    p1_wins = at_least(bid_p1, bid_p2)
     alpha = config.variant.alpha
-    pay1 = bid_p1 if p1_wins else alpha * bid_p1
-    pay2 = alpha * bid_p2 if p1_wins else bid_p2
+    an, ad = alpha.numerator, alpha.denominator
+    if p1_wins:
+        b1, b2 = paid(b1, bid_p1), paid(b2, bid_p2, an, ad)
+    else:
+        b1, b2 = paid(b1, bid_p1, an, ad), paid(b2, bid_p2)
 
     s1 = state.score_p1 + (value if p1_wins else 0)
     s2 = state.score_p2 + (value if not p1_wins else 0)
     idx = state.turn_index + 1
     return GameState(
-        budget_p1=state.budget_p1 - pay1,
-        budget_p2=state.budget_p2 - pay2,
+        budget_p1=b1,
+        budget_p2=b2,
         score_p1=s1,
         score_p2=s2,
         turn_index=idx,

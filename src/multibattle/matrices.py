@@ -37,14 +37,15 @@ positive denominator, the form ``Fraction`` keeps. An exact
 denominators. A value becomes a ``Fraction`` only where it leaves this
 module: ``CountdownMatrix.entry`` and ``defined_entries``, exact
 ``closed_form``, ``obr`` and ``handicap_obr``, and a mismatch in a
-``verify_matrix`` report. CSV and JSON format the pair directly, and
+``verify_matrix`` report. CSV and JSON format the pair directly
+(``matrix_csv_lines`` formats each row as it is filled), and
 ``pair`` and ``closed_form_pair`` hand pairs to the strategy's bid
 fraction. The float recurrence runs on floats throughout.
 
 A matrix fill is O(n^2) entries, so ``build_matrix`` and the fills behind
-``obr``, ``handicap_obr`` and ``verify_matrix`` refuse a side above
-``MAX_EXACT_SIDE`` (exact) or ``MAX_FLOAT_SIDE`` (float) with
-ResourceError, before allocating anything.
+``matrix_csv_lines``, ``obr``, ``handicap_obr`` and ``verify_matrix``
+refuse a side above ``MAX_EXACT_SIDE`` (exact) or ``MAX_FLOAT_SIDE``
+(float) with ResourceError, before allocating anything.
 
 The fixed-value all-pay matrix at general alpha is an extension derived
 from the same indifference argument; it is only closed-form-verified at
@@ -53,7 +54,6 @@ its alpha in {0, 1} endpoints and is flagged accordingly in reports.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -130,34 +130,40 @@ class CountdownMatrix:
             for j in range(i if self.variant.is_triangular else 1, self.n + 1):
                 yield i, j, self.entry(i, j)
 
-    def _cells(self, i: int, text: bool) -> list:
-        """Row i's cells, columns 1..n: CSV text, or else JSON values."""
-        start = i if self.variant.is_triangular else 1
-        cells = ["inf" if text else None] * (start - 1)
-        row = self._rows[i]
-        if self.exact:
-            nums, dens = row
-            cells += [str(n) if d == 1 else f"{n}/{d}" for n, d in zip(nums[start:], dens[start:])]
-        elif text:
-            cells += [format(v, ".17g") for v in row[start:]]
-        else:
-            cells += row[start:]
-        return cells
-
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("i\\j," + ",".join(str(j) for j in range(1, self.n + 1)) + "\n")
-        for i in range(1, self.n + 1):
-            out.write(f"{i}," + ",".join(self._cells(i, text=True)) + "\n")
-        return out.getvalue()
+        return "".join(_csv_lines(self.variant, self.n, self._rows, self.exact))
 
     def to_json_dict(self) -> dict:
         return {
             "variant": self.variant.short_name,
             "alpha": float(self.variant.alpha),
             "n": self.n,
-            "entries": [self._cells(i, text=False) for i in range(1, self.n + 1)],
+            "entries": [
+                _cells(self.variant, i, row, self.exact, text=False)
+                for i, row in enumerate(islice(self._rows, 1, None), 1)
+            ],
         }
+
+
+def _cells(variant: AuctionVariant, i: int, row, exact: bool, text: bool) -> list:
+    """Row i's cells, columns 1..n: CSV text, or else JSON values."""
+    start = i if variant.is_triangular else 1
+    cells = ["inf" if text else None] * (start - 1)
+    if exact:
+        nums, dens = row
+        cells += [str(n) if d == 1 else f"{n}/{d}" for n, d in zip(nums[start:], dens[start:])]
+    elif text:
+        cells += [format(v, ".17g") for v in row[start:]]
+    else:
+        cells += row[start:]
+    return cells
+
+
+def _csv_lines(variant: AuctionVariant, n: int, rows, exact: bool):
+    """Yield the CSV header, then one line per row of ``rows`` (rows 0..n; row 0 is skipped)."""
+    yield "i\\j," + ",".join(str(j) for j in range(1, n + 1)) + "\n"
+    for i, row in enumerate(islice(rows, 1, None), 1):
+        yield f"{i}," + ",".join(_cells(variant, i, row, exact, text=True)) + "\n"
 
 
 def _float_rows(variant: AuctionVariant, n: int):
@@ -224,6 +230,18 @@ def build_matrix(variant: AuctionVariant, n: int, exact: bool = False) -> Countd
     _check_side(n, exact)
     rows = _pair_rows if exact else _float_rows
     return CountdownMatrix(variant, n, list(rows(variant, n)), exact)
+
+
+def matrix_csv_lines(variant: AuctionVariant, n: int, exact: bool = False):
+    """``build_matrix(variant, n, exact).to_csv()`` one line at a time.
+
+    Each line is formatted as its row is filled, and only the row above
+    is kept, so the text streams out in O(n) memory. Raises ResourceError
+    above the same ceilings as ``build_matrix``, before any line.
+    """
+    _check_side(n, exact)
+    rows = _pair_rows if exact else _float_rows
+    return _csv_lines(variant, n, rows(variant, n), exact)
 
 
 def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:

@@ -33,6 +33,9 @@ from .core import (
     ResourceError,
     TurnRecord,
     ValueModel,
+    affordable,
+    as_fraction,
+    at_least,
     initial_state,
     settle_turn,
     winner_if_decided,
@@ -53,7 +56,9 @@ def _policy_bid(s: StrategyState, value: int, budget: Fraction) -> Fraction:
     cd = s.countdown
     if cd.i <= 0 or cd.j <= 0 or (s.variant.is_triangular and cd.i > cd.j):
         return Fraction(0)
-    return min(next_bid(s, value), budget)
+    bid = next_bid(s, value)
+    budget = as_fraction(budget)
+    return bid if at_least(budget, bid) else budget
 
 
 class StrategyPolicy:
@@ -238,17 +243,17 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
             value = p2.choose_value(state, rng)
             if value not in (0, 1):
                 raise DomainError(f"adversary chose invalid value {value!r}")
-        p_bid = Fraction(p1.bid(state, value))
-        if not 0 <= p_bid <= state.budget_p1:
+        p_bid = as_fraction(p1.bid(state, value))
+        if not affordable(p_bid, state.budget_p1):
             fault = FaultRecord(state.turn_index, Player.P1, p_bid, state.budget_p1)
             winner, reason = Player.P2, "fault"
             break
-        q_bid = Fraction(p2.choose_bid(state, value, p_bid, rng))
-        if not 0 <= q_bid <= state.budget_p2:
+        q_bid = as_fraction(p2.choose_bid(state, value, p_bid, rng))
+        if not affordable(q_bid, state.budget_p2):
             fault = FaultRecord(state.turn_index, Player.P2, q_bid, state.budget_p2)
             winner, reason = Player.P1, "fault"
             break
-        turn_winner = Player.P1 if p_bid >= q_bid else Player.P2
+        turn_winner = Player.P1 if at_least(p_bid, q_bid) else Player.P2
         new_state = settle_turn(config, state, value, p_bid, q_bid)
         records.append(
             TurnRecord(
@@ -339,13 +344,19 @@ def exhaustive_adversary_check(
     def explore(state, policy):
         """None when P1 wins every line below ``state``; else the losing line.
 
-        ``policy`` is P1's strategy state; its countdown follows from the
-        scores, so its tracked budget is all the memo key needs of it.
+        The memo key holds the state's budgets and P1's tracked budget as
+        integer pairs, plus the scores and turn index. Both countdowns
+        follow from the scores and turn index, so they are left out.
         """
         decided = winner_if_decided(config, state)
         if decided is not None:
             return None if decided is Player.P1 else ()
-        key = (state, policy.tracked_opponent_budget)
+        b1, b2, tracked = state.budget_p1, state.budget_p2, policy.tracked_opponent_budget
+        key = (
+            b1.numerator, b1.denominator, b2.numerator, b2.denominator,
+            state.score_p1, state.score_p2, state.turn_index,
+            tracked.numerator, tracked.denominator,
+        )
         hit = memo.get(key, MISS)
         if hit is not MISS:
             return hit

@@ -30,7 +30,8 @@ from .core import (
     GameDecidedError,
     Numeric,
     UnwinnableStateError,
-    ValueModel,
+    as_fraction,
+    paid,
 )
 from .matrices import CountdownMatrix, build_matrix, closed_form_pair
 
@@ -42,6 +43,30 @@ from .matrices import closed_form  # noqa: F401
 def _dp_matrix(variant: AuctionVariant, n: int) -> CountdownMatrix | None:
     """The exact size-n matrix the policy reads, or None where the closed form serves."""
     return None if variant.has_closed_form else build_matrix(variant, n, exact=True)
+
+
+def _bid_fraction_pair(
+    variant: AuctionVariant, i: int, j: int, matrix: CountdownMatrix | None
+) -> tuple[int, int]:
+    """The bid fraction at countdown (i, j) as an integer pair, not reduced."""
+    if i <= 0 or j <= 0:
+        raise GameDecidedError(f"countdown ({i}, {j}) already decides the game")
+    triangular = variant.is_triangular
+    if triangular and i > j:
+        raise UnwinnableStateError(f"state ({i}, {j}) cannot be won under {variant.short_name}")
+    if j == (i if triangular else 1):  # a diagonal, or fixed-value j = 1: bid it all
+        return 1, 1
+    if matrix is None:
+        matrix = _dp_matrix(variant, max(i, j))
+    if matrix is None:
+        ln, ld = closed_form_pair(variant, i, j - 1)
+        wn, wd = closed_form_pair(variant, i - 1, j) if i > 1 else (0, 1)
+    else:
+        ln, ld = matrix.pair(i, j - 1)
+        wn, wd = matrix.pair(i - 1, j)
+    # (lose - win) / (lose + 1 - alpha) with lose = ln/ld, win = wn/wd, alpha = an/ad
+    an, ad = variant.alpha.numerator, variant.alpha.denominator
+    return (ln * wd - wn * ld) * ad, wd * (ln * ad + (ad - an) * ld)
 
 
 def optimal_bid_fraction(
@@ -59,25 +84,8 @@ def optimal_bid_fraction(
     Raises GameDecidedError when either countdown is zero and
     UnwinnableStateError for triangular i > j.
     """
-    if i <= 0 or j <= 0:
-        raise GameDecidedError(f"countdown ({i}, {j}) already decides the game")
-    if variant.is_triangular and i > j:
-        raise UnwinnableStateError(f"state ({i}, {j}) cannot be won under {variant.short_name}")
-    if variant.is_triangular and i == j:
-        return Fraction(1)
-    if variant.values is ValueModel.FIXED1 and j == 1:
-        return Fraction(1)
-    if matrix is None:
-        matrix = _dp_matrix(variant, max(i, j))
-    if matrix is None:
-        ln, ld = closed_form_pair(variant, i, j - 1)
-        wn, wd = closed_form_pair(variant, i - 1, j) if i > 1 else (0, 1)
-    else:
-        ln, ld = matrix.pair(i, j - 1)
-        wn, wd = matrix.pair(i - 1, j)
-    # (lose - win) / (lose + 1 - alpha) with lose = ln/ld, win = wn/wd, alpha = an/ad
-    an, ad = variant.alpha.numerator, variant.alpha.denominator
-    return Fraction((ln * wd - wn * ld) * ad, wd * (ln * ad + (ad - an) * ld))
+    num, den = _bid_fraction_pair(variant, i, j, matrix)
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -113,9 +121,9 @@ def next_bid(state: StrategyState, turn_value: int) -> Fraction:
         raise DomainError(f"turn value must be 0 or 1, got {turn_value!r}")
     if turn_value == 0:
         return Fraction(0)
-    i, j = state.countdown.i, state.countdown.j
-    fraction = optimal_bid_fraction(state.variant, i, j, matrix=state.matrix)
-    return fraction * state.tracked_opponent_budget
+    num, den = _bid_fraction_pair(state.variant, state.countdown.i, state.countdown.j, state.matrix)
+    b = as_fraction(state.tracked_opponent_budget)
+    return Fraction(num * b.numerator, den * b.denominator)
 
 
 def observe_outcome(
@@ -142,10 +150,14 @@ def observe_outcome(
         cd = CountdownPair(max(0, cd.i - 1), cd.j)
     elif turn_value == 1:
         cd = CountdownPair(cd.i, max(0, cd.j - 1))
-    b = state.tracked_opponent_budget
+    b = as_fraction(state.tracked_opponent_budget)
     if disclosed_opponent_bid is not None or not i_won:
-        her_bid = Fraction(my_bid if disclosed_opponent_bid is None else disclosed_opponent_bid)
-        b -= state.variant.alpha * her_bid if i_won else her_bid
-        if b < 0:
+        her_bid = as_fraction(my_bid if disclosed_opponent_bid is None else disclosed_opponent_bid)
+        if i_won:
+            alpha = state.variant.alpha
+            b = paid(b, her_bid, alpha.numerator, alpha.denominator)
+        else:
+            b = paid(b, her_bid)
+        if b.numerator < 0:
             b = Fraction(0)
     return StrategyState(state.variant, b, cd, state.matrix)

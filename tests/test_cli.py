@@ -1,6 +1,9 @@
 """Command-line surface: outputs, formats, and exit codes."""
 
+import contextlib
+import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,7 @@ import pytest
 from multibattle import cli
 from multibattle.core import ResourceError
 from multibattle.matrices import MAX_EXACT_SIDE, MAX_FLOAT_SIDE, MatrixVerifyReport
-from multibattle import FP_SET01
+from multibattle import FP_SET01, AuctionVariant, ValueModel, build_matrix
 
 
 def run(capsys, *argv):
@@ -67,6 +70,41 @@ def test_matrix_csv(capsys):
     code, out, _ = run(capsys, "matrix", "--variant", "fp-set", "--size", "3", "--exact")
     assert code == 0
     assert out == "i\\j,1,2,3\n1,1,1/2,1/3\n2,inf,3/2,4/5\n3,inf,inf,9/5\n"
+
+
+class _HashingSink:
+    """A stdout that keeps only a hash of what is written to it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+        self.length = 0
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        self.length += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_matrix_csv_streams_in_far_less_memory_than_its_text():
+    argv = ["matrix", "--variant", "ap-fixed", "--alpha", "1/2", "--size", "120", "--exact"]
+    with contextlib.redirect_stdout(_HashingSink()):
+        cli.main(argv[:-3] + ["2", "--exact"])  # warm up the parser outside the trace
+    sink = _HashingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csv = build_matrix(AuctionVariant.all_pay(ValueModel.FIXED1, Fraction(1, 2)), 120, exact=True).to_csv()
+    assert code == 0
+    assert (sink.length, sink.digest.hexdigest()) == (len(csv), hashlib.sha256(csv.encode()).hexdigest())
+    # Entries reach 107 digits here; the whole matrix or its text would not fit.
+    assert peak < len(csv) / 4, (peak, len(csv))
 
 
 def test_matrix_json_uses_nulls_for_unwinnable(capsys):

@@ -246,6 +246,44 @@ def test_adversary_overbid_is_a_fault_too():
     assert trace.fault.player is Player.P2
 
 
+class _FixedBidAdversary:
+    """Plays value 1 and the given bid every turn."""
+
+    def __init__(self, bid):
+        self._bid = bid
+
+    def begin(self, config, budget_p1):
+        pass
+
+    def choose_value(self, state, rng):
+        return 1
+
+    def choose_bid(self, state, value, p1_bid, rng):
+        return self._bid
+
+
+@pytest.mark.parametrize("bid", [2, 1.1], ids=["int", "float"])
+def test_int_and_float_overbids_fault_with_their_exact_value(bid):
+    cfg = GameConfig(FP_SET01, turns=3)
+    by_p1 = run_game(cfg, F(1), FixedBidsPolicy([bid]), AllInAdversary())
+    by_p2 = run_game(cfg, F(1), FixedBidsPolicy([F(0)]), _FixedBidAdversary(bid))
+    for trace, player in ((by_p1, Player.P1), (by_p2, Player.P2)):
+        assert (trace.reason, trace.fault.player, trace.winner) == ("fault", player, player.other())
+        assert type(trace.fault.attempted_bid) is Fraction
+        assert trace.fault.attempted_bid == F(bid)
+        assert trace.fault.budget == 1
+
+
+def test_a_float_bid_plays_like_its_exact_fraction():
+    cfg = GameConfig(AP_SET01, turns=3)
+    as_float = run_game(cfg, F(2), FixedBidsPolicy([0.1, 0.7]), _FixedBidAdversary(0.3))
+    exact = run_game(cfg, F(2), FixedBidsPolicy([F(0.1), F(0.7)]), _FixedBidAdversary(F(0.3)))
+    assert as_float.turns == exact.turns
+    assert as_float.to_json() == exact.to_json()
+    assert all(type(t.bid_p1) is Fraction and type(t.budget_p1) is Fraction for t in as_float.turns)
+    assert as_float.turns[0].budget_p1 == 2 - F(0.1)  # not 1.9: the float's exact value
+
+
 def test_grid_bids_enumerate_all_coarse_rationals():
     bids = _grid_bids(F(1), 2)
     assert bids == [F(0), F(1, 2), F(1)]

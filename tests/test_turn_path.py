@@ -1,0 +1,181 @@
+"""The turn path on integer pairs against its Fraction-operator reference.
+
+``settle_turn``, ``next_bid``, ``observe_outcome`` and ``_policy_bid``
+compare, pay and scale through ``numerator``/``denominator`` pairs. The
+``ref_*`` functions below are the same rules written with ``Fraction``
+operators, as the package had them before; they are kept here only as
+the differential reference.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multibattle import (
+    AP_FIXED1,
+    AP_SET01,
+    FP_FIXED1,
+    FP_SET01,
+    AuctionVariant,
+    ContestError,
+    DomainError,
+    GameConfig,
+    GameState,
+    StrategyState,
+    ValueModel,
+    countdown_for,
+    next_bid,
+    observe_outcome,
+    optimal_bid_fraction,
+    settle_turn,
+)
+from multibattle.core import CountdownPair, GameDecidedError, OverbidError
+from multibattle.simulate import _policy_bid
+
+F = Fraction
+
+VARIANTS = [
+    FP_SET01,
+    FP_FIXED1,
+    AP_SET01,
+    AP_FIXED1,
+    AuctionVariant.all_pay(ValueModel.SET01, F(1, 3)),
+    AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 2)),
+    AuctionVariant.all_pay(ValueModel.SET01, F(2, 7)),
+]
+
+
+def ref_settle_turn(config, state, value, bid_p1, bid_p2):
+    if value not in (0, 1):
+        raise DomainError(f"turn value must be 0 or 1, got {value!r}")
+    if config.variant.values is ValueModel.FIXED1 and value != 1:
+        raise DomainError("fixed-value contests only auction value-1 objects")
+    if state.turn_index >= config.turns:
+        raise GameDecidedError("all turns already played")
+    bid_p1 = Fraction(bid_p1)
+    bid_p2 = Fraction(bid_p2)
+    if not 0 <= bid_p1 <= state.budget_p1:
+        raise OverbidError(f"P1 bid {bid_p1} outside [0, {state.budget_p1}]")
+    if not 0 <= bid_p2 <= state.budget_p2:
+        raise OverbidError(f"P2 bid {bid_p2} outside [0, {state.budget_p2}]")
+    p1_wins = bid_p1 >= bid_p2
+    alpha = config.variant.alpha
+    pay1 = bid_p1 if p1_wins else alpha * bid_p1
+    pay2 = alpha * bid_p2 if p1_wins else bid_p2
+    s1 = state.score_p1 + (value if p1_wins else 0)
+    s2 = state.score_p2 + (value if not p1_wins else 0)
+    idx = state.turn_index + 1
+    return GameState(
+        budget_p1=state.budget_p1 - pay1,
+        budget_p2=state.budget_p2 - pay2,
+        score_p1=s1,
+        score_p2=s2,
+        turn_index=idx,
+        countdown=countdown_for(config.turns, idx, s1, s2),
+    )
+
+
+def ref_next_bid(state, turn_value):
+    if turn_value not in (0, 1):
+        raise DomainError(f"turn value must be 0 or 1, got {turn_value!r}")
+    if turn_value == 0:
+        return Fraction(0)
+    i, j = state.countdown.i, state.countdown.j
+    fraction = optimal_bid_fraction(state.variant, i, j, matrix=state.matrix)
+    return fraction * state.tracked_opponent_budget
+
+
+def ref_observe_outcome(state, turn_value, my_bid, i_won, disclosed_opponent_bid=None):
+    cd = state.countdown
+    if turn_value == 1 and i_won:
+        cd = CountdownPair(max(0, cd.i - 1), cd.j)
+    elif turn_value == 1:
+        cd = CountdownPair(cd.i, max(0, cd.j - 1))
+    b = state.tracked_opponent_budget
+    if disclosed_opponent_bid is not None or not i_won:
+        her_bid = Fraction(my_bid if disclosed_opponent_bid is None else disclosed_opponent_bid)
+        b -= state.variant.alpha * her_bid if i_won else her_bid
+        if b < 0:
+            b = Fraction(0)
+    return StrategyState(state.variant, b, cd, state.matrix)
+
+
+def ref_policy_bid(s, value, budget):
+    cd = s.countdown
+    if cd.i <= 0 or cd.j <= 0 or (s.variant.is_triangular and cd.i > cd.j):
+        return Fraction(0)
+    return min(ref_next_bid(s, value), budget)
+
+
+def outcome(fn, *args):
+    """``fn``'s result, or the class and message of the package error it raised."""
+    try:
+        return fn(*args)
+    except ContestError as exc:
+        return type(exc), str(exc)
+
+
+# Budgets: hand-built ints or Fractions. Bids and amounts: ints, floats or
+# Fractions, in range and out of it.
+budgets = st.one_of(st.integers(0, 4), st.fractions(0, 4, max_denominator=30))
+numbers = st.one_of(
+    st.integers(-2, 6),
+    st.floats(-1, 6, allow_nan=False, allow_infinity=False),
+    st.fractions(-1, 6, max_denominator=40),
+)
+
+
+def bid_near(data, budget, other=None):
+    """A bid of any type: free, the budget itself, or a tie with ``other``."""
+    kind = data.draw(st.sampled_from(["free", "budget", "float-budget", "tie", "tie-float"]))
+    if kind == "budget":
+        return budget
+    if kind == "float-budget":
+        return float(budget)
+    if kind.startswith("tie") and other is not None:
+        return float(other) if kind == "tie-float" else other
+    return data.draw(numbers)
+
+
+@settings(deadline=None, max_examples=400)
+@given(variant=st.sampled_from(VARIANTS), turns=st.integers(1, 15), data=st.data())
+def test_settle_turn_matches_the_fraction_reference(variant, turns, data):
+    cfg = GameConfig(variant, turns)
+    s1 = data.draw(st.integers(0, turns))
+    s2 = data.draw(st.integers(0, turns))
+    idx = data.draw(st.integers(0, turns + 1))
+    b1, b2 = data.draw(budgets), data.draw(budgets)
+    state = GameState(b1, b2, s1, s2, idx, countdown_for(turns, idx, s1, s2))
+    value = data.draw(st.sampled_from([0, 1, 1, 2]))
+    p = bid_near(data, b1)
+    q = bid_near(data, b2, p)
+    new = outcome(settle_turn, cfg, state, value, p, q)
+    assert new == outcome(ref_settle_turn, cfg, state, value, p, q)
+    if isinstance(new, GameState):
+        assert type(new.budget_p1) is Fraction and type(new.budget_p2) is Fraction
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    turns=st.integers(1, 15),
+    opponent_budget=budgets.filter(lambda b: b > 0),
+    data=st.data(),
+)
+def test_policy_matches_the_fraction_reference(variant, turns, opponent_budget, data):
+    new = ref = StrategyState.fresh(variant, turns, opponent_budget)
+    for _ in range(data.draw(st.integers(0, 6))):
+        value = data.draw(st.sampled_from([0, 1]))
+        my_bid = data.draw(numbers)
+        i_won = data.draw(st.booleans())
+        disclosed = data.draw(st.one_of(st.none(), numbers))
+        new = observe_outcome(new, value, my_bid, i_won, disclosed)
+        ref = ref_observe_outcome(ref, value, my_bid, i_won, disclosed)
+        assert new == ref
+        assert type(new.tracked_opponent_budget) is Fraction
+    value = data.draw(st.sampled_from([0, 1, 1, 2]))
+    assert outcome(next_bid, new, value) == outcome(ref_next_bid, ref, value)
+    budget = data.draw(st.one_of(budgets, st.floats(0, 6, allow_nan=False, allow_infinity=False)))
+    assert outcome(_policy_bid, new, value, budget) == outcome(ref_policy_bid, ref, value, budget)
+
