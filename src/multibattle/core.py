@@ -24,6 +24,19 @@ each new budget, and the strategy makes its bid from the bid-fraction
 pair times the tracked budget. ``Fraction`` operators dispatch through
 the ``numbers`` ABCs and re-normalise every result; at the sizes a game
 reaches, that costs more than the integer work.
+
+The records a turn makes (``CountdownPair``, ``GameState``,
+``TurnRecord``, and the strategy's ``StrategyState``) are
+``typing.NamedTuple``s: immutable, hashable, printed as before, and
+cheaper to build than frozen dataclasses, whose ``__init__`` sets each
+field through ``object.__setattr__``. Being tuples, they also compare
+equal to plain tuples of the same fields. The two
+validating ones check their fields in ``__new__`` on a thin subclass.
+Each turn is checked once: ``settle_turn`` checks the value, the turn
+count and both bids, then calls ``_settle``, the one copy of the
+payment, score and countdown step; ``run_game`` makes the same checks
+itself (it turns an illegal bid into a fault) and calls ``_settle``
+directly.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 
 Numeric = int | float | Fraction
@@ -220,16 +234,26 @@ class GameConfig:
             raise DomainError("budget_p2 must be positive")
 
 
-@dataclass(frozen=True)
-class CountdownPair:
-    """How many more value-1 wins each player needs to clinch the game."""
-
+class _CountdownPair(NamedTuple):
     i: int
     j: int
 
-    def __post_init__(self):
-        if self.i < 0 or self.j < 0:
+
+class CountdownPair(_CountdownPair):
+    """How many more value-1 wins each player needs to clinch the game."""
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int):
+        self = tuple.__new__(cls, (i, j))
+        if i < 0 or j < 0:
             raise DomainError(f"countdown values must be nonnegative: {self}")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "CountdownPair":
+        # NamedTuple's _make, which _replace calls, skips __new__.
+        return cls(*fields)
 
     @classmethod
     def fresh(cls, turns: int) -> "CountdownPair":
@@ -249,10 +273,7 @@ def countdown_for(turns: int, turn_index: int, score_p1: int, score_p2: int) -> 
     return CountdownPair(max(0, h - score_p1), max(0, h - score_p2))
 
 
-@dataclass(frozen=True)
-class GameState:
-    """Live contest state between turns."""
-
+class _GameState(NamedTuple):
     budget_p1: Fraction
     budget_p2: Fraction
     score_p1: int
@@ -260,12 +281,24 @@ class GameState:
     turn_index: int
     countdown: CountdownPair
 
-    def __post_init__(self):
-        for b in (self.budget_p1, self.budget_p2):
+
+class GameState(_GameState):
+    """Live contest state between turns."""
+
+    __slots__ = ()
+
+    def __new__(cls, budget_p1, budget_p2, score_p1, score_p2, turn_index, countdown):
+        for b in (budget_p1, budget_p2):
             if (b.numerator if type(b) is Fraction else b) < 0:
                 raise DomainError("budgets must be nonnegative")
-        if self.score_p1 < 0 or self.score_p2 < 0:
+        if score_p1 < 0 or score_p2 < 0:
             raise DomainError("scores must be nonnegative")
+        return tuple.__new__(cls, (budget_p1, budget_p2, score_p1, score_p2, turn_index, countdown))
+
+    @classmethod
+    def _make(cls, fields) -> "GameState":
+        # NamedTuple's _make, which _replace calls, skips __new__.
+        return cls(*fields)
 
 
 def initial_state(config: GameConfig, budget_p1: Numeric) -> GameState:
@@ -293,6 +326,8 @@ def settle_turn(
 
     The higher bid wins the object; P1 wins ties. The winner pays her bid
     and the loser pays ``alpha`` times her own (nothing under first-price).
+    Checks the value, the turn count and both bids, then settles through
+    ``_settle``.
     """
     if value not in (0, 1):
         raise DomainError(f"turn value must be 0 or 1, got {value!r}")
@@ -302,32 +337,40 @@ def settle_turn(
         raise GameDecidedError("all turns already played")
     bid_p1 = as_fraction(bid_p1)
     bid_p2 = as_fraction(bid_p2)
-    b1 = as_fraction(state.budget_p1)
-    b2 = as_fraction(state.budget_p2)
-    if not affordable(bid_p1, b1):
+    if not affordable(bid_p1, as_fraction(state.budget_p1)):
         raise OverbidError(f"P1 bid {bid_p1} outside [0, {state.budget_p1}]")
-    if not affordable(bid_p2, b2):
+    if not affordable(bid_p2, as_fraction(state.budget_p2)):
         raise OverbidError(f"P2 bid {bid_p2} outside [0, {state.budget_p2}]")
+    return _settle(config, state, value, bid_p1, bid_p2, at_least(bid_p1, bid_p2))
 
-    p1_wins = at_least(bid_p1, bid_p2)
+
+def _settle(
+    config: GameConfig,
+    state: GameState,
+    value: int,
+    bid_p1: Fraction,
+    bid_p2: Fraction,
+    p1_wins: bool,
+) -> GameState:
+    """The successor state of a turn whose value and bids are already checked.
+
+    The one copy of the payment, score and countdown step. ``p1_wins``
+    must be ``at_least(bid_p1, bid_p2)``. Only ``settle_turn`` and
+    ``run_game`` call it, each after making ``settle_turn``'s checks.
+    """
     alpha = config.variant.alpha
     an, ad = alpha.numerator, alpha.denominator
+    b1 = as_fraction(state.budget_p1)
+    b2 = as_fraction(state.budget_p2)
+    s1, s2 = state.score_p1, state.score_p2
     if p1_wins:
         b1, b2 = paid(b1, bid_p1), paid(b2, bid_p2, an, ad)
+        s1 += value
     else:
         b1, b2 = paid(b1, bid_p1, an, ad), paid(b2, bid_p2)
-
-    s1 = state.score_p1 + (value if p1_wins else 0)
-    s2 = state.score_p2 + (value if not p1_wins else 0)
+        s2 += value
     idx = state.turn_index + 1
-    return GameState(
-        budget_p1=b1,
-        budget_p2=b2,
-        score_p1=s1,
-        score_p2=s2,
-        turn_index=idx,
-        countdown=countdown_for(config.turns, idx, s1, s2),
-    )
+    return GameState(b1, b2, s1, s2, idx, countdown_for(config.turns, idx, s1, s2))
 
 
 def winner_if_decided(config: GameConfig, state: GameState) -> Player | None:
@@ -354,8 +397,7 @@ def winner_if_decided(config: GameConfig, state: GameState) -> Player | None:
     return None
 
 
-@dataclass(frozen=True)
-class TurnRecord:
+class TurnRecord(NamedTuple):
     """One settled turn, with budgets and scores as of after the turn."""
 
     index: int
@@ -377,6 +419,11 @@ class FaultRecord:
     player: Player
     attempted_bid: Fraction
     budget: Fraction
+
+
+def _float(x: Fraction) -> float:
+    """The float ``float(x)`` gives, without ``numbers.Rational.__float__``'s dispatch."""
+    return x.numerator / x.denominator
 
 
 @dataclass(frozen=True)
@@ -401,21 +448,21 @@ class GameTrace:
         doc = {
             "config": {
                 "pricing": cfg.variant.pricing.value,
-                "alpha": float(cfg.variant.alpha),
+                "alpha": _float(cfg.variant.alpha),
                 "values": cfg.variant.values.value,
                 "turns": cfg.turns,
-                "b1": float(self.budget_p1),
-                "b2": float(cfg.budget_p2),
+                "b1": _float(self.budget_p1),
+                "b2": _float(cfg.budget_p2),
             },
             "turns": [
                 {
                     "index": t.index,
                     "value": t.value,
-                    "bid_p1": float(t.bid_p1),
-                    "bid_p2": float(t.bid_p2),
+                    "bid_p1": _float(t.bid_p1),
+                    "bid_p2": _float(t.bid_p2),
                     "winner": t.winner.value,
-                    "budget_p1": float(t.budget_p1),
-                    "budget_p2": float(t.budget_p2),
+                    "budget_p1": _float(t.budget_p1),
+                    "budget_p2": _float(t.budget_p2),
                     "score_p1": t.score_p1,
                     "score_p2": t.score_p2,
                 }
@@ -428,8 +475,8 @@ class GameTrace:
             doc["fault"] = {
                 "turn_index": self.fault.turn_index,
                 "player": self.fault.player.value,
-                "attempted_bid": float(self.fault.attempted_bid),
-                "budget": float(self.fault.budget),
+                "attempted_bid": _float(self.fault.attempted_bid),
+                "budget": _float(self.fault.budget),
             }
         return doc
 

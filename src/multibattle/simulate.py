@@ -33,6 +33,7 @@ from .core import (
     ResourceError,
     TurnRecord,
     ValueModel,
+    _settle,
     affordable,
     as_fraction,
     at_least,
@@ -117,8 +118,10 @@ class MatchPlusEpsilonAdversary:
     def choose_bid(self, state: GameState, value: int, p1_bid: Fraction, rng) -> Fraction:
         if value == 0:
             return Fraction(0)
-        raised = Fraction(p1_bid) + self.epsilon
-        return raised if raised <= state.budget_p2 else Fraction(0)
+        p, e = as_fraction(p1_bid), self.epsilon
+        pn, pd, en, ed = p.numerator, p.denominator, e.numerator, e.denominator
+        raised = Fraction(pn * ed + en * pd, pd * ed)
+        return raised if at_least(state.budget_p2, raised) else Fraction(0)
 
 
 class RandomSeededAdversary:
@@ -143,7 +146,8 @@ class RandomSeededAdversary:
 
     def choose_bid(self, state: GameState, value: int, p1_bid: Fraction, rng) -> Fraction:
         d = self.bid_denominator
-        return Fraction(rng.randint(0, d), d) * state.budget_p2
+        b = as_fraction(state.budget_p2)
+        return Fraction(rng.randint(0, d) * b.numerator, d * b.denominator)
 
 
 class OmnipotentAdversary:
@@ -171,12 +175,17 @@ class OmnipotentAdversary:
         if self._ev is None or self._ev.variant != config.variant:
             self._ev = GridEvaluator(config.variant)
 
+    def _grid_steps(self, amount: Fraction) -> int:
+        """How many whole grid units a nonnegative ``amount`` holds."""
+        g = self._grid
+        return (amount.numerator * g.denominator) // (amount.denominator * g.numerator)
+
     def _p1_wins(self, state: GameState, value: int | None = None) -> bool:
         """The oracle's verdict on ``state``, with this turn's value fixed if given."""
         remaining = self._config.turns - state.turn_index
         cd = state.countdown
-        a = int(state.budget_p1 / self._grid)
-        b = int(state.budget_p2 / self._grid)
+        a = self._grid_steps(state.budget_p1)
+        b = self._grid_steps(state.budget_p2)
         if value is None:
             return self._ev.win(remaining, cd.i, cd.j, a, b)
         return self._ev.win_given_value(remaining, cd.i, cd.j, a, b, value)
@@ -192,8 +201,10 @@ class OmnipotentAdversary:
             return Fraction(0)
         if not self._p1_wins(settle_turn(self._config, state, 1, p1_bid, 0)):
             return Fraction(0)
-        q = self._grid * (int(Fraction(p1_bid) / self._grid) + 1)
-        if q <= state.budget_p2 and not self._p1_wins(settle_turn(self._config, state, 1, p1_bid, q)):
+        q = self._grid * (self._grid_steps(as_fraction(p1_bid)) + 1)
+        if at_least(state.budget_p2, q) and not self._p1_wins(
+            settle_turn(self._config, state, 1, p1_bid, q)
+        ):
             return q
         return Fraction(0)
 
@@ -253,22 +264,24 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
             fault = FaultRecord(state.turn_index, Player.P2, q_bid, state.budget_p2)
             winner, reason = Player.P1, "fault"
             break
-        turn_winner = Player.P1 if at_least(p_bid, q_bid) else Player.P2
-        new_state = settle_turn(config, state, value, p_bid, q_bid)
+        # run_game has now made every check settle_turn makes: the value
+        # above, the turn count in winner_if_decided, both bids here.
+        p1_wins = at_least(p_bid, q_bid)
+        new_state = _settle(config, state, value, p_bid, q_bid, p1_wins)
         records.append(
             TurnRecord(
                 index=state.turn_index,
                 value=value,
                 bid_p1=p_bid,
                 bid_p2=q_bid,
-                winner=turn_winner,
+                winner=Player.P1 if p1_wins else Player.P2,
                 budget_p1=new_state.budget_p1,
                 budget_p2=new_state.budget_p2,
                 score_p1=new_state.score_p1,
                 score_p2=new_state.score_p2,
             )
         )
-        p1.observe(value, p_bid, turn_winner is Player.P1, None)
+        p1.observe(value, p_bid, p1_wins, None)
         state = new_state
     return GameTrace(
         config=config,

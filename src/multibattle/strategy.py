@@ -20,8 +20,8 @@ with j = 1 (P2 could take any turn P1 does not fully defend).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     AuctionVariant,
@@ -88,8 +88,7 @@ def optimal_bid_fraction(
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class StrategyState:
+class StrategyState(NamedTuple):
     """What the policy knows between turns.
 
     ``tracked_opponent_budget`` starts at P2's true budget and only ever

@@ -20,6 +20,7 @@ from multibattle import (
     GameTrace,
     Player,
     Pricing,
+    StrategyState,
     ValueModel,
     countdown_for,
     initial_state,
@@ -254,3 +255,65 @@ def test_trace_json_shape():
     ]
     assert doc["winner"] == "P1"
     assert doc["reason"] == "countdown"
+
+
+def _records():
+    """One of each turn-loop record, with the repr the package has always printed."""
+    cd = CountdownPair(1, 2)
+    return [
+        (cd, "CountdownPair(i=1, j=2)"),
+        (
+            GameState(F(1, 2), F(1), 1, 0, 1, cd),
+            "GameState(budget_p1=Fraction(1, 2), budget_p2=Fraction(1, 1), score_p1=1, "
+            "score_p2=0, turn_index=1, countdown=CountdownPair(i=1, j=2))",
+        ),
+        (
+            TurnRecord(0, 1, F(1, 2), F(1, 4), Player.P1, F(1, 2), F(1), 1, 0),
+            "TurnRecord(index=0, value=1, bid_p1=Fraction(1, 2), bid_p2=Fraction(1, 4), "
+            "winner=<Player.P1: 'P1'>, budget_p1=Fraction(1, 2), budget_p2=Fraction(1, 1), "
+            "score_p1=1, score_p2=0)",
+        ),
+        (
+            StrategyState(FP_SET01, F(1), cd),
+            "StrategyState(variant=AuctionVariant(pricing=<Pricing.FIRST_PRICE: 'first-price'>, "
+            "values=<ValueModel.SET01: 'set01'>, alpha=Fraction(0, 1)), "
+            "tracked_opponent_budget=Fraction(1, 1), countdown=CountdownPair(i=1, j=2), matrix=None)",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["countdown", "state", "turn", "strategy"])
+def test_records_are_immutable_hashable_and_print_as_before(index):
+    record, text = _records()[index]
+    assert repr(record) == text
+    twin, _ = _records()[index]
+    assert twin is not record and twin == record and hash(twin) == hash(record)
+    # A frozen dataclass raised FrozenInstanceError, an AttributeError.
+    for name in ("i", "budget_p1", "index", "countdown", "extra"):
+        if name == "extra" or hasattr(record, name):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+
+def test_records_reject_negative_values_with_the_same_messages():
+    cd = CountdownPair(1, 1)
+    message = r"^countdown values must be nonnegative: CountdownPair\(i=-1, j=0\)$"
+    with pytest.raises(DomainError, match=message):
+        CountdownPair(-1, 0)
+    with pytest.raises(DomainError, match="^budgets must be nonnegative$"):
+        GameState(F(1), F(-1, 2), 0, 0, 0, cd)
+    with pytest.raises(DomainError, match="^budgets must be nonnegative$"):
+        GameState(-1, 1, 0, 0, 0, cd)
+    with pytest.raises(DomainError, match="^scores must be nonnegative$"):
+        GameState(F(1), F(1), 0, -1, 0, cd)
+
+
+def test_replacing_a_field_keeps_the_checks():
+    cd = CountdownPair(1, 1)
+    assert cd._replace(j=0) == CountdownPair(1, 0)
+    with pytest.raises(DomainError):
+        cd._replace(i=-1)
+    state = GameState(F(1), F(1), 0, 0, 0, cd)
+    assert state._replace(score_p1=1).score_p1 == 1
+    with pytest.raises(DomainError):
+        state._replace(budget_p2=F(-1))

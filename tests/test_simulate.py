@@ -194,6 +194,19 @@ def test_budget_drops_equal_payments(variant, turns, adversary, scale, seed):
         b1, b2 = rec.budget_p1, rec.budget_p2
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    variant=st.sampled_from(SIX_VARIANTS),
+    turns=st.integers(1, 5),
+    surplus=st.fractions(0, 1, max_denominator=20),
+)
+def test_policy_never_loses_to_the_omnipotent_adversary_at_or_above_obr(variant, turns, surplus):
+    cfg = GameConfig(variant, turns)
+    b1 = obr(variant, turns, exact=True) * (1 + surplus)
+    trace = run_game(cfg, b1, StrategyPolicy(), OmnipotentAdversary(F(1, 24)))
+    assert trace.winner is Player.P1, (trace.reason, len(trace.turns))
+
+
 class FixedBidsPolicy:
     """Scripted P1 that plays a fixed bid sequence, then zeros."""
 

@@ -4,9 +4,13 @@
 compare, pay and scale through ``numerator``/``denominator`` pairs. The
 ``ref_*`` functions below are the same rules written with ``Fraction``
 operators, as the package had them before; they are kept here only as
-the differential reference.
+the differential reference, as are ``ref_match_bid`` and
+``ref_random_bid`` for the two adversaries that now build their bids
+from pairs. ``run_game`` checks each turn once and settles it through
+``core._settle``; its traces are replayed through ``settle_turn`` here.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -17,18 +21,27 @@ from multibattle import (
     AP_SET01,
     FP_FIXED1,
     FP_SET01,
+    AllInAdversary,
     AuctionVariant,
     ContestError,
     DomainError,
     GameConfig,
     GameState,
+    MatchPlusEpsilonAdversary,
+    Player,
+    RandomSeededAdversary,
+    StrategyPolicy,
     StrategyState,
     ValueModel,
     countdown_for,
+    initial_state,
     next_bid,
+    obr,
     observe_outcome,
     optimal_bid_fraction,
+    run_game,
     settle_turn,
+    winner_if_decided,
 )
 from multibattle.core import CountdownPair, GameDecidedError, OverbidError
 from multibattle.simulate import _policy_bid
@@ -179,3 +192,76 @@ def test_policy_matches_the_fraction_reference(variant, turns, opponent_budget, 
     budget = data.draw(st.one_of(budgets, st.floats(0, 6, allow_nan=False, allow_infinity=False)))
     assert outcome(_policy_bid, new, value, budget) == outcome(ref_policy_bid, ref, value, budget)
 
+
+
+REPLAY_ADVERSARIES = [RandomSeededAdversary, AllInAdversary, MatchPlusEpsilonAdversary]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    turns=st.integers(1, 21),
+    adversary=st.sampled_from(REPLAY_ADVERSARIES),
+    scale=st.fractions(F(1, 2), 2, max_denominator=20),
+    seed=st.integers(0, 2**16),
+)
+def test_run_game_turns_replay_through_settle_turn(variant, turns, adversary, scale, seed):
+    """``run_game`` checks a turn once and settles it by ``_settle``; ``settle_turn`` must agree."""
+    cfg = GameConfig(variant, turns)
+    b1 = obr(variant, turns, exact=True) * scale
+    trace = run_game(cfg, b1, StrategyPolicy(), adversary(), seed=seed)
+    state = initial_state(cfg, b1)
+    for rec in trace.turns:
+        nxt = settle_turn(cfg, state, rec.value, rec.bid_p1, rec.bid_p2)
+        assert rec.index == state.turn_index
+        assert rec.winner is (Player.P1 if rec.bid_p1 >= rec.bid_p2 else Player.P2)
+        assert (rec.budget_p1, rec.budget_p2, rec.score_p1, rec.score_p2) == (
+            nxt.budget_p1,
+            nxt.budget_p2,
+            nxt.score_p1,
+            nxt.score_p2,
+        )
+        state = nxt
+    assert trace.reason != "fault"
+    assert winner_if_decided(cfg, state) is trace.winner
+
+
+def ref_match_bid(adversary, state, value, p1_bid):
+    """``MatchPlusEpsilonAdversary.choose_bid`` on Fraction operators."""
+    if value == 0:
+        return Fraction(0)
+    raised = Fraction(p1_bid) + adversary.epsilon
+    return raised if raised <= state.budget_p2 else Fraction(0)
+
+
+def ref_random_bid(adversary, state, rng):
+    """``RandomSeededAdversary.choose_bid`` on Fraction operators."""
+    d = adversary.bid_denominator
+    return Fraction(rng.randint(0, d), d) * state.budget_p2
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    b1=budgets,
+    b2=budgets,
+    value=st.sampled_from([0, 1]),
+    p1_bid=st.one_of(st.integers(0, 4), st.fractions(0, 4, max_denominator=30), st.floats(0, 4)),
+    epsilon=st.fractions(F(1, 100), 2, max_denominator=100),
+    denominator=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+    raise_to_budget=st.booleans(),
+)
+def test_adversary_bids_match_the_fraction_reference(
+    b1, b2, value, p1_bid, epsilon, denominator, seed, raise_to_budget
+):
+    if raise_to_budget and b2 >= epsilon:
+        p1_bid = b2 - epsilon  # the match adversary's raise lands exactly on her budget
+    state = GameState(b1, b2, 0, 0, 0, CountdownPair(1, 1))
+    match = MatchPlusEpsilonAdversary(epsilon)
+    new = match.choose_bid(state, value, p1_bid, None)
+    ref = ref_match_bid(match, state, value, p1_bid)
+    assert (new, type(new)) == (ref, Fraction)
+    rand = RandomSeededAdversary(denominator)
+    new = rand.choose_bid(state, value, p1_bid, random.Random(seed))
+    ref = ref_random_bid(rand, state, random.Random(seed))
+    assert (new, type(new)) == (ref, Fraction)
