@@ -3,8 +3,8 @@
 Subcommands: obr (budget ratios), matrix (dump a countdown matrix), bid
 (optimal bid for a state), oracle (grid min-max search), simulate (play a
 game against an adversary), verify (exact DP vs closed form). Exit codes:
-0 success, 1 domain/usage error, 2 resource-budget error, 3 verification
-mismatch.
+0 success, 1 domain/usage/file error, 2 resource-budget error, 3
+verification mismatch.
 """
 
 from __future__ import annotations
@@ -171,6 +171,8 @@ def _cmd_bid(ns) -> int:
     variant = _variant_from(ns)
     fraction = optimal_bid_fraction(variant, ns.i, ns.j)
     budget = _parse_fraction(ns.opponent_budget)
+    if budget < 0:
+        raise DomainError(f"opponent budget must be nonnegative, got {budget}")
     print(f"r* = {_fmt(fraction, ns.exact)}")
     print(f"bid = {_fmt(fraction * budget, ns.exact)}")
     return 0
@@ -240,10 +242,7 @@ def main(argv=None) -> int:
     try:
         ns = parser.parse_args(argv)
         return _COMMANDS[ns.command](ns)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
+    except (_UsageError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceError as exc:

@@ -27,11 +27,11 @@ reaches, that costs more than the integer work.
 
 The records a turn makes (``CountdownPair``, ``GameState``,
 ``TurnRecord``, and the strategy's ``StrategyState``) are
-``typing.NamedTuple``s: immutable, hashable, printed as before, and
-cheaper to build than frozen dataclasses, whose ``__init__`` sets each
-field through ``object.__setattr__``. Being tuples, they also compare
-equal to plain tuples of the same fields. The two
-validating ones check their fields in ``__new__`` on a thin subclass.
+``typing.NamedTuple``s: immutable, hashable, and cheaper to build than
+frozen dataclasses, whose ``__init__`` sets each field through
+``object.__setattr__``. Being tuples, they also compare equal to plain
+tuples of the same fields. The two validating ones check their fields
+in ``__new__`` on a thin subclass.
 Each turn is checked once: ``settle_turn`` checks the value, the turn
 count and both bids, then calls ``_settle``, the one copy of the
 payment, score and countdown step; ``run_game`` makes the same checks

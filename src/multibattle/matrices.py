@@ -220,6 +220,12 @@ def _pair_rows(variant: AuctionVariant, n: int):
         above_n, above_d = nums, dens
 
 
+def _rows(variant: AuctionVariant, n: int, exact: bool):
+    """The exact or float fill of rows 0..n; checks n's ceiling on the call, not on the first row."""
+    _check_side(n, exact)
+    return _pair_rows(variant, n) if exact else _float_rows(variant, n)
+
+
 def build_matrix(variant: AuctionVariant, n: int, exact: bool = False) -> CountdownMatrix:
     """Build the countdown matrix of size n for the given variant.
 
@@ -227,9 +233,7 @@ def build_matrix(variant: AuctionVariant, n: int, exact: bool = False) -> Countd
     (each entry needs only its left and upper neighbours). Raises
     ResourceError above ``MAX_EXACT_SIDE``/``MAX_FLOAT_SIDE``.
     """
-    _check_side(n, exact)
-    rows = _pair_rows if exact else _float_rows
-    return CountdownMatrix(variant, n, list(rows(variant, n)), exact)
+    return CountdownMatrix(variant, n, list(_rows(variant, n, exact)), exact)
 
 
 def matrix_csv_lines(variant: AuctionVariant, n: int, exact: bool = False):
@@ -239,9 +243,7 @@ def matrix_csv_lines(variant: AuctionVariant, n: int, exact: bool = False):
     is kept, so the text streams out in O(n) memory. Raises ResourceError
     above the same ceilings as ``build_matrix``, before any line.
     """
-    _check_side(n, exact)
-    rows = _pair_rows if exact else _float_rows
-    return _csv_lines(variant, n, rows(variant, n), exact)
+    return _csv_lines(variant, n, _rows(variant, n, exact), exact)
 
 
 def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
@@ -291,11 +293,8 @@ def _entry(variant: AuctionVariant, i: int, j: int, exact: bool) -> Ratio:
     """x[i][j] from the closed form, or else from rolling rows of the recurrence."""
     if variant.has_closed_form:
         return closed_form(variant, i, j, exact=exact)
-    _check_side(j, exact)
-    if exact:
-        nums, dens = next(islice(_pair_rows(variant, j), i, None))
-        return Fraction(nums[j], dens[j])
-    return next(islice(_float_rows(variant, j), i, None))[j]
+    row = next(islice(_rows(variant, j, exact), i, None))
+    return Fraction(row[0][j], row[1][j]) if exact else row[j]
 
 
 def obr(variant: AuctionVariant, turns: int, exact: bool = False) -> Ratio:
@@ -353,9 +352,9 @@ def verify_matrix(variant: AuctionVariant, n: int) -> MatrixVerifyReport:
     alpha outside {0, 1}).
     """
     closed_form(variant, 1, 1, exact=True)  # fail fast if no closed form
-    _check_side(n, exact=True)
+    rows = _rows(variant, n, exact=True)
     checked = 0
-    for i, (nums, dens) in enumerate(islice(_pair_rows(variant, n), 1, None), 1):
+    for i, (nums, dens) in enumerate(islice(rows, 1, None), 1):
         for j in range(i if variant.is_triangular else 1, n + 1):
             checked += 1
             dp, cf = (nums[j], dens[j]), closed_form_pair(variant, i, j)

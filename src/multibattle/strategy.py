@@ -1,8 +1,9 @@
 """The online bidding policy that realizes the matrix guarantee.
 
-The policy tracks the opponent's budget pessimistically (it never assumes
-P2 spent more than can be proven from public information) and, on every
-value-1 turn at countdown pair (i, j), bids the fraction
+P1 observes only its own bids, never P2's. The policy tracks P2's budget
+pessimistically from them (it never assumes P2 spent more than they
+prove) and, on every value-1 turn at countdown pair (i, j), bids the
+fraction
 
     r* = (x[i][j-1] - x[i-1][j]) / (x[i][j-1] + 1 - alpha)
 
@@ -125,24 +126,18 @@ def next_bid(state: StrategyState, turn_value: int) -> Fraction:
     return Fraction(num * b.numerator, den * b.denominator)
 
 
-def observe_outcome(
-    state: StrategyState,
-    turn_value: int,
-    my_bid: Numeric,
-    i_won: bool,
-    disclosed_opponent_bid: Numeric | None = None,
-) -> StrategyState:
+def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_won: bool) -> StrategyState:
     """Advance the policy state after a settled turn.
 
     The winner's countdown drops on value-1 turns; zero-value turns leave
     the pair alone (the matrix indices already encode remaining need, and
     planning for the unshrunk pair is the conservative side).
 
-    The opponent pays what every loser and winner pays: her bid if she
-    won, ``alpha`` times it if she lost. Budget tracking is pessimistic,
-    so an undisclosed bid is taken at the least it could have been: P1's
-    own bid when she won (she had to beat it; ties go to P1), zero when
-    she lost, which leaves the tracked budget alone.
+    P1 observes only its own bid, so tracking takes the opponent's bid at
+    the least it could have been: zero after a P1 win (she may have bid
+    nothing), so the tracked budget stays; P1's own bid after a P1 loss
+    (she had to beat it and pays it in full), so the tracked budget drops
+    by it, clamped at zero, whatever P2 actually bid.
     """
     cd = state.countdown
     if turn_value == 1 and i_won:
@@ -150,13 +145,8 @@ def observe_outcome(
     elif turn_value == 1:
         cd = CountdownPair(cd.i, max(0, cd.j - 1))
     b = as_fraction(state.tracked_opponent_budget)
-    if disclosed_opponent_bid is not None or not i_won:
-        her_bid = as_fraction(my_bid if disclosed_opponent_bid is None else disclosed_opponent_bid)
-        if i_won:
-            alpha = state.variant.alpha
-            b = paid(b, her_bid, alpha.numerator, alpha.denominator)
-        else:
-            b = paid(b, her_bid)
+    if not i_won:
+        b = paid(b, as_fraction(my_bid))
         if b.numerator < 0:
             b = Fraction(0)
     return StrategyState(state.variant, b, cd, state.matrix)

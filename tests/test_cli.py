@@ -275,3 +275,24 @@ def test_negative_budget_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert "budget_p1 must be nonnegative" in err
+
+
+def test_negative_opponent_budget_exits_one(capsys):
+    code, out, err = run(capsys, "bid", "--variant", "fp-set", "--i", "2", "--j", "3", "--opponent-budget", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: opponent budget must be nonnegative, got -1\n"
+    code, out, _ = run(capsys, "bid", "--variant", "fp-set", "--i", "2", "--j", "3", "--opponent-budget", "0")
+    assert (code, out) == (0, "r* = 0.4666666666666667\nbid = 0\n")
+
+
+def test_an_unwritable_trace_path_exits_one(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys,
+        "simulate", "--variant", "fp-set", "--turns", "3", "--ratio", "3/2",
+        "--adversary", "allin", "--trace", str(path),
+    )
+    assert code == 1
+    assert out == "winner=P1 reason=exhausted turns=3\n"
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert not path.exists()

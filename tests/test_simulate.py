@@ -1,6 +1,8 @@
 """Playouts, adversaries, trace invariants, and the exhaustive sweep."""
 
 import itertools
+import time
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -33,7 +35,7 @@ from multibattle import (
     observe_outcome,
     run_game,
 )
-from multibattle.simulate import _grid_bids, _policy_bid, _ScriptedAdversary
+from multibattle.simulate import _least_above, _policy_bid, _ScriptedAdversary
 
 F = Fraction
 
@@ -222,7 +224,7 @@ class FixedBidsPolicy:
         self._at += 1
         return self._bids[self._at - 1]
 
-    def observe(self, value, my_bid, i_won, disclosed_opponent_bid=None):
+    def observe(self, value, my_bid, i_won):
         pass
 
 
@@ -297,6 +299,25 @@ def test_a_float_bid_plays_like_its_exact_fraction():
     assert as_float.turns[0].budget_p1 == 2 - F(0.1)  # not 1.9: the float's exact value
 
 
+def _grid_bids(b2, denominator_bound):
+    """All rationals in [0, b2] with denominator at most bound * b2, sorted.
+
+    The sweep's bid grid as it once built it in full; kept here as the
+    reference for ``_least_above`` and for ``reference_sweep``.
+    """
+    bound_frac = denominator_bound * b2
+    assert bound_frac.denominator == 1 and bound_frac >= 1
+    bound = bound_frac.numerator
+    out = set()
+    for q in range(1, bound + 1):
+        top = (b2.numerator * q) // b2.denominator
+        for p in range(top + 1):
+            f = Fraction(p, q)
+            if f <= b2:
+                out.add(f)
+    return sorted(out)
+
+
 def test_grid_bids_enumerate_all_coarse_rationals():
     bids = _grid_bids(F(1), 2)
     assert bids == [F(0), F(1, 2), F(1)]
@@ -304,8 +325,36 @@ def test_grid_bids_enumerate_all_coarse_rationals():
     assert bids[0] == 0 and bids[-1] == F(3, 2)
     assert all(b.denominator <= 3 for b in bids)
     assert sorted(set(bids)) == bids
-    with pytest.raises(DomainError):
-        _grid_bids(F(1, 3), 1)
+    assert [_least_above(b, 3) for b in bids[:-1]] == bids[1:]
+    cfg = GameConfig(FP_SET01, turns=3, budget_p2=F(1, 3))
+    with pytest.raises(DomainError, match=r"denominator bound 1 times b2=1/3 must be a positive integer"):
+        exhaustive_adversary_check(cfg, F(1, 2), denominator_bound=1)
+
+
+@settings(deadline=None, max_examples=120)
+@given(bound=st.integers(1, 40), data=st.data())
+def test_least_above_is_the_next_grid_bid(bound, data):
+    """The least grid element above p, for p on the grid and off it, below 1 and above."""
+    bids = _grid_bids(F(2), bound)  # denominators up to 2 * bound
+    p = data.draw(st.one_of(st.sampled_from(bids[:-1]), st.fractions(0, F(399, 200), max_denominator=200)))
+    assert _least_above(p, 2 * bound) == bids[bisect_right(bids, p)]
+
+
+def test_a_fine_bid_grid_costs_no_grid_sized_time_or_memory():
+    # At bound 512 the full grid holds ~80k rationals; the sweep never builds it.
+    cfg = GameConfig(FP_SET01, turns=5)
+    ratio = obr(FP_SET01, 5, exact=True)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        verdict = exhaustive_adversary_check(cfg, ratio, denominator_bound=512)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.win_all
+    assert elapsed < 1.0
+    assert peak < 1_000_000
 
 
 def test_exhaustive_check_certifies_the_optimal_budget():

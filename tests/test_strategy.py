@@ -121,23 +121,15 @@ def test_observe_value_zero_leaves_countdown_alone():
     assert after.tracked_opponent_budget == 1
 
 
-def test_observe_prefers_disclosed_bids():
-    s = StrategyState(FP_SET01, F(1), CountdownPair(2, 3))
-    after = observe_outcome(s, 1, F(7, 15), i_won=False, disclosed_opponent_bid=F(1, 2))
-    assert after.tracked_opponent_budget == F(1, 2)
-
-
 def test_observe_all_pay_losses():
     half = AuctionVariant.all_pay(ValueModel.SET01, F(1, 2))
     s = StrategyState(half, F(1), CountdownPair(2, 2), build_matrix(half, 2, exact=True))
     lost = observe_outcome(s, 1, F(1, 4), i_won=False)
     assert lost.tracked_opponent_budget == F(3, 4)
-    # P1 won: an undisclosed losing bid is assumed to be zero, so the
+    # P1 won: P2's losing bid is unseen and may have been zero, so the
     # tracked budget must not move.
     won = observe_outcome(s, 1, F(1, 4), i_won=True)
     assert won.tracked_opponent_budget == 1
-    told = observe_outcome(s, 1, F(1, 4), i_won=True, disclosed_opponent_bid=F(1, 5))
-    assert told.tracked_opponent_budget == 1 - F(1, 2) * F(1, 5)
 
 
 def test_observe_clamps_tracking_at_zero():

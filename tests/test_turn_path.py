@@ -182,9 +182,8 @@ def test_policy_matches_the_fraction_reference(variant, turns, opponent_budget, 
         value = data.draw(st.sampled_from([0, 1]))
         my_bid = data.draw(numbers)
         i_won = data.draw(st.booleans())
-        disclosed = data.draw(st.one_of(st.none(), numbers))
-        new = observe_outcome(new, value, my_bid, i_won, disclosed)
-        ref = ref_observe_outcome(ref, value, my_bid, i_won, disclosed)
+        new = observe_outcome(new, value, my_bid, i_won)
+        ref = ref_observe_outcome(ref, value, my_bid, i_won)
         assert new == ref
         assert type(new.tracked_opponent_budget) is Fraction
     value = data.draw(st.sampled_from([0, 1, 1, 2]))
