@@ -173,8 +173,11 @@ def _cmd_bid(ns) -> int:
     budget = _parse_fraction(ns.opponent_budget)
     if budget < 0:
         raise DomainError(f"opponent budget must be nonnegative, got {budget}")
-    print(f"r* = {_fmt(fraction, ns.exact)}")
-    print(f"bid = {_fmt(fraction * budget, ns.exact)}")
+    try:
+        text = f"r* = {_fmt(fraction, ns.exact)}\nbid = {_fmt(fraction * budget, ns.exact)}"
+    except OverflowError:
+        raise DomainError("the bid is too large for a float; use --exact to print it exactly") from None
+    print(text)
     return 0
 
 

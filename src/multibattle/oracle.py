@@ -6,9 +6,12 @@ knowing P1's bid; she needs one grid unit more than P1 to take the turn,
 which realizes the "epsilon more" of the continuous analysis exactly.
 
 The search memoizes on (remaining turns, countdown pair, budgets): scores
-influence the rest of the game only through the countdown pair, so the key
-is sound. Budgets enter the key as integers (see GridEvaluator). Two
-reductions keep the tree small without giving up exactness:
+influence the rest of the game only through the countdown pair, so these
+decide a position. The memo is nested in that order, first by remaining
+turns and countdown pair, then by P2's and P1's budgets as integers (see
+GridEvaluator), so the inner loop over P1's bids looks budgets up in tables
+it fetched once. Two reductions keep the tree small without giving up
+exactness:
 
 * Zero-value turns are settled without bids. Winning one changes no score
   and the countdown shift does not depend on the winner, so any nonzero
@@ -39,6 +42,9 @@ from .core import (
 )
 
 
+_NONE: dict = {}  # shared read-only stand-in for an absent memo table
+
+
 class GridEvaluator:
     """Reusable memoized evaluator for one variant, in grid units.
 
@@ -48,8 +54,16 @@ class GridEvaluator:
     budget is held scaled by d, as the integer ``A = a * d``: conceding a
     bid p leaves ``A - p * d``, losing an all-pay turn leaves ``A - an * p``
     (an = 0 under first-price, where d = 1), and P1 can bid at most
-    ``A // d``. Every memo key is therefore a tuple of ints. A budget off
-    the 1/d grid raises DomainError.
+    ``A // d``. A budget off the 1/d grid raises DomainError.
+
+    The memo is nested: ``(remaining, i, j)`` maps to P2's budget ``b``,
+    which maps to ``A``, which maps to the verdict. Scores enter a position
+    only through the countdown pair, so these five integers decide it, and
+    no key tuple is kept per position. An expanded node fetches its concede
+    row ``(remaining - 1, i - 1, j)[b]`` and its beat table
+    ``(remaining - 1, i, j - 1)`` once; each bid then costs integer-keyed
+    lookups, with no key tuple built per bid. A child with no turns left is
+    settled by the tie rule and never stored.
 
     The memo persists across calls, so a single evaluator can serve a
     whole budget search or a whole simulated game.
@@ -86,75 +100,100 @@ class GridEvaluator:
             return True
         if j <= 0:
             return False
+        A = self._scaled(a)
         if value == 0:
-            return self._zero_value_turn(remaining, i, j, self._scaled(a), b)
-        return self._value_one_turn(remaining, i, j, self._scaled(a), b)
+            shift = 1 if i + j == remaining + 1 else 0
+            return self._win(remaining - 1, i - shift, j - shift, A, b)
+        return self._expand(remaining, i, j, A, b, value_one=True)
 
     def _win(self, remaining: int, i: int, j: int, A: int, b: int) -> bool:
         if i <= 0:
             return True
         if j <= 0:
             return False
-        key = (remaining, i, j, A, b)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        return self._expand(key)
-
-    def _expand(self, key: tuple) -> bool:
-        """Solve a position with no memo entry and a live countdown pair."""
-        remaining, i, j, A, b = key
         if remaining <= 0:
             # Unreachable from consistent states; fall back to the score
             # tie rules (i <= j means P1 is not behind).
             return i <= j
-        self.nodes_expanded += 1
-        res = self._value_one_turn(remaining, i, j, A, b)
-        if self._set01:
-            if res:
-                res = self._zero_value_turn(remaining, i, j, A, b)
-        self._memo[key] = res
-        return res
+        won = self._memo.get((remaining, i, j), _NONE).get(b, _NONE).get(A)
+        if won is None:
+            won = self._expand(remaining, i, j, A, b)
+        return won
 
-    def _zero_value_turn(self, remaining: int, i: int, j: int, A: int, b: int) -> bool:
-        if i + j == remaining + 1:
-            return self._win(remaining - 1, i - 1, j - 1, A, b)
-        return self._win(remaining - 1, i, j, A, b)
+    def _expand(self, remaining: int, i: int, j: int, A: int, b: int, value_one: bool = False) -> bool:
+        """Solve, count and store a position with i, j >= 1 and no memo entry.
 
-    def _value_one_turn(self, remaining: int, i: int, j: int, A: int, b: int) -> bool:
-        # The hot loop: the children's base cases depend only on the
-        # countdown pair, so they are settled once, and the memo lookups
-        # are inlined. Children are queried in the order concede, beat.
-        lookup = self._memo.get
-        expand = self._expand
-        d, an = self._d, self._an
+        ``value_one=True`` solves only a turn whose value is already 1,
+        uncounted and unstored (for win_given_value).
+        """
+        # The hot loop. Children are queried in the order concede, beat,
+        # with P1's bid p ascending. Every concede child shares the row
+        # (r, i - 1, j)[b] and every beat child the table (r, i, j - 1), so
+        # both are fetched once. While the loop runs, only this node's own
+        # children are written at remaining r, and no child key comes up
+        # twice, so a fetched table never lacks an entry it is asked for.
+        top = A // self._d  # P1's largest bid
         r = remaining - 1
-        i1 = i - 1
-        j1 = j - 1
-        concede_wins = i1 <= 0
-        beat_loses = j1 <= 0
-        for p in range(A // d + 1):
-            # P2 concedes: P1 pays its own bid, P2 pays nothing.
-            if not concede_wins:
-                key = (r, i1, j, A - p * d, b)
-                won = lookup(key)
-                if won is None:
-                    won = expand(key)
-                if not won:
+        if r <= 0:
+            # Every child is settled by the tie rule: P1 wins a conceded
+            # turn iff i - 1 <= j and a beaten one iff i <= j - 1.
+            won = i <= j + 1 and (top >= b or i < j)
+        elif i == 1:
+            # A concede hands P1 the game; only a beat can stop it.
+            won = top >= b
+            if j > 1:
+                expand, an = self._expand, self._an
+                beat = self._memo.get((r, 1, j - 1), _NONE)
+                for p in range(min(top + 1, b)):
+                    a1, b1 = A - an * p, b - p - 1
+                    child = beat.get(b1, _NONE).get(a1)
+                    if child is None:
+                        child = expand(r, 1, j - 1, a1, b1)
+                    if child:
+                        won = True
+                        break
+        else:
+            won = False
+            expand, d, an = self._expand, self._d, self._an
+            i1, j1 = i - 1, j - 1
+            concede = self._memo.get((r, i1, j), _NONE).get(b, _NONE)
+            beat = self._memo.get((r, i, j1), _NONE) if j1 else None
+            for p in range(top + 1):
+                # P2 concedes: P1 pays its bid, P2 pays nothing.
+                a1 = A - p * d
+                child = concede.get(a1)
+                if child is None:
+                    child = expand(r, i1, j, a1, b)
+                if not child:
                     continue
-            # P2 beats the bid by one unit, if she can afford it.
-            q = p + 1
-            if q <= b:
-                if beat_loses:
-                    continue
-                key = (r, i, j1, A - an * p, b - q)
-                won = lookup(key)
-                if won is None:
-                    won = expand(key)
-                if not won:
-                    continue
-            return True
-        return False
+                if p < b:
+                    # P2 beats the bid by one unit.
+                    if beat is None:
+                        continue
+                    a1, b1 = A - an * p, b - p - 1
+                    child = beat.get(b1, _NONE).get(a1)
+                    if child is None:
+                        child = expand(r, i, j1, a1, b1)
+                    if not child:
+                        continue
+                won = True
+                break
+        if value_one:
+            return won
+        self.nodes_expanded += 1
+        if won and self._set01:
+            # The zero-value turn: no bids, and the countdown shift does
+            # not depend on who takes it.
+            shift = 1 if i + j == remaining + 1 else 0
+            won = self._win(r, i - shift, j - shift, A, b)
+        table = self._memo.get((remaining, i, j))
+        if table is None:
+            table = self._memo[remaining, i, j] = {}
+        row = table.get(b)
+        if row is None:
+            row = table[b] = {}
+        row[A] = won
+        return won
 
 
 @dataclass(frozen=True)
@@ -264,10 +303,10 @@ def min_winning_budget(
     past it raises ResourceError.
 
     Practical sizing guidance, for the linear scan at grid unit 1 on a
-    2-vCPU x86 host under CPython 3.11: turns <= 9 with b2 <= 30 stays under
-    a second on every variant; turns = 11 with b2 = 40 takes 2-5 s on the
-    value-set variants (fixed-value ones stay well under a second). Cost
-    grows quickly with both.
+    2-vCPU x86 host under CPython 3.11: turns <= 9 with b2 <= 30 takes at
+    most ~0.3 s on every variant; turns = 11 with b2 = 40 takes 0.6-1.1 s on
+    the value-set variants (fixed-value ones stay under 0.1 s). Cost grows
+    quickly with both.
     """
     g = Fraction(grid_unit)
     if g <= 0:

@@ -285,6 +285,16 @@ def test_negative_opponent_budget_exits_one(capsys):
     assert (code, out) == (0, "r* = 0.4666666666666667\nbid = 0\n")
 
 
+def test_a_bid_beyond_float_range_exits_one_unless_exact(capsys):
+    argv = ["bid", "--variant", "fp-set", "--i", "2", "--j", "3", "--opponent-budget", "1e400"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: the bid is too large for a float; use --exact to print it exactly\n"
+    code, out, err = run(capsys, *argv, "--exact")
+    assert (code, err) == (0, "")
+    assert out == f"r* = 7/15\nbid = {Fraction(7, 15) * 10**400}\n"
+
+
 def test_an_unwritable_trace_path_exits_one(tmp_path, capsys):
     path = tmp_path / "missing" / "x.json"
     code, out, err = run(

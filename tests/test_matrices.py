@@ -173,13 +173,15 @@ def test_first_price_entries_satisfy_their_recurrence(variant, i, j):
 
 def test_float_mode_tracks_exact_mode():
     # The one recurrence in floats stays within a few ulps of the exact
-    # fill (measured at most 3.8e-15 relative at n=250).
-    for variant in ALL_VARIANTS + FRACTIONAL_VARIANTS:
-        exact = build_matrix(variant, 150, exact=True)
-        approx = build_matrix(variant, 150, exact=False)
+    # fill: measured at most 3.9e-15 relative (fp-fixed at n=250). Without
+    # a closed form the exact fill is slower, so those sides stop at 150.
+    sides = [(v, 250) for v in ALL_VARIANTS] + [(v, 150) for v in FRACTIONAL_VARIANTS]
+    for variant, n in sides:
+        exact = build_matrix(variant, n, exact=True)
+        approx = build_matrix(variant, n, exact=False)
         for i, j, value in exact.defined_entries():
             got = approx.entry(i, j)
-            assert abs(got - float(value)) <= 1e-13 * float(value)
+            assert abs(got - float(value)) <= 1e-13 * float(value), (variant.short_name, n, i, j)
 
 
 @pytest.mark.parametrize("variant", FRACTIONAL_VARIANTS, ids=["ap-set-third", "ap-fixed-half"])

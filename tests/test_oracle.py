@@ -9,6 +9,7 @@ with it everywhere the reference can reach.
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -422,6 +423,43 @@ def test_budgets_on_the_alpha_grid_match_the_fraction_reference(variant):
             assert new.nodes_expanded == old.nodes_expanded
     with pytest.raises(DomainError):
         new.win(3, 2, 2, F(1, 2 * d), 4)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+def test_a_shared_evaluator_matches_the_fraction_reference_across_queries(variant):
+    """One evaluator, many queries: large budgets, then smaller, then larger.
+
+    Later queries land among rows and tables filled by earlier ones, at
+    other budgets and countdown pairs; pending values are mixed in.
+    """
+    d = variant.alpha.denominator
+    new, old = GridEvaluator(variant), FractionGridEvaluator(variant)
+    budgets = [(16, 8), (12, 6), (F(25, d), 5), (6, 3), (2, 1), (0, 2), (9, 7), (F(61, d), 9), (20, 8)]
+    positions = [(6, 3, 3), (5, 3, 3), (5, 2, 3), (4, 2, 2), (3, 2, 2), (3, 1, 2), (2, 1, 1)]
+    for step, (a, b) in enumerate(budgets):
+        for remaining, i, j in positions:
+            value = (None, 1, 0)[(step + remaining) % 3]
+            if value is None:
+                got, want = new.win(remaining, i, j, a, b), old.win(remaining, i, j, a, b)
+            else:
+                got = new.win_given_value(remaining, i, j, a, b, value)
+                want = old.win_given_value(remaining, i, j, a, b, value)
+            assert (got, new.nodes_expanded) == (want, old.nodes_expanded), (remaining, i, j, a, b, value)
+
+
+def test_the_memo_of_a_search_stays_small():
+    """The memo is nested by countdown pair, then budgets: no key tuple per position.
+
+    Measured at ~250 KB; a flat memo keyed by 5-tuples peaks at ~860 KB.
+    """
+    min_winning_budget(FP_SET01, 3, 4)  # first-call allocations, outside the traced region
+    tracemalloc.start()
+    try:
+        min_winning_budget(FP_SET01, 7, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 @settings(max_examples=60, deadline=None)
