@@ -91,8 +91,17 @@ def _fmt(value, exact: bool) -> str:
     return _fmt_float(float(value))
 
 
+_TURNS_HELP = "number of turns T in the game"
+
+
 def _add_variant_arg(p, with_alpha: bool = True):
-    p.add_argument("--variant", required=True, choices=sorted(_VARIANTS))
+    p.add_argument(
+        "--variant",
+        required=True,
+        choices=sorted(_VARIANTS),
+        help="fp = first-price, ap = all-pay; set = the adversary picks each turn's value in {0, 1}, "
+        "fixed = every turn is worth 1",
+    )
     if with_alpha:
         p.add_argument("--alpha", help="all-pay ratio (default 1 for ap variants)")
 
@@ -103,26 +112,26 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("obr", help="optimal budget ratio for a T-turn game")
     _add_variant_arg(p)
-    p.add_argument("--turns", type=int, required=True)
+    p.add_argument("--turns", type=int, required=True, help=_TURNS_HELP)
     p.add_argument("--handicap", type=int, default=None, help="allowed final score deficit")
     p.add_argument("--exact", action="store_true", help="print an exact fraction")
 
     p = sub.add_parser("matrix", help="dump a countdown matrix")
     _add_variant_arg(p)
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--size", type=int, required=True, help="matrix side n: countdowns 1..n for each player")
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default csv)")
+    p.add_argument("--exact", action="store_true", help="print exact fractions instead of floats")
 
     p = sub.add_parser("bid", help="optimal bid fraction and bid for a state")
     _add_variant_arg(p)
     p.add_argument("--i", type=int, required=True, help="wins P1 still needs")
     p.add_argument("--j", type=int, required=True, help="wins P2 still needs")
     p.add_argument("--opponent-budget", default="1", help="tracked P2 budget (default 1)")
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--exact", action="store_true", help="print exact fractions instead of floats")
 
     p = sub.add_parser("oracle", help="exact grid-bid search")
     _add_variant_arg(p)
-    p.add_argument("--turns", type=int, required=True)
+    p.add_argument("--turns", type=int, required=True, help=_TURNS_HELP)
     p.add_argument("--b2", type=int, required=True, help="P2 budget: an amount, a multiple of --grid-unit")
     p.add_argument(
         "--b1",
@@ -134,15 +143,21 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="play one game against an adversary")
     _add_variant_arg(p)
-    p.add_argument("--turns", type=int, required=True)
+    p.add_argument("--turns", type=int, required=True, help=_TURNS_HELP)
     p.add_argument("--ratio", required=True, help="P1 budget as a multiple of b2=1")
-    p.add_argument("--adversary", required=True, choices=sorted(_ADVERSARIES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--adversary",
+        required=True,
+        choices=sorted(_ADVERSARIES),
+        help="P2's play: omnipotent = best reply from the exact grid oracle, allin = its whole budget "
+        "on value 1, match = P1's bid plus 1/100 when affordable, random = seeded random values and bids",
+    )
+    p.add_argument("--seed", type=int, default=0, help="seed of the random adversary (default 0; others ignore it)")
     p.add_argument("--trace", default=None, metavar="PATH", help="write the JSON trace here")
 
     p = sub.add_parser("verify", help="check DP entries against the closed form (exact)")
     _add_variant_arg(p)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=int, required=True, help="check every defined entry of the n x n matrix")
 
     return parser
 
@@ -215,11 +230,14 @@ def _cmd_simulate(ns) -> int:
     config = GameConfig(variant, ns.turns)
     b1 = _parse_fraction(ns.ratio)
     trace = run_game(config, b1, StrategyPolicy(), _ADVERSARIES[ns.adversary](), seed=ns.seed)
+    try:
+        text = None if ns.trace is None else trace.to_json(indent=2) + "\n"
+    except OverflowError:
+        raise DomainError("a trace amount is too large for a float; the trace was not written") from None
     print(f"winner={trace.winner.value} reason={trace.reason} turns={len(trace.turns)}")
-    if ns.trace is not None:
+    if text is not None:
         with open(ns.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.to_json(indent=2))
-            fh.write("\n")
+            fh.write(text)
     return 0
 
 

@@ -20,8 +20,10 @@ winning and losing the turn at the optimal bid fraction:
 At alpha = 0 this is ``x[i][j-1] * (1 + x[i-1][j]) / (1 + x[i][j-1])``.
 Closed forms exist at alpha in {0, 1}; ``verify_matrix`` checks the
 recurrence against them entry by entry in exact arithmetic. At other
-alphas ``obr`` and ``handicap_obr`` run the recurrence two rows at a
-time, in O(n) memory.
+alphas ``obr`` and ``handicap_obr`` run the recurrence in O(n) memory.
+The exact read keeps two rows at a time. The float read advances four
+rows per pass over the columns and keeps one row plus four running
+values.
 
 Exact values are computed on reduced integer pairs ``(num, den)``, not
 on ``Fraction`` objects. With left = ln/ld, up = un/ud and alpha = an/ad,
@@ -191,6 +193,52 @@ def _float_rows(variant: AuctionVariant, n: int):
         above = row
 
 
+def _float_row(variant: AuctionVariant, n: int, i: int) -> list:
+    """Row i of the n-column float matrix: the list ``_float_rows`` yields at index i.
+
+    Advances four rows per pass over the columns and keeps only the last
+    of them as a list: the other three live in the running values l0..l2,
+    each row's entry computed from the one above it exactly as in
+    ``_float_rows``, so every float is the same. The first i % 4 rows
+    come from ``_float_rows`` itself.
+    """
+    keep = 1 - float(variant.alpha)  # loser keeps this share of a bid
+    above = next(islice(_float_rows(variant, n), i % 4, None))
+    for r in range(i % 4 + 1, i + 1, 4):  # rows r..r+3; this row becomes r+3
+        if variant.is_triangular:
+            # Row r+m starts on its diagonal, 1 + (row r+m-1)[r+m]: a prologue
+            # over columns r..r+3 brings the four rows in one at a time.
+            l0 = 1 + above[r]
+            up = above[r + 1]
+            l0 = up + (l0 - up) / (l0 + keep)
+            l1 = 1 + l0
+            up = above[r + 2]
+            l0 = up + (l0 - up) / (l0 + keep)
+            l1 = l0 + (l1 - l0) / (l1 + keep)
+            l2 = 1 + l1
+            up = above[r + 3]
+            l0 = up + (l0 - up) / (l0 + keep)
+            l1 = l0 + (l1 - l0) / (l1 + keep)
+            l2 = l1 + (l2 - l1) / (l2 + keep)
+            l3 = 1 + l2
+            row = [0.0] * (r + 3)
+            row.append(l3)
+            start = r + 4
+        else:
+            l0, l1, l2, l3 = 0.0 + r, 0.0 + (r + 1), 0.0 + (r + 2), 0.0 + (r + 3)
+            row = [0.0, l3]
+            start = 2
+        append = row.append
+        for up in islice(above, start, None):
+            l0 = up + (l0 - up) / (l0 + keep)
+            l1 = l0 + (l1 - l0) / (l1 + keep)
+            l2 = l1 + (l2 - l1) / (l2 + keep)
+            l3 = l2 + (l3 - l2) / (l3 + keep)
+            append(l3)
+        above = row
+    return above
+
+
 def _pair_rows(variant: AuctionVariant, n: int):
     """Yield rows 0..n exactly, each as (numerators, denominators) of reduced pairs.
 
@@ -253,12 +301,12 @@ def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]
     variant, i <= j; ``closed_form`` checks all three.
     """
     if variant.is_triangular:
-        if variant.alpha == 0:
+        if variant.alpha.numerator == 0:
             num, den = i * (j - i + 3), (j - i + 1) * (j + 2)
         else:
             den = (j - i + 1) * (j + 1)
             num = den + (i - 1) * (j - i + 3)
-    elif variant.alpha == 0:
+    elif variant.alpha.numerator == 0:
         num, den = i, j
     else:
         num, den = i + j - 1, j
@@ -293,8 +341,11 @@ def _entry(variant: AuctionVariant, i: int, j: int, exact: bool) -> Ratio:
     """x[i][j] from the closed form, or else from rolling rows of the recurrence."""
     if variant.has_closed_form:
         return closed_form(variant, i, j, exact=exact)
-    row = next(islice(_rows(variant, j, exact), i, None))
-    return Fraction(row[0][j], row[1][j]) if exact else row[j]
+    if exact:
+        nums, dens = next(islice(_rows(variant, j, True), i, None))
+        return Fraction(nums[j], dens[j])
+    _check_side(j, False)
+    return _float_row(variant, j, i)[j]
 
 
 def obr(variant: AuctionVariant, turns: int, exact: bool = False) -> Ratio:

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, and exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import json
@@ -306,3 +307,35 @@ def test_an_unwritable_trace_path_exits_one(tmp_path, capsys):
     assert out == "winner=P1 reason=exhausted turns=3\n"
     assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
     assert not path.exists()
+
+
+def test_a_trace_beyond_float_range_exits_one_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "trace.json"
+    code, out, err = run(
+        capsys,
+        "simulate", "--variant", "fp-set", "--turns", "3", "--ratio", "1e400",
+        "--adversary", "allin", "--trace", str(path),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: a trace amount is too large for a float; the trace was not written\n"
+    assert not path.exists()
+    code, out, _ = run(capsys, "simulate", "--variant", "fp-set", "--turns", "3", "--ratio", "1e400", "--adversary", "allin")
+    assert (code, out) == (0, "winner=P1 reason=exhausted turns=3\n")
+
+
+def _options(parser, path=()):
+    """Yield (subcommand path, action) for every option of the parser and its subcommands."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _options(sub, path + (name,))
+        elif action.option_strings:
+            yield path, action
+
+
+def test_every_option_has_help():
+    options = list(_options(cli.build_parser()))
+    assert len(options) > 30
+    missing = [(path, action.option_strings) for path, action in options
+               if action.option_strings != ["-h", "--help"] and not (action.help or "").strip()]
+    assert missing == []

@@ -26,7 +26,7 @@ from multibattle import (
     optimal_bid_fraction,
     verify_matrix,
 )
-from multibattle.matrices import MAX_EXACT_SIDE, MAX_FLOAT_SIDE, MatrixVerifyReport
+from multibattle.matrices import MAX_EXACT_SIDE, MAX_FLOAT_SIDE, MatrixVerifyReport, _float_row
 
 F = Fraction
 
@@ -306,6 +306,69 @@ def test_float_closed_form_rounds_the_exact_one(variant):
                 assert closed_form(variant, i, j) is UNWINNABLE
             else:
                 assert closed_form(variant, i, j) == float(exact), (i, j)
+
+
+# ------------------------------------------- row-at-a-time float reference
+
+
+def _float_reference_rows(variant, n):
+    """Rows 0..n of the float recurrence one row at a time: the reference for ``_float_row``."""
+    keep = 1 - float(variant.alpha)
+    above = [0.0] * (n + 1)
+    yield above
+    for i in range(1, n + 1):
+        row = [0.0] * (n + 1)
+        if variant.is_triangular:
+            start, left = i, 1 + above[i]
+        else:
+            start, left = 1, 0.0 + i
+        row[start] = left
+        for j in range(start + 1, n + 1):
+            up = above[j]
+            left = up + (left - up) / (left + keep)
+            row[j] = left
+        yield row
+        above = row
+
+
+FLOAT_ROW_VARIANTS = [
+    pytest.param(v, id=name)
+    for v, name in zip(
+        ALL_VARIANTS + FRACTIONAL_VARIANTS + [
+            AuctionVariant.all_pay(ValueModel.FIXED1, F(2, 7)),
+            AuctionVariant.all_pay(ValueModel.SET01, F(1, 2)),
+        ],
+        ["fp-set", "fp-fixed", "ap-set", "ap-fixed", "ap-set-third", "ap-fixed-half",
+         "ap-fixed-two-sevenths", "ap-set-half"],
+    )
+]
+
+
+def _bits(row):
+    """Each entry's exact bits; raises TypeError on anything but a float."""
+    return list(map(float.hex, row))
+
+
+@pytest.mark.parametrize("variant", FLOAT_ROW_VARIANTS)
+def test_float_row_matches_the_row_at_a_time_fill(variant):
+    # Every n mod 4 tail, and value-set blocks that start anywhere on the diagonal.
+    for n in [*range(1, 41), 97, 128]:
+        for i, want in enumerate(_float_reference_rows(variant, n)):
+            assert _bits(_float_row(variant, n, i)) == _bits(want), (n, i)
+
+
+@pytest.mark.parametrize("variant", FLOAT_ROW_VARIANTS[4:])
+def test_float_obr_matches_the_row_at_a_time_fill(variant):
+    # Entry (i, j) depends on columns <= j only, so one fill of side 103
+    # covers every (i, j) below with T <= 201 and k <= 5.
+    rows = list(_float_reference_rows(variant, 103))
+    for turns in [*range(1, 41), *range(41, 202, 8)]:
+        h = -(-turns // 2)
+        assert repr(obr(variant, turns)) == repr(rows[h][h]), turns
+        for k in range(6):
+            i, j = -(-(turns - k) // 2), -(-(turns + k) // 2)
+            want = rows[i][j] if i > 0 else 0.0
+            assert repr(handicap_obr(variant, turns, k)) == repr(want), (turns, k)
 
 
 # ------------------------------------------------------------------- ceiling
