@@ -4,12 +4,14 @@ Subcommands: obr (budget ratios), matrix (dump a countdown matrix), bid
 (optimal bid for a state), oracle (grid min-max search), simulate (play a
 game against an adversary), verify (exact DP vs closed form). Exit codes:
 0 success, 1 domain/usage/file error, 2 resource-budget error, 3
-verification mismatch.
+verification mismatch. ``main`` builds its parser on its first call and
+reuses it for the rest of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -22,7 +24,11 @@ from .core import (
     ResourceError,
     ValueModel,
 )
-from .matrices import build_matrix, handicap_obr, matrix_csv_lines, obr, verify_matrix
+from .matrices import handicap_obr, matrix_csv_lines, matrix_json_chunks, obr, verify_matrix
+
+# perfbench/tracing.py wraps build_matrix under this module's name, so it
+# stays imported although matrix output streams through the row fills.
+from .matrices import build_matrix  # noqa: F401
 from .oracle import OracleInstance, evaluate, min_winning_budget
 from .simulate import (
     AllInAdversary,
@@ -174,11 +180,9 @@ def _cmd_obr(ns) -> int:
 
 def _cmd_matrix(ns) -> int:
     variant = _variant_from(ns)
-    if ns.format == "csv":
-        for line in matrix_csv_lines(variant, ns.size, exact=ns.exact):
-            sys.stdout.write(line)
-    else:
-        print(json.dumps(build_matrix(variant, ns.size, exact=ns.exact).to_json_dict()))
+    encode = matrix_csv_lines if ns.format == "csv" else matrix_json_chunks
+    for chunk in encode(variant, ns.size, exact=ns.exact):
+        sys.stdout.write(chunk)
     return 0
 
 
@@ -258,10 +262,20 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """``build_parser()``, built on the first ``main`` call and reused by every later one.
+
+    Building it takes about a millisecond; parsing leaves it unchanged,
+    so one parser serves every call in the process. It is built on first
+    use, not at import, so importing the module stays as cheap as before.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         return _COMMANDS[ns.command](ns)
     except (_UsageError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

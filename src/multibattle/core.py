@@ -37,11 +37,19 @@ count and both bids, then calls ``_settle``, the one copy of the
 payment, score and countdown step; ``run_game`` makes the same checks
 itself (it turns an illegal bid into a fault) and calls ``_settle``
 directly.
+
+``GameTrace.to_json(indent)`` writes the same bytes as
+``json.dumps(trace.to_json_dict(), indent=indent)`` without building the
+dict or running the generic encoder (whose indented form is pure
+Python): it lays out the turn object once per call as a %-template and
+fills it per turn. ``to_json_dict`` stays as the dict form and as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _json_str
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -480,5 +488,72 @@ class GameTrace:
             }
         return doc
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self, indent: int | str | None = None) -> str:
+        """``json.dumps(self.to_json_dict(), indent=indent)``, written directly.
+
+        The same bytes for ``indent=None`` and for every int (or string)
+        indent: compact objects use ``", "`` and ``": "``, indented ones
+        ``","`` and a newline. The turn layout is made once per call as a
+        %-template; each amount goes in as ``%r`` of ``_float(x)``, which is
+        ``float.__repr__``, as ``json`` writes a float. An amount beyond
+        float range raises ``OverflowError``, as ``to_json_dict`` does.
+        """
+        if indent is not None and not isinstance(indent, str):
+            indent = " " * indent
+        cfg, variant, fault = self.config, self.config.variant, self.fault
+        config = _json_layout("{", "}", [
+            '"pricing": ' + _json_str(variant.pricing.value),
+            '"alpha": %r' % _float(variant.alpha),
+            '"values": ' + _json_str(variant.values.value),
+            '"turns": %d' % cfg.turns,
+            '"b1": %r' % _float(self.budget_p1),
+            '"b2": %r' % _float(cfg.budget_p2),
+        ], 1, indent)
+        template = _json_layout("{", "}", _TURN_FIELDS, 2, indent)
+        p1, p1_text, p2_text = Player.P1, _json_str(Player.P1.value), _json_str(Player.P2.value)
+        turns = _json_layout("[", "]", [
+            template % (
+                index,
+                # An adversary's value may be a bool (True passes run_game's check); JSON writes it true.
+                value if value.__class__ is int else json.dumps(value),
+                bid1.numerator / bid1.denominator,
+                bid2.numerator / bid2.denominator,
+                p1_text if winner is p1 else p2_text,
+                left1.numerator / left1.denominator,
+                left2.numerator / left2.denominator,
+                score1,
+                score2,
+            )
+            for index, value, bid1, bid2, winner, left1, left2, score1, score2 in self.turns
+        ], 1, indent)
+        members = [
+            '"config": ' + config,
+            '"turns": ' + turns,
+            '"winner": ' + _json_str(self.winner.value),
+            '"reason": ' + _json_str(self.reason),
+        ]
+        if fault is not None:
+            members.append('"fault": ' + _json_layout("{", "}", [
+                '"turn_index": %d' % fault.turn_index,
+                '"player": ' + _json_str(fault.player.value),
+                '"attempted_bid": %r' % _float(fault.attempted_bid),
+                '"budget": %r' % _float(fault.budget),
+            ], 1, indent))
+        return _json_layout("{", "}", members, 0, indent)
+
+
+# TurnRecord's fields as JSON members, in order: amounts are %r of a float, the winner is JSON text.
+_TURN_FIELDS = [
+    '"index": %d', '"value": %s', '"bid_p1": %r', '"bid_p2": %r', '"winner": %s',
+    '"budget_p1": %r', '"budget_p2": %r', '"score_p1": %d', '"score_p2": %d',
+]
+
+
+def _json_layout(opener: str, closer: str, members: list, level: int, indent: str | None) -> str:
+    """A JSON object or array of member texts, laid out as ``json.dumps`` does at this depth."""
+    if not members:
+        return opener + closer
+    if indent is None:
+        return opener + ", ".join(members) + closer
+    inner = "\n" + indent * (level + 1)
+    return opener + inner + ("," + inner).join(members) + "\n" + indent * level + closer

@@ -40,14 +40,15 @@ denominators. A value becomes a ``Fraction`` only where it leaves this
 module: ``CountdownMatrix.entry`` and ``defined_entries``, exact
 ``closed_form``, ``obr`` and ``handicap_obr``, and a mismatch in a
 ``verify_matrix`` report. CSV and JSON format the pair directly
-(``matrix_csv_lines`` formats each row as it is filled), and
-``pair`` and ``closed_form_pair`` hand pairs to the strategy's bid
-fraction. The float recurrence runs on floats throughout.
+(``matrix_csv_lines`` and ``matrix_json_chunks`` format each row as it
+is filled), and ``pair`` and ``closed_form_pair`` hand pairs to the
+strategy's bid fraction. The float recurrence runs on floats throughout.
 
 A matrix fill is O(n^2) entries, so ``build_matrix`` and the fills behind
-``matrix_csv_lines``, ``obr``, ``handicap_obr`` and ``verify_matrix``
-refuse a side above ``MAX_EXACT_SIDE`` (exact) or ``MAX_FLOAT_SIDE``
-(float) with ResourceError, before allocating anything.
+``matrix_csv_lines``, ``matrix_json_chunks``, ``obr``, ``handicap_obr``
+and ``verify_matrix`` refuse a side above ``MAX_EXACT_SIDE`` (exact) or
+``MAX_FLOAT_SIDE`` (float) with ResourceError, before allocating
+anything.
 
 The fixed-value all-pay matrix at general alpha is an extension derived
 from the same indifference argument; it is only closed-form-verified at
@@ -56,6 +57,7 @@ its alpha in {0, 1} endpoints and is flagged accordingly in reports.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -166,6 +168,18 @@ def _csv_lines(variant: AuctionVariant, n: int, rows, exact: bool):
     yield "i\\j," + ",".join(str(j) for j in range(1, n + 1)) + "\n"
     for i, row in enumerate(islice(rows, 1, None), 1):
         yield f"{i}," + ",".join(_cells(variant, i, row, exact, text=True)) + "\n"
+
+
+def _json_chunks(variant: AuctionVariant, n: int, rows, exact: bool):
+    """Yield ``json.dumps`` of the matrix's JSON dict in pieces: the head, one row each, the close and a newline."""
+    yield '{"variant": %s, "alpha": %s, "n": %d, "entries": [' % (
+        json.dumps(variant.short_name), json.dumps(float(variant.alpha)), n
+    )
+    sep = ""
+    for i, row in enumerate(islice(rows, 1, None), 1):
+        yield sep + json.dumps(_cells(variant, i, row, exact, text=False))
+        sep = ", "
+    yield "]}\n"
 
 
 def _float_rows(variant: AuctionVariant, n: int):
@@ -292,6 +306,16 @@ def matrix_csv_lines(variant: AuctionVariant, n: int, exact: bool = False):
     above the same ceilings as ``build_matrix``, before any line.
     """
     return _csv_lines(variant, n, _rows(variant, n, exact), exact)
+
+
+def matrix_json_chunks(variant: AuctionVariant, n: int, exact: bool = False):
+    """``json.dumps(build_matrix(variant, n, exact).to_json_dict())`` and a newline, a row at a time.
+
+    Streams like ``matrix_csv_lines``: each row is encoded as it is
+    filled, with only the row above kept. Raises ResourceError above the
+    same ceilings as ``build_matrix``, before any text.
+    """
+    return _json_chunks(variant, n, _rows(variant, n, exact), exact)
 
 
 def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:

@@ -232,6 +232,8 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
     state = initial_state(config, b1)
     p1.begin(config, b1)
     p2.begin(config, b1)
+    fixed_value = config.variant.values is ValueModel.FIXED1
+    P1, P2 = Player.P1, Player.P2  # an Enum member lookup costs more than a local
     records: list[TurnRecord] = []
     fault = None
     while True:
@@ -240,7 +242,7 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
             winner = decided
             reason = "countdown" if state.turn_index < config.turns else "exhausted"
             break
-        if config.variant.values is ValueModel.FIXED1:
+        if fixed_value:
             value = 1
         else:
             value = p2.choose_value(state, rng)
@@ -248,31 +250,22 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
                 raise DomainError(f"adversary chose invalid value {value!r}")
         p_bid = as_fraction(p1.bid(state, value))
         if not affordable(p_bid, state.budget_p1):
-            fault = FaultRecord(state.turn_index, Player.P1, p_bid, state.budget_p1)
-            winner, reason = Player.P2, "fault"
+            fault = FaultRecord(state.turn_index, P1, p_bid, state.budget_p1)
+            winner, reason = P2, "fault"
             break
         q_bid = as_fraction(p2.choose_bid(state, value, p_bid, rng))
         if not affordable(q_bid, state.budget_p2):
-            fault = FaultRecord(state.turn_index, Player.P2, q_bid, state.budget_p2)
-            winner, reason = Player.P1, "fault"
+            fault = FaultRecord(state.turn_index, P2, q_bid, state.budget_p2)
+            winner, reason = P1, "fault"
             break
         # run_game has now made every check settle_turn makes: the value
         # above, the turn count in winner_if_decided, both bids here.
         p1_wins = at_least(p_bid, q_bid)
         new_state = _settle(config, state, value, p_bid, q_bid, p1_wins)
-        records.append(
-            TurnRecord(
-                index=state.turn_index,
-                value=value,
-                bid_p1=p_bid,
-                bid_p2=q_bid,
-                winner=Player.P1 if p1_wins else Player.P2,
-                budget_p1=new_state.budget_p1,
-                budget_p2=new_state.budget_p2,
-                score_p1=new_state.score_p1,
-                score_p2=new_state.score_p2,
-            )
-        )
+        records.append(TurnRecord(
+            state.turn_index, value, p_bid, q_bid, P1 if p1_wins else P2,
+            new_state.budget_p1, new_state.budget_p2, new_state.score_p1, new_state.score_p2,
+        ))
         p1.observe(value, p_bid, p1_wins)
         state = new_state
     return GameTrace(

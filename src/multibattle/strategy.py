@@ -57,8 +57,8 @@ def _bid_fraction_pair(
         raise UnwinnableStateError(f"state ({i}, {j}) cannot be won under {variant.short_name}")
     if j == (i if triangular else 1):  # a diagonal, or fixed-value j = 1: bid it all
         return 1, 1
-    if matrix is None:
-        matrix = _dp_matrix(variant, max(i, j))
+    if matrix is None and not variant.has_closed_form:
+        matrix = build_matrix(variant, max(i, j), exact=True)
     if matrix is None:
         ln, ld = closed_form_pair(variant, i, j - 1)
         wn, wd = closed_form_pair(variant, i - 1, j) if i > 1 else (0, 1)

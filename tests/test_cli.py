@@ -12,7 +12,26 @@ import pytest
 from multibattle import cli
 from multibattle.core import ResourceError
 from multibattle.matrices import MAX_EXACT_SIDE, MAX_FLOAT_SIDE, MatrixVerifyReport
-from multibattle import FP_SET01, AuctionVariant, ValueModel, build_matrix
+from multibattle import (
+    AP_FIXED1,
+    AP_SET01,
+    FP_FIXED1,
+    FP_SET01,
+    AuctionVariant,
+    Pricing,
+    ValueModel,
+    build_matrix,
+)
+
+# Exact and float, value-set and fixed-value, with and without a closed form.
+MATRIX_VARIANTS = [
+    FP_SET01,
+    FP_FIXED1,
+    AP_SET01,
+    AP_FIXED1,
+    AuctionVariant.all_pay(ValueModel.SET01, Fraction(1, 3)),
+    AuctionVariant.all_pay(ValueModel.FIXED1, Fraction(1, 2)),
+]
 
 
 def run(capsys, *argv):
@@ -106,6 +125,38 @@ def test_matrix_csv_streams_in_far_less_memory_than_its_text():
     assert (sink.length, sink.digest.hexdigest()) == (len(csv), hashlib.sha256(csv.encode()).hexdigest())
     # Entries reach 107 digits here; the whole matrix or its text would not fit.
     assert peak < len(csv) / 4, (peak, len(csv))
+
+
+def test_matrix_json_streams_in_far_less_memory_than_its_text():
+    argv = ["matrix", "--variant", "fp-fixed", "--size", "400", "--format", "json"]
+    with contextlib.redirect_stdout(_HashingSink()):
+        cli.main(argv[:4] + ["2"] + argv[5:])  # warm up the parser outside the trace
+    sink = _HashingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = json.dumps(build_matrix(FP_FIXED1, 400).to_json_dict()) + "\n"
+    assert code == 0
+    assert (sink.length, sink.digest.hexdigest()) == (len(text), hashlib.sha256(text.encode()).hexdigest())
+    # 160,000 floats: the whole matrix, its lists or its text would not fit.
+    assert peak < len(text) / 8, (peak, len(text))
+
+
+@pytest.mark.parametrize("variant", MATRIX_VARIANTS, ids=lambda v: f"{v.short_name}-{v.alpha}")
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_matrix_json_prints_json_dumps_of_the_built_matrix(capsys, variant, exact):
+    flags = ["--variant", variant.short_name, "--alpha", str(variant.alpha)]
+    if variant.pricing is Pricing.FIRST_PRICE:
+        flags = flags[:2]
+    for n in (1, 2, 7, 40):
+        code, out, err = run(capsys, "matrix", *flags, "--size", str(n), "--format", "json",
+                             *(["--exact"] if exact else []))
+        assert (code, err) == (0, "")
+        assert out == json.dumps(build_matrix(variant, n, exact=exact).to_json_dict()) + "\n", n
 
 
 def test_matrix_json_uses_nulls_for_unwinnable(capsys):
@@ -339,3 +390,48 @@ def test_every_option_has_help():
     missing = [(path, action.option_strings) for path, action in options
                if action.option_strings != ["-h", "--help"] and not (action.help or "").strip()]
     assert missing == []
+
+
+# One sequence through every outcome main has: each subcommand, a usage
+# error and a bad choice (exit 1), a resource error (exit 2), a failed
+# domain check (exit 1) and --help (SystemExit 0), twice over.
+_SEQUENCE = [
+    ["obr", "--variant", "fp-set", "--turns", "9", "--exact"],
+    ["matrix", "--variant", "ap-set", "--alpha", "1/3", "--size", "3", "--format", "json"],
+    ["obr", "--variant", "fp-set"],
+    ["bid", "--variant", "fp-fixed", "--i", "2", "--j", "3"],
+    ["--help"],
+    ["oracle", "--variant", "fp-set", "--turns", "3", "--b2", "4"],
+    ["matrix", "--variant", "fp-set", "--size", str(MAX_FLOAT_SIDE + 1)],
+    ["simulate", "--variant", "ap-fixed", "--turns", "9", "--ratio", "2", "--adversary", "random", "--seed", "3"],
+    ["simulate", "--help"],
+    ["verify", "--variant", "ap-set", "--size", "12"],
+    ["obr", "--variant", "second-price", "--turns", "3"],
+    ["bid", "--variant", "fp-set", "--i", "3", "--j", "2"],
+    ["matrix", "--variant", "fp-fixed", "--size", "3"],
+]
+
+
+def _outcomes(capsys):
+    """(exit code, stdout, stderr) of each call in ``_SEQUENCE * 2``; --help's exit code is its SystemExit's."""
+    results = []
+    for argv in _SEQUENCE * 2:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_the_reused_parser_gives_what_fresh_parsers_give(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")  # help text wraps at the terminal width
+    shared = _outcomes(capsys)
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = _outcomes(capsys)
+    assert shared == fresh
+    codes = [code for code, _, _ in shared[: len(_SEQUENCE)]]
+    assert codes == [0, 0, 1, 0, ("SystemExit", 0), 0, 2, 0, ("SystemExit", 0), 0, 1, 1, 0]
+    assert shared[4][1].startswith("usage: multibattle") and shared[8][1].startswith("usage: multibattle simulate")
