@@ -76,7 +76,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _variant_from(ns) -> AuctionVariant:
     pricing, values = _VARIANTS[ns.variant]
-    alpha_text = getattr(ns, "alpha", None)
+    alpha_text = ns.alpha
     if pricing is Pricing.FIRST_PRICE:
         if alpha_text is not None:
             raise DomainError("--alpha only applies to all-pay variants")
@@ -100,7 +100,7 @@ def _fmt(value, exact: bool) -> str:
 _TURNS_HELP = "number of turns T in the game"
 
 
-def _add_variant_arg(p, with_alpha: bool = True):
+def _add_variant_arg(p):
     p.add_argument(
         "--variant",
         required=True,
@@ -108,8 +108,7 @@ def _add_variant_arg(p, with_alpha: bool = True):
         help="fp = first-price, ap = all-pay; set = the adversary picks each turn's value in {0, 1}, "
         "fixed = every turn is worth 1",
     )
-    if with_alpha:
-        p.add_argument("--alpha", help="all-pay ratio (default 1 for ap variants)")
+    p.add_argument("--alpha", help="all-pay ratio (default 1 for ap variants)")
 
 
 def build_parser() -> _Parser:

@@ -48,11 +48,10 @@ reference the tests compare against.
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii as _json_str
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
 
@@ -514,8 +513,7 @@ class GameTrace:
         turns = _json_layout("[", "]", [
             template % (
                 index,
-                # An adversary's value may be a bool (True passes run_game's check); JSON writes it true.
-                value if value.__class__ is int else json.dumps(value),
+                value,
                 bid1.numerator / bid1.denominator,
                 bid2.numerator / bid2.denominator,
                 p1_text if winner is p1 else p2_text,
@@ -544,7 +542,7 @@ class GameTrace:
 
 # TurnRecord's fields as JSON members, in order: amounts are %r of a float, the winner is JSON text.
 _TURN_FIELDS = [
-    '"index": %d', '"value": %s', '"bid_p1": %r', '"bid_p2": %r', '"winner": %s',
+    '"index": %d', '"value": %d', '"bid_p1": %r', '"bid_p2": %r', '"winner": %s',
     '"budget_p1": %r', '"budget_p2": %r', '"score_p1": %d', '"score_p2": %d',
 ]
 

@@ -295,18 +295,19 @@ def min_winning_budget(
 ) -> MinBudgetResult:
     """Search the smallest P1 budget (in grid units) that wins.
 
-    The default linear scan starts at zero: against weak enough opponents
-    even an all-zero-bids P1 can win on ties, so the corner is real.
-    ``method="bisect"`` doubles then bisects, justified by monotonicity of
-    winnability in P1's budget. The scan is capped at ``ceiling`` (budget
-    amount, default 4 * b2, above every variant's limiting ratio); running
-    past it raises ResourceError.
+    The scan starts at zero: against weak enough opponents even an
+    all-zero-bids P1 can win on ties, so the corner is real. Winnability is
+    monotone in P1's budget, so the first win is the least winning budget,
+    and the queries share one evaluator's memo. The scan is capped at
+    ``ceiling`` (budget amount, default 4 * b2, above every variant's
+    limiting ratio); running past it raises ResourceError. ``method`` is
+    validated: both ``"linear"`` and ``"bisect"`` run this scan.
 
-    Practical sizing guidance, for the linear scan at grid unit 1 on a
-    2-vCPU x86 host under CPython 3.11: turns <= 9 with b2 <= 30 takes at
-    most ~0.3 s on every variant; turns = 11 with b2 = 40 takes 0.6-1.1 s on
-    the value-set variants (fixed-value ones stay under 0.1 s). Cost grows
-    quickly with both.
+    Practical sizing guidance, at grid unit 1 on a 2-vCPU x86 host under
+    CPython 3.11: turns <= 9 with b2 <= 30 takes at most ~0.1 s on every
+    variant; turns = 11 with b2 = 40 takes 0.2-0.4 s on the value-set
+    variants (fixed-value ones stay under 0.05 s). Cost grows quickly with
+    both.
     """
     g = Fraction(grid_unit)
     if g <= 0:
@@ -330,43 +331,10 @@ def min_winning_budget(
 
     h = ceil_div(turns, 2)
     ev = GridEvaluator(variant)
-
-    def wins(k: int) -> bool:
-        return ev.win(turns, h, h, k, b_units)
-
-    found: int | None = None
-    if method == "linear":
-        for k in range(cap_units + 1):
-            if wins(k):
-                found = k
-                break
-    else:
-        if wins(0):
-            found = 0
-        else:
-            lo, hi = 0, 1  # lo is known losing
-            while hi < cap_units and not wins(hi):
-                lo, hi = hi, 2 * hi
-            # Doubling may overshoot b*'s power of two past the ceiling;
-            # the ceiling itself is then the last candidate. An unclamped
-            # hi was just queried, so asking again is a memo hit.
-            hi = min(hi, cap_units)
-            if hi > lo and wins(hi):
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if wins(mid):
-                        hi = mid
-                    else:
-                        lo = mid
-                found = hi
-    if found is None:
-        raise ResourceError(
-            f"no winning budget up to {cap_units} grid units "
-            f"({cap_units * g} at unit {g}); raise the ceiling"
-        )
-    return MinBudgetResult(
-        b_star=found,
-        budget=found * g,
-        ratio=(found * g) / b2,
-        nodes_expanded=ev.nodes_expanded,
+    for k in range(cap_units + 1):
+        if ev.win(turns, h, h, k, b_units):
+            return MinBudgetResult(k, k * g, k * g / b2, ev.nodes_expanded)
+    raise ResourceError(
+        f"no winning budget up to {cap_units} grid units "
+        f"({cap_units * g} at unit {g}); raise the ceiling"
     )

@@ -246,7 +246,7 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
             value = 1
         else:
             value = p2.choose_value(state, rng)
-            if value not in (0, 1):
+            if value.__class__ is not int or value not in (0, 1):
                 raise DomainError(f"adversary chose invalid value {value!r}")
         p_bid = as_fraction(p1.bid(state, value))
         if not affordable(p_bid, state.budget_p1):

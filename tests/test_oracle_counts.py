@@ -1,8 +1,9 @@
 """Pinned oracle node counts on instances past the Fraction reference's reach.
 
 ``oracle_counts.json`` records, for each instance, ``b_star`` and
-``nodes_expanded`` of the linear and the bisect search, and ``can_win``
-and ``nodes_expanded`` of ``evaluate`` at ``b_star - 1`` and ``b_star``.
+``nodes_expanded`` of the search under both ``method`` values (which run
+the same scan), and ``can_win`` and ``nodes_expanded`` of ``evaluate`` at
+``b_star - 1`` and ``b_star``.
 The differential tests in ``test_oracle.py`` stop at T = 7; these cases go
 to T = 11, so a faster oracle must expand exactly the same nodes there too.
 

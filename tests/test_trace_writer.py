@@ -14,6 +14,7 @@ from multibattle import (
     FP_SET01,
     AllInAdversary,
     AuctionVariant,
+    DomainError,
     GameConfig,
     MatchPlusEpsilonAdversary,
     OmnipotentAdversary,
@@ -87,7 +88,7 @@ class _LateOverbidder:
 
 
 class _BoolValues(RandomSeededAdversary):
-    """Picks each turn's value as a bool, which run_game accepts and JSON writes as true or false."""
+    """Picks each turn's value as a bool, which compares equal to 0 or 1 but is not an int value."""
 
     def choose_value(self, state, rng):
         return bool(rng.randrange(2))
@@ -107,10 +108,9 @@ def test_a_p2_fault_writes_its_fault_object(variant):
     assert_writes_json_dumps(trace, INDENTS + ["\t"])
 
 
-def test_bool_turn_values_are_written_as_json_booleans():
-    trace = run_game(GameConfig(AP_SET01, 21), F(3), StrategyPolicy(), _BoolValues(), seed=5)
-    assert {t.value for t in trace.turns} == {False, True}
-    assert_writes_json_dumps(trace)
+def test_run_game_rejects_bool_turn_values():
+    with pytest.raises(DomainError, match="invalid value"):
+        run_game(GameConfig(AP_SET01, 21), F(3), StrategyPolicy(), _BoolValues(), seed=5)
 
 
 def test_an_amount_beyond_float_range_raises_overflow_error():
