@@ -41,14 +41,17 @@ module: ``CountdownMatrix.entry`` and ``defined_entries``, exact
 ``closed_form``, ``obr`` and ``handicap_obr``, and a mismatch in a
 ``verify_matrix`` report. CSV and JSON format the pair directly
 (``matrix_csv_lines`` and ``matrix_json_chunks`` format each row as it
-is filled), and ``pair`` and ``closed_form_pair`` hand pairs to the
-strategy's bid fraction. The float recurrence runs on floats throughout.
+is filled). The float recurrence runs on floats throughout.
+
+``entry_pair`` is the strategy's one reader of x: the closed form, else
+one exact table per variant, grown on demand; the four most recently
+read variants keep theirs.
 
 A matrix fill is O(n^2) entries, so ``build_matrix`` and the fills behind
-``matrix_csv_lines``, ``matrix_json_chunks``, ``obr``, ``handicap_obr``
-and ``verify_matrix`` refuse a side above ``MAX_EXACT_SIDE`` (exact) or
-``MAX_FLOAT_SIDE`` (float) with ResourceError, before allocating
-anything.
+``matrix_csv_lines``, ``matrix_json_chunks``, ``entry_pair``, ``obr``,
+``handicap_obr`` and ``verify_matrix`` refuse a side above
+``MAX_EXACT_SIDE`` (exact) or ``MAX_FLOAT_SIDE`` (float) with
+ResourceError, before allocating anything.
 
 The fixed-value all-pay matrix at general alpha is an extension derived
 from the same indifference argument; it is only closed-form-verified at
@@ -79,6 +82,11 @@ from .core import (
 MAX_EXACT_SIDE = 512
 MAX_FLOAT_SIDE = 2048
 
+# entry_pair's exact tables (rows 0..n) for variants with no closed form,
+# least recently read first, at most _MAX_TABLES of them.
+_MAX_TABLES = 4
+_TABLES: dict = {}
+
 
 def _check_side(n: int, exact: bool) -> None:
     if n < 1:
@@ -104,29 +112,15 @@ class CountdownMatrix:
         self.exact = exact
         self._rows = rows
 
-    def _row(self, i: int, j: int):
+    def entry(self, i: int, j: int) -> Ratio:
         if not (0 <= i <= self.n and 1 <= j <= self.n):
             raise DomainError(f"entry ({i}, {j}) outside matrix of size {self.n}")
-        return self._rows[i]
-
-    def entry(self, i: int, j: int) -> Ratio:
-        row = self._row(i, j)
+        row = self._rows[i]
         if self.variant.is_triangular and i > j:
             return UNWINNABLE
         if self.exact:
             return Fraction(row[0][j], row[1][j])
         return row[j]
-
-    def pair(self, i: int, j: int) -> tuple[int, int]:
-        """Exact entry (i, j) as its reduced (numerator, denominator) pair.
-
-        Defined entries only: a triangular matrix reads (0, 1) below its
-        diagonal, where ``entry`` gives UNWINNABLE.
-        """
-        if not self.exact:
-            raise DomainError("a float matrix has no exact pairs")
-        nums, dens = self._row(i, j)
-        return nums[j], dens[j]
 
     def defined_entries(self):
         """Yield (i, j, value) over all defined entries, row-major."""
@@ -336,6 +330,28 @@ def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]
         num, den = i + j - 1, j
     g = gcd(num, den)
     return num // g, den // g
+
+
+def entry_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
+    """Exact defined entry (i, j), i >= 0 and j >= 1, as a reduced (numerator, denominator) pair.
+
+    Where no closed form exists, the variant's table is refilled at side
+    max(i, j) when a read needs a larger one (entries do not depend on the
+    side); ResourceError above ``MAX_EXACT_SIDE``, as in ``build_matrix``.
+    """
+    if variant.has_closed_form:
+        return closed_form_pair(variant, i, j) if i else (0, 1)
+    # Entries depend on the value model and alpha alone; hashing these
+    # ints is far cheaper than hashing the variant.
+    key = (variant.is_triangular, variant.alpha.numerator, variant.alpha.denominator)
+    rows = _TABLES.pop(key, ())
+    if len(rows) <= max(i, j):
+        rows = list(_rows(variant, max(i, j), True))
+    _TABLES[key] = rows  # now the most recently read
+    if len(_TABLES) > _MAX_TABLES:
+        del _TABLES[next(iter(_TABLES))]
+    nums, dens = rows[i]
+    return nums[j], dens[j]
 
 
 def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) -> Ratio:

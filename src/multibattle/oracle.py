@@ -44,6 +44,10 @@ from .core import (
 
 _NONE: dict = {}  # shared read-only stand-in for an absent memo table
 
+# An evaluator raises ResourceError when its expanded (stored) nodes reach
+# this: about 100 MB of memo at ~50 bytes a node.
+MAX_NODES = 2_000_000
+
 
 class GridEvaluator:
     """Reusable memoized evaluator for one variant, in grid units.
@@ -66,7 +70,7 @@ class GridEvaluator:
     settled by the tie rule and never stored.
 
     The memo persists across calls, so a single evaluator can serve a
-    whole budget search or a whole simulated game.
+    whole budget search or a whole simulated game, up to ``MAX_NODES`` nodes.
     """
 
     def __init__(self, variant: AuctionVariant):
@@ -76,6 +80,7 @@ class GridEvaluator:
         self._an = variant.alpha.numerator
         self._set01 = variant.values is ValueModel.SET01
         self._memo: dict = {}
+        self._query = (0, 0)  # (remaining, b) of the current win/win_given_value call
         self.nodes_expanded = 0
 
     def _scaled(self, a) -> int:
@@ -92,6 +97,7 @@ class GridEvaluator:
 
         ``a`` and ``b`` are the players' budgets in grid units.
         """
+        self._query = (remaining, b)
         return self._win(remaining, i, j, self._scaled(a), b)
 
     def win_given_value(self, remaining: int, i: int, j: int, a, b: int, value: int) -> bool:
@@ -101,6 +107,7 @@ class GridEvaluator:
         if j <= 0:
             return False
         A = self._scaled(a)
+        self._query = (remaining, b)
         if value == 0:
             shift = 1 if i + j == remaining + 1 else 0
             return self._win(remaining - 1, i - shift, j - shift, A, b)
@@ -181,6 +188,9 @@ class GridEvaluator:
         if value_one:
             return won
         self.nodes_expanded += 1
+        if self.nodes_expanded >= MAX_NODES:
+            raise ResourceError("grid oracle reached its ceiling of %d expanded nodes at turns=%d, b2=%d grid "
+                                "units; use fewer turns or a smaller b2" % (MAX_NODES, *self._query))
         if won and self._set01:
             # The zero-value turn: no bids, and the countdown shift does
             # not depend on who takes it.

@@ -17,6 +17,9 @@ Two families of states bid the whole tracked budget instead: triangular
 diagonals (P1 cannot afford to lose the next contested turn, and the
 dealer tie rule makes a full-budget bid unbeatable) and fixed-value states
 with j = 1 (P2 could take any turn P1 does not fully defend).
+
+Every entry of x comes from ``matrices.entry_pair``: the closed form, or
+else the variant's one exact table, shared by every game and call.
 """
 
 from __future__ import annotations
@@ -34,21 +37,14 @@ from .core import (
     as_fraction,
     paid,
 )
-from .matrices import CountdownMatrix, build_matrix, closed_form_pair
+from .matrices import entry_pair
 
-# perfbench/tracing.py wraps closed_form under this module's name, so it
-# stays imported although the bid fraction reads closed_form_pair.
-from .matrices import closed_form  # noqa: F401
-
-
-def _dp_matrix(variant: AuctionVariant, n: int) -> CountdownMatrix | None:
-    """The exact size-n matrix the policy reads, or None where the closed form serves."""
-    return None if variant.has_closed_form else build_matrix(variant, n, exact=True)
+# perfbench/tracing.py wraps build_matrix and closed_form under this
+# module's name, so they stay imported although the policy reads entry_pair.
+from .matrices import build_matrix, closed_form  # noqa: F401
 
 
-def _bid_fraction_pair(
-    variant: AuctionVariant, i: int, j: int, matrix: CountdownMatrix | None
-) -> tuple[int, int]:
+def _bid_fraction_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
     """The bid fraction at countdown (i, j) as an integer pair, not reduced."""
     if i <= 0 or j <= 0:
         raise GameDecidedError(f"countdown ({i}, {j}) already decides the game")
@@ -57,35 +53,23 @@ def _bid_fraction_pair(
         raise UnwinnableStateError(f"state ({i}, {j}) cannot be won under {variant.short_name}")
     if j == (i if triangular else 1):  # a diagonal, or fixed-value j = 1: bid it all
         return 1, 1
-    if matrix is None and not variant.has_closed_form:
-        matrix = build_matrix(variant, max(i, j), exact=True)
-    if matrix is None:
-        ln, ld = closed_form_pair(variant, i, j - 1)
-        wn, wd = closed_form_pair(variant, i - 1, j) if i > 1 else (0, 1)
-    else:
-        ln, ld = matrix.pair(i, j - 1)
-        wn, wd = matrix.pair(i - 1, j)
+    ln, ld = entry_pair(variant, i, j - 1)
+    wn, wd = entry_pair(variant, i - 1, j)
     # (lose - win) / (lose + 1 - alpha) with lose = ln/ld, win = wn/wd, alpha = an/ad
     an, ad = variant.alpha.numerator, variant.alpha.denominator
     return (ln * wd - wn * ld) * ad, wd * (ln * ad + (ad - an) * ld)
 
 
-def optimal_bid_fraction(
-    variant: AuctionVariant,
-    i: int,
-    j: int,
-    matrix: CountdownMatrix | None = None,
-) -> Fraction:
+def optimal_bid_fraction(variant: AuctionVariant, i: int, j: int) -> Fraction:
     """Exact fraction of the tracked opponent budget to bid at countdown (i, j).
 
-    Entries come from ``matrix`` (exact) if given, else from the closed
-    form, else (alpha outside {0, 1}) from a matrix of size max(i, j)
-    built per call. They are read as integer pairs, and the one Fraction
-    made is the result.
+    Entries are read as integer pairs from ``matrices.entry_pair`` (the
+    closed form, or the variant's exact table), and the one Fraction made
+    is the result.
     Raises GameDecidedError when either countdown is zero and
     UnwinnableStateError for triangular i > j.
     """
-    num, den = _bid_fraction_pair(variant, i, j, matrix)
+    num, den = _bid_fraction_pair(variant, i, j)
     return Fraction(num, den)
 
 
@@ -100,15 +84,15 @@ class StrategyState(NamedTuple):
     variant: AuctionVariant
     tracked_opponent_budget: Fraction
     countdown: CountdownPair
-    matrix: CountdownMatrix | None = None
 
     @classmethod
     def fresh(cls, variant: AuctionVariant, turns: int, opponent_budget: Numeric) -> "StrategyState":
-        """Start-of-game state; builds a matrix when no closed form exists."""
+        """Start-of-game state; reading entry (h, h) sizes the variant's table or raises ResourceError."""
         if turns < 1:
             raise DomainError(f"turns must be >= 1, got {turns}")
         countdown = CountdownPair.fresh(turns)
-        return cls(variant, Fraction(opponent_budget), countdown, _dp_matrix(variant, countdown.i))
+        entry_pair(variant, countdown.i, countdown.j)
+        return cls(variant, Fraction(opponent_budget), countdown)
 
 
 def next_bid(state: StrategyState, turn_value: int) -> Fraction:
@@ -121,7 +105,7 @@ def next_bid(state: StrategyState, turn_value: int) -> Fraction:
         raise DomainError(f"turn value must be 0 or 1, got {turn_value!r}")
     if turn_value == 0:
         return Fraction(0)
-    num, den = _bid_fraction_pair(state.variant, state.countdown.i, state.countdown.j, state.matrix)
+    num, den = _bid_fraction_pair(state.variant, state.countdown.i, state.countdown.j)
     b = as_fraction(state.tracked_opponent_budget)
     return Fraction(num * b.numerator, den * b.denominator)
 
@@ -149,4 +133,4 @@ def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_wo
         b = paid(b, as_fraction(my_bid))
         if b.numerator < 0:
             b = Fraction(0)
-    return StrategyState(state.variant, b, cd, state.matrix)
+    return StrategyState(state.variant, b, cd)

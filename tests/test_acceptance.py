@@ -203,7 +203,7 @@ def test_criterion_09_indifference_identity():
         for i in range(1, 101):
             lo = i + 1 if variant.is_triangular else 2
             for j in range(lo, 101):
-                r = optimal_bid_fraction(variant, i, j, matrix=matrix)
+                r = optimal_bid_fraction(variant, i, j)
                 entry = matrix.entry(i, j)
                 win_branch = r + matrix.entry(i - 1, j)
                 if first_price:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from multibattle import cli
+from multibattle import cli, oracle
 from multibattle.core import ResourceError
 from multibattle.matrices import MAX_EXACT_SIDE, MAX_FLOAT_SIDE, MatrixVerifyReport
 from multibattle import (
@@ -291,6 +291,10 @@ def test_sizes_above_the_matrix_ceiling_exit_two(capsys):
         ["matrix", "--variant", "fp-set", "--size", str(MAX_EXACT_SIDE + 1), "--exact"],
         ["obr", "--variant", "ap-set", "--alpha", "1/3", "--turns", str(2 * MAX_FLOAT_SIDE + 1)],
         ["obr", "--variant", "ap-fixed", "--alpha", "1/2", "--turns", str(2 * MAX_EXACT_SIDE + 1), "--exact"],
+        ["simulate", "--variant", "ap-set", "--alpha", "1/3", "--turns", str(2 * MAX_EXACT_SIDE + 1),
+         "--ratio", "4", "--adversary", "allin"],
+        ["bid", "--variant", "ap-fixed", "--alpha", "1/2",
+         "--i", str(MAX_EXACT_SIDE + 1), "--j", str(MAX_EXACT_SIDE + 1)],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -435,3 +439,16 @@ def test_the_reused_parser_gives_what_fresh_parsers_give(monkeypatch, capsys):
     codes = [code for code, _, _ in shared[: len(_SEQUENCE)]]
     assert codes == [0, 0, 1, 0, ("SystemExit", 0), 0, 2, 0, ("SystemExit", 0), 0, 1, 1, 0]
     assert shared[4][1].startswith("usage: multibattle") and shared[8][1].startswith("usage: multibattle simulate")
+
+
+def test_oracle_node_ceiling_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_NODES", 50)
+    code, out, err = run(capsys, "oracle", "--variant", "fp-set", "--turns", "3", "--b2", "4")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: grid oracle reached its ceiling of 50 expanded nodes at turns=3, b2=4 grid units; "
+        "use fewer turns or a smaller b2\n"
+    )
+    monkeypatch.setattr(oracle, "MAX_NODES", 26)
+    code, out, _ = run(capsys, "oracle", "--variant", "fp-set", "--turns", "3", "--b2", "4", "--b1", "5")
+    assert (code, out) == (0, '{"b1": 5, "p1_can_win": false, "nodes_expanded": 25}\n')

@@ -277,7 +277,7 @@ def _records():
             StrategyState(FP_SET01, F(1), cd),
             "StrategyState(variant=AuctionVariant(pricing=<Pricing.FIRST_PRICE: 'first-price'>, "
             "values=<ValueModel.SET01: 'set01'>, alpha=Fraction(0, 1)), "
-            "tracked_opponent_budget=Fraction(1, 1), countdown=CountdownPair(i=1, j=2), matrix=None)",
+            "tracked_opponent_budget=Fraction(1, 1), countdown=CountdownPair(i=1, j=2))",
         ),
     ]
 

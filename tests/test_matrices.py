@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multibattle import (
@@ -26,7 +26,8 @@ from multibattle import (
     optimal_bid_fraction,
     verify_matrix,
 )
-from multibattle.matrices import MAX_EXACT_SIDE, MAX_FLOAT_SIDE, MatrixVerifyReport, _float_row
+from multibattle import matrices
+from multibattle.matrices import MAX_EXACT_SIDE, MAX_FLOAT_SIDE, MatrixVerifyReport, _float_row, entry_pair
 
 F = Fraction
 
@@ -280,11 +281,53 @@ def test_exact_ratios_match_the_fraction_reference(variant):
             assert type(got) is F and got == (rows[i][j] if i > 0 else 0), (turns, k)
 
 
+READ_SIDE = 12
+# The reference variants plus two more without a closed form: five such, one more than the tables kept.
+READ_REFERENCE = [
+    (v, build_matrix(v, READ_SIDE, exact=True))
+    for v in [p.values[0] for p in REFERENCE_VARIANTS]
+    + [AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 3)), AuctionVariant.all_pay(ValueModel.SET01, F(3, 4))]
+]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    reads=st.lists(
+        st.tuples(
+            st.integers(0, len(READ_REFERENCE) - 1), st.integers(0, READ_SIDE), st.integers(1, READ_SIDE)
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+# All five variants without a closed form, so the first one read is dropped, then read again.
+@example(reads=[(4, 1, 3), (5, 3, 2), (6, 2, 4), (7, 5, 1), (8, 3, 3), (4, 6, 6), (5, 1, 1), (8, 0, 2)])
+def test_entry_reads_in_any_order_equal_the_built_matrix(reads):
+    """Growing and shrinking reads over nine variants give build_matrix's pairs.
+
+    Only the four most recently read variants without a closed form keep
+    a table, and none is larger than the largest read of its variant.
+    """
+    keys = [(v.is_triangular, v.alpha.numerator, v.alpha.denominator) for v, _ref in READ_REFERENCE]
+    matrices._TABLES.clear()
+    largest, recent = {}, []
+    for k, i, j in reads:
+        variant, ref = READ_REFERENCE[k]
+        if variant.is_triangular and i > j:
+            continue
+        want = ref.entry(i, j)
+        assert entry_pair(variant, i, j) == (want.numerator, want.denominator), (variant, i, j)
+        largest[k] = max(largest.get(k, 0), i, j)
+        if not variant.has_closed_form:
+            recent = [r for r in recent if r != k] + [k]
+        assert list(matrices._TABLES) == [keys[r] for r in recent[-4:]]
+        assert all(len(matrices._TABLES[keys[r]]) - 1 <= largest[r] for r in recent[-4:])
+
+
 @pytest.mark.parametrize("variant", REFERENCE_VARIANTS)
 def test_bid_fraction_matches_the_fraction_reference(variant):
     n = 30
     rows = list(_fraction_rows(variant, n))
-    m = build_matrix(variant, n, exact=True)
     for i in range(1, n + 1):
         for j in range(i if variant.is_triangular else 1, n + 1):
             if (variant.is_triangular and i == j) or (not variant.is_triangular and j == 1):
@@ -292,9 +335,7 @@ def test_bid_fraction_matches_the_fraction_reference(variant):
             else:
                 lose, win = rows[i][j - 1], rows[i - 1][j]
                 want = (lose - win) / (lose + 1 - variant.alpha)
-            assert optimal_bid_fraction(variant, i, j, matrix=m) == want, (i, j)
-            if variant.has_closed_form or (i + j) % 7 == 0:
-                assert optimal_bid_fraction(variant, i, j) == want, (i, j)
+            assert optimal_bid_fraction(variant, i, j) == want, (i, j)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.short_name)

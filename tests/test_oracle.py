@@ -482,3 +482,20 @@ def test_winnability_is_monotone_in_both_budgets(variant, remaining, data):
         assert ev.win(remaining, i, j, a + F(1, d), b)
     if ev.win(remaining, i, j, a, b + 1):
         assert ev.win(remaining, i, j, a, b)
+
+
+def test_node_ceiling_raises_resource_error(monkeypatch):
+    """An evaluator stops when its counted nodes reach MAX_NODES, naming turns and b2."""
+    assert min_winning_budget(FP_SET01, 3, 4).nodes_expanded == 50
+    monkeypatch.setattr(oracle_module, "MAX_NODES", 51)
+    assert min_winning_budget(FP_SET01, 3, 4).b_star == 6
+    monkeypatch.setattr(oracle_module, "MAX_NODES", 50)
+    with pytest.raises(ResourceError, match="ceiling of 50 expanded nodes at turns=3, b2=4 grid units"):
+        min_winning_budget(FP_SET01, 3, 4)
+    monkeypatch.setattr(oracle_module, "MAX_NODES", 10)
+    with pytest.raises(ResourceError, match="at turns=5, b2=8 grid units"):
+        evaluate(OracleInstance(AP_SET_THIRD, 5, 12, 8))
+    ev = GridEvaluator(FP_FIXED1)
+    with pytest.raises(ResourceError, match="at turns=4, b2=6 grid units"):
+        ev.win_given_value(4, 2, 2, 9, 6, 1)
+    assert ev.nodes_expanded == 10

@@ -1,5 +1,6 @@
 """Bid fractions, the online bidding policy, and budget tracking."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,17 +12,25 @@ from multibattle import (
     AP_SET01,
     FP_FIXED1,
     FP_SET01,
+    AllInAdversary,
     AuctionVariant,
     CountdownPair,
     DomainError,
+    GameConfig,
+    ResourceError,
+    StrategyPolicy,
     StrategyState,
     ValueModel,
     build_matrix,
     next_bid,
+    obr,
     observe_outcome,
     optimal_bid_fraction,
+    run_game,
 )
+from multibattle import matrices
 from multibattle.core import GameDecidedError, UnwinnableStateError
+from multibattle.matrices import MAX_EXACT_SIDE
 
 F = Fraction
 
@@ -54,7 +63,7 @@ def test_bid_fraction_rejects_decided_and_unwinnable_states():
 def test_bid_fraction_general_alpha_needs_a_matrix():
     variant = AuctionVariant.all_pay(ValueModel.SET01, F(1, 2))
     matrix = build_matrix(variant, 4, exact=True)
-    r = optimal_bid_fraction(variant, 2, 4, matrix=matrix)
+    r = optimal_bid_fraction(variant, 2, 4)
     lose = matrix.entry(2, 3)
     win = matrix.entry(1, 4)
     assert r == (lose - win) / (lose + 1 - F(1, 2))
@@ -64,7 +73,8 @@ def test_bid_fraction_without_a_matrix_builds_one():
     variant = AuctionVariant.all_pay(ValueModel.SET01, F(1, 3))
     matrix = build_matrix(variant, 3, exact=True)
     r = optimal_bid_fraction(variant, 2, 3)
-    assert r == optimal_bid_fraction(variant, 2, 3, matrix=matrix)
+    lose, win = matrix.entry(2, 2), matrix.entry(1, 3)
+    assert r == (lose - win) / (lose + 1 - F(1, 3))
     assert r == F(321, 646)
 
 
@@ -90,14 +100,34 @@ def test_next_bid_rejects_bad_value():
 
 
 def test_fresh_state_builds_matrix_only_when_needed():
-    assert StrategyState.fresh(FP_SET01, 9, 1).matrix is None
-    assert StrategyState.fresh(AP_SET01, 9, 1).matrix is None
+    """A state holds no matrix; only a variant with no closed form fills a table, sized by the game."""
+    assert StrategyState._fields == ("variant", "tracked_opponent_budget", "countdown")
+    matrices._TABLES.clear()
+    StrategyState.fresh(FP_SET01, 9, 1)
+    StrategyState.fresh(AP_SET01, 9, 1)
+    assert matrices._TABLES == {}
     half = AuctionVariant.all_pay(ValueModel.SET01, F(1, 2))
-    state = StrategyState.fresh(half, 9, 1)
-    assert state.matrix is not None
-    assert state.matrix.n == 5
+    StrategyState.fresh(half, 9, 1)
+    assert {key: len(rows) - 1 for key, rows in matrices._TABLES.items()} == {(True, 1, 2): 5}
+    with pytest.raises(ResourceError, match="^matrix side 513 exceeds the exact ceiling of 512$"):
+        StrategyState.fresh(half, 2 * MAX_EXACT_SIDE + 1, 1)
     with pytest.raises(DomainError):
         StrategyState.fresh(FP_SET01, 0, 1)
+
+
+def test_a_small_game_leaves_no_large_table():
+    """A T=5 game at an alpha nothing else reads keeps one side-3 table, a few kB."""
+    variant = AuctionVariant.all_pay(ValueModel.FIXED1, F(3, 11))
+    config = GameConfig(variant, 5)
+    budget = obr(variant, 5, exact=True)
+    tracemalloc.start()
+    try:
+        run_game(config, budget, StrategyPolicy(), AllInAdversary())
+        kept, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(matrices._TABLES[False, 3, 11]) - 1 == 3
+    assert kept < 20_000, kept
 
 
 def test_observe_first_price_loss_charges_my_bid():
@@ -123,7 +153,7 @@ def test_observe_value_zero_leaves_countdown_alone():
 
 def test_observe_all_pay_losses():
     half = AuctionVariant.all_pay(ValueModel.SET01, F(1, 2))
-    s = StrategyState(half, F(1), CountdownPair(2, 2), build_matrix(half, 2, exact=True))
+    s = StrategyState(half, F(1), CountdownPair(2, 2))
     lost = observe_outcome(s, 1, F(1, 4), i_won=False)
     assert lost.tracked_opponent_budget == F(3, 4)
     # P1 won: P2's losing bid is unseen and may have been zero, so the
@@ -154,7 +184,7 @@ def test_indifference_identity(variant):
     for i in range(1, n + 1):
         lo = i + 1 if variant.is_triangular else 2
         for j in range(lo, n + 1):
-            r = optimal_bid_fraction(variant, i, j, matrix=m)
+            r = optimal_bid_fraction(variant, i, j)
             win_branch = r + m.entry(i - 1, j)
             lose_branch = alpha * r + (1 - r) * m.entry(i, j - 1)
             assert win_branch == m.entry(i, j), (i, j)

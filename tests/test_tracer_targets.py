@@ -48,6 +48,7 @@ def test_the_tracer_wraps_every_target_and_restores_it_on_exit():
             mb.simulate.OmnipotentAdversary(F(1, 24)),
         )
         text = trace.to_json()
+        mb.matrices.build_matrix(third, 2, exact=True)
     assert verdict.win_all and trace.winner is core.Player.P1 and text
     names = {span[1] for span in tracer.spans}
     assert {

@@ -95,7 +95,7 @@ def ref_next_bid(state, turn_value):
     if turn_value == 0:
         return Fraction(0)
     i, j = state.countdown.i, state.countdown.j
-    fraction = optimal_bid_fraction(state.variant, i, j, matrix=state.matrix)
+    fraction = optimal_bid_fraction(state.variant, i, j)
     return fraction * state.tracked_opponent_budget
 
 
@@ -111,7 +111,7 @@ def ref_observe_outcome(state, turn_value, my_bid, i_won, disclosed_opponent_bid
         b -= state.variant.alpha * her_bid if i_won else her_bid
         if b < 0:
             b = Fraction(0)
-    return StrategyState(state.variant, b, cd, state.matrix)
+    return StrategyState(state.variant, b, cd)
 
 
 def ref_policy_bid(s, value, budget):
