@@ -377,26 +377,9 @@ def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) ->
     return Fraction(num, den) if exact else num / den
 
 
-def _entry(variant: AuctionVariant, i: int, j: int, exact: bool) -> Ratio:
-    """x[i][j] from the closed form, or else from rolling rows of the recurrence."""
-    if variant.has_closed_form:
-        return closed_form(variant, i, j, exact=exact)
-    if exact:
-        nums, dens = next(islice(_rows(variant, j, True), i, None))
-        return Fraction(nums[j], dens[j])
-    _check_side(j, False)
-    return _float_row(variant, j, i)[j]
-
-
 def obr(variant: AuctionVariant, turns: int, exact: bool = False) -> Ratio:
-    """Optimal budget ratio for a fresh game of the given length.
-
-    A fresh T-turn game sits at countdown pair (ceil(T/2), ceil(T/2)).
-    """
-    if turns < 1:
-        raise DomainError(f"turns must be >= 1, got {turns}")
-    h = ceil_div(turns, 2)
-    return _entry(variant, h, h, exact)
+    """Optimal budget ratio for a fresh game of the given length: ``handicap_obr`` at k = 0."""
+    return handicap_obr(variant, turns, 0, exact)
 
 
 def handicap_obr(variant: AuctionVariant, turns: int, k: int, exact: bool = False) -> Ratio:
@@ -414,7 +397,13 @@ def handicap_obr(variant: AuctionVariant, turns: int, k: int, exact: bool = Fals
     j = ceil_div(turns + k, 2)
     if i <= 0:
         return Fraction(0) if exact else 0.0
-    return _entry(variant, i, j, exact)
+    if variant.has_closed_form:
+        return closed_form(variant, i, j, exact=exact)
+    if exact:  # rolling rows of the recurrence
+        nums, dens = next(islice(_rows(variant, j, True), i, None))
+        return Fraction(nums[j], dens[j])
+    _check_side(j, False)
+    return _float_row(variant, j, i)[j]
 
 
 @dataclass(frozen=True)

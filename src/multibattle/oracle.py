@@ -38,7 +38,6 @@ from .core import (
     Numeric,
     ResourceError,
     ValueModel,
-    ceil_div,
 )
 
 
@@ -47,6 +46,9 @@ _NONE: dict = {}  # shared read-only stand-in for an absent memo table
 # An evaluator raises ResourceError when its expanded (stored) nodes reach
 # this: about 100 MB of memo at ~50 bytes a node.
 MAX_NODES = 2_000_000
+# The search recurses up to two frames per remaining turn; this leaves its
+# callers room under CPython's default limit of 1000 frames.
+MAX_TURNS = 400
 
 
 class GridEvaluator:
@@ -83,6 +85,12 @@ class GridEvaluator:
         self._query = (0, 0)  # (remaining, b) of the current win/win_given_value call
         self.nodes_expanded = 0
 
+    def _begin(self, remaining: int, b: int) -> None:
+        """Refuse a query deeper than ``MAX_TURNS``; note it for the node-ceiling message."""
+        if remaining > MAX_TURNS:
+            raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
+        self._query = (remaining, b)
+
     def _scaled(self, a) -> int:
         """P1's budget ``a`` (grid units) as an integer count of 1/d units."""
         if isinstance(a, int):
@@ -95,19 +103,20 @@ class GridEvaluator:
     def win(self, remaining: int, i: int, j: int, a, b: int) -> bool:
         """True iff P1 forces a win with ``remaining`` turns left.
 
-        ``a`` and ``b`` are the players' budgets in grid units.
+        ``a`` and ``b`` are the players' budgets in grid units. More than
+        ``MAX_TURNS`` remaining turns raise ResourceError.
         """
-        self._query = (remaining, b)
+        self._begin(remaining, b)
         return self._win(remaining, i, j, self._scaled(a), b)
 
     def win_given_value(self, remaining: int, i: int, j: int, a, b: int, value: int) -> bool:
         """Like win(), but with the current turn's value already chosen."""
+        self._begin(remaining, b)
         if i <= 0:
             return True
         if j <= 0:
             return False
         A = self._scaled(a)
-        self._query = (remaining, b)
         if value == 0:
             shift = 1 if i + j == remaining + 1 else 0
             return self._win(remaining - 1, i - shift, j - shift, A, b)
@@ -253,15 +262,14 @@ def evaluate(
     already fixed and P1 is about to bid.
     """
     if state is None:
-        remaining = inst.turns
-        countdown = CountdownPair.fresh(inst.turns)
-        a, b = inst._units(inst.b1), inst._units(inst.b2)
-    else:
-        if state.turn_index > inst.turns:
-            raise DomainError("state has more turns than the instance")
-        remaining = inst.turns - state.turn_index
-        countdown = state.countdown
-        a, b = inst._units(state.budget_p1), inst._units(state.budget_p2)
+        state = GameState(inst.b1, inst.b2, 0, 0, 0, CountdownPair.fresh(inst.turns))
+    if state.turn_index > inst.turns:
+        raise DomainError("state has more turns than the instance")
+    remaining = inst.turns - state.turn_index
+    countdown = state.countdown
+    # After a lost all-pay turn P1's budget may sit on the finer 1/d grid,
+    # which the evaluator checks; P2's stays on the unit grid.
+    a, b = Fraction(state.budget_p1) / inst.grid_unit, inst._units(state.budget_p2)
     if pending_value is not None:
         if pending_value not in (0, 1):
             raise DomainError(f"pending value must be 0 or 1, got {pending_value!r}")
@@ -339,10 +347,10 @@ def min_winning_budget(
     if method not in ("linear", "bisect"):
         raise DomainError(f"unknown search method {method!r}")
 
-    h = ceil_div(turns, 2)
+    cd = CountdownPair.fresh(turns)
     ev = GridEvaluator(variant)
     for k in range(cap_units + 1):
-        if ev.win(turns, h, h, k, b_units):
+        if ev.win(turns, cd.i, cd.j, k, b_units):
             return MinBudgetResult(k, k * g, k * g / b2, ev.nodes_expanded)
     raise ResourceError(
         f"no winning budget up to {cap_units} grid units "

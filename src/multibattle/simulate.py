@@ -45,6 +45,12 @@ from .matrices import build_matrix  # noqa: F401
 from .oracle import GridEvaluator
 from .strategy import StrategyState, next_bid, observe_outcome, optimal_bid_fraction  # noqa: F401
 
+# run_game keeps one TurnRecord, about 0.4 KB, per turn played.
+MAX_GAME_TURNS = 100_000
+# The sweep recurses one frame per turn; this leaves its callers room under
+# CPython's default limit of 1000 frames.
+MAX_SWEEP_TURNS = 800
+
 
 def _policy_bid(s: StrategyState, value: int, budget: Fraction) -> Fraction:
     """The strategy's bid, capped at the budget P1 holds.
@@ -225,8 +231,11 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
 
     Deterministic given (config, budget_p1, policies, seed). A policy
     emitting a bid outside [0, its remaining budget] ends the game with a
-    fault attributed to it; the other player wins.
+    fault attributed to it; the other player wins. A game longer than
+    ``MAX_GAME_TURNS`` raises ResourceError before any turn is played.
     """
+    if config.turns > MAX_GAME_TURNS:
+        raise ResourceError(f"game of {config.turns} turns exceeds the playout ceiling of {MAX_GAME_TURNS} turns")
     b1 = Fraction(budget_p1)
     rng = random.Random(seed)
     state = initial_state(config, b1)
@@ -314,9 +323,9 @@ def exhaustive_adversary_check(
     Each turn the adversary plays any value; on value 1 it concedes or
     plays the cheapest winning bid on its grid (rationals with denominator
     at most ``denominator_bound * b2``) that it can afford. Returns a
-    win-all verdict or one losing trace. P1 runs ``StrategyState.fresh``,
-    ``_policy_bid`` and ``observe_outcome``, like ``StrategyPolicy``; every
-    successor state comes from ``settle_turn``.
+    win-all verdict or one losing trace. P1 takes every move, zero-value
+    turns included, from ``_policy_bid`` and ``observe_outcome``, like
+    ``StrategyPolicy``; every successor state comes from ``settle_turn``.
 
     Other adversary moves are dominated. Nonzero bids that lose, or on a
     zero-value turn, only waste adversary budget. After any winning bid
@@ -332,9 +341,12 @@ def exhaustive_adversary_check(
     Xeon, CPython 3.11): at most 232 states at T = 9, 807 at T = 11 and
     3.0k at T = 13, each under 0.3 s. The memo is capped at
     ``max_states``; overruns raise ResourceError with progress counts. A
-    ``denominator_bound * b2`` that is no positive integer raises
-    DomainError before any state is explored.
+    game above ``MAX_SWEEP_TURNS`` turns raises ResourceError, and a
+    ``denominator_bound * b2`` that is no positive integer DomainError,
+    before any state is explored.
     """
+    if config.turns > MAX_SWEEP_TURNS:
+        raise ResourceError(f"sweep of {config.turns} turns exceeds the depth ceiling of {MAX_SWEEP_TURNS} turns")
     bound_frac = denominator_bound * config.budget_p2
     if bound_frac.denominator != 1 or bound_frac < 1:
         raise DomainError(
@@ -342,7 +354,7 @@ def exhaustive_adversary_check(
             "must be a positive integer"
         )
     bound = bound_frac.numerator
-    set01 = config.variant.values is ValueModel.SET01
+    values = (0, 1) if config.variant.values is ValueModel.SET01 else (1,)
 
     MISS = object()
     memo: dict = {}
@@ -373,17 +385,13 @@ def exhaustive_adversary_check(
                 f"scores {state.score_p1}-{state.score_p2})"
             )
         line = None
-        if set01:
-            # The policy bids nothing on a zero-value turn and learns nothing from it.
-            sub = explore(settle_turn(config, state, 0, 0, 0), policy)
+        for value in values:
+            p = _policy_bid(policy, value, state.budget_p1)
+            sub = explore(settle_turn(config, state, value, p, 0), observe_outcome(policy, value, p, True))
             if sub is not None:
-                line = ((0, Fraction(0)),) + sub
-        if line is None:
-            p = _policy_bid(policy, 1, state.budget_p1)
-            sub = explore(settle_turn(config, state, 1, p, 0), observe_outcome(policy, 1, p, True))
-            if sub is not None:
-                line = ((1, Fraction(0)),) + sub
-            else:
+                line = ((value, Fraction(0)),) + sub
+                break
+            if value:
                 # Beat P1 with the cheapest grid bid above its own; dearer ones are dominated.
                 q = _least_above(p, bound)
                 if at_least(state.budget_p2, q):

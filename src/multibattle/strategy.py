@@ -5,18 +5,18 @@ pessimistically from them (it never assumes P2 spent more than they
 prove) and, on every value-1 turn at countdown pair (i, j), bids the
 fraction
 
-    r* = (x[i][j-1] - x[i-1][j]) / (x[i][j-1] + 1 - alpha)
+    r* = x[i][j] - x[i-1][j]
 
-of the tracked budget, where x is the variant's countdown matrix and
-first-price is alpha = 0. The two outcomes of the turn then cost exactly
-the same in matrix terms, which is what makes the guarantee inductive:
-winning leaves a state needing x[i-1][j] per tracked unit, losing leaves
-x[i][j-1] per unit of what the opponent keeps after paying for her win.
+of the tracked budget, where x is the variant's countdown matrix: the
+step the recurrence adds to row i - 1. At r* the two outcomes of the turn
+cost exactly the same in matrix terms, which is what makes the guarantee
+inductive: winning leaves a state needing x[i-1][j] per tracked unit,
+losing leaves x[i][j-1] per unit of what the opponent keeps after paying
+for her win.
 
-Two families of states bid the whole tracked budget instead: triangular
-diagonals (P1 cannot afford to lose the next contested turn, and the
-dealer tie rule makes a full-budget bid unbeatable) and fixed-value states
-with j = 1 (P2 could take any turn P1 does not fully defend).
+The boundary rules x[i][i] = 1 + x[i-1][i] and x[i][1] = i make r* = 1
+on triangular diagonals and fixed-value column 1: P1 bids the whole
+tracked budget there.
 
 Every entry of x comes from ``matrices.entry_pair``: the closed form, or
 else the variant's one exact table, shared by every game and call.
@@ -45,29 +45,22 @@ from .matrices import build_matrix, closed_form  # noqa: F401
 
 
 def _bid_fraction_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
-    """The bid fraction at countdown (i, j) as an integer pair, not reduced."""
+    """The bid fraction x[i][j] - x[i-1][j] as an integer pair, not reduced."""
     if i <= 0 or j <= 0:
         raise GameDecidedError(f"countdown ({i}, {j}) already decides the game")
-    triangular = variant.is_triangular
-    if triangular and i > j:
+    if variant.is_triangular and i > j:
         raise UnwinnableStateError(f"state ({i}, {j}) cannot be won under {variant.short_name}")
-    if j == (i if triangular else 1):  # a diagonal, or fixed-value j = 1: bid it all
-        return 1, 1
-    ln, ld = entry_pair(variant, i, j - 1)
+    xn, xd = entry_pair(variant, i, j)
     wn, wd = entry_pair(variant, i - 1, j)
-    # (lose - win) / (lose + 1 - alpha) with lose = ln/ld, win = wn/wd, alpha = an/ad
-    an, ad = variant.alpha.numerator, variant.alpha.denominator
-    return (ln * wd - wn * ld) * ad, wd * (ln * ad + (ad - an) * ld)
+    return xn * wd - wn * xd, xd * wd
 
 
 def optimal_bid_fraction(variant: AuctionVariant, i: int, j: int) -> Fraction:
-    """Exact fraction of the tracked opponent budget to bid at countdown (i, j).
+    """Exact fraction r* = x[i][j] - x[i-1][j] of the tracked opponent budget at countdown (i, j).
 
-    Entries are read as integer pairs from ``matrices.entry_pair`` (the
-    closed form, or the variant's exact table), and the one Fraction made
-    is the result.
-    Raises GameDecidedError when either countdown is zero and
-    UnwinnableStateError for triangular i > j.
+    Both entries are integer pairs from ``matrices.entry_pair``; the one
+    Fraction made is the result. Raises GameDecidedError when either
+    countdown is zero and UnwinnableStateError for triangular i > j.
     """
     num, den = _bid_fraction_pair(variant, i, j)
     return Fraction(num, den)

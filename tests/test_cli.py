@@ -4,12 +4,13 @@ import argparse
 import contextlib
 import hashlib
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from multibattle import cli, oracle
+from multibattle import cli, oracle, simulate
 from multibattle.core import ResourceError
 from multibattle.matrices import MAX_EXACT_SIDE, MAX_FLOAT_SIDE, MatrixVerifyReport
 from multibattle import (
@@ -295,10 +296,30 @@ def test_sizes_above_the_matrix_ceiling_exit_two(capsys):
          "--ratio", "4", "--adversary", "allin"],
         ["bid", "--variant", "ap-fixed", "--alpha", "1/2",
          "--i", str(MAX_EXACT_SIDE + 1), "--j", str(MAX_EXACT_SIDE + 1)],
+        # Diagonal and column-1 cells read the table like every other cell.
+        ["bid", "--variant", "ap-set", "--alpha", "1/3",
+         "--i", str(MAX_EXACT_SIDE + 1), "--j", str(MAX_EXACT_SIDE + 1)],
+        ["bid", "--variant", "ap-fixed", "--alpha", "1/2", "--i", "600", "--j", "1"],
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: matrix side ") and "ceiling" in err, argv
+
+
+def test_turns_past_the_depth_and_playout_ceilings_exit_two(capsys):
+    """Each of these overflowed the recursion limit or grew memory without bound."""
+    depth = f"depth ceiling is {oracle.MAX_TURNS} turns"
+    for argv, message in (
+        (["oracle", "--variant", "fp-set", "--turns", "501", "--b2", "1"], depth),
+        (["simulate", "--variant", "fp-set", "--turns", "1001", "--ratio", "3", "--adversary", "omnipotent"], depth),
+        (["simulate", "--variant", "fp-set", "--turns", "100000000", "--ratio", "4", "--adversary", "allin"],
+         f"playout ceiling of {simulate.MAX_GAME_TURNS} turns"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (2, ""), argv
+        assert message in err, argv
 
 
 def test_unknown_variant_exits_one(capsys):

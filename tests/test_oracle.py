@@ -203,6 +203,19 @@ def test_evaluate_from_mid_game_state():
     assert not p1_can_win(inst, state=t)
 
 
+def test_evaluate_takes_p1_budgets_on_the_alpha_grid():
+    """A lost all-pay turn at alpha = 1/3 leaves P1's budget on the 1/3 grid."""
+    cfg = GameConfig(AP_SET_THIRD, turns=5, budget_p2=4)
+    inst = OracleInstance(AP_SET_THIRD, 5, F(8), F(4))
+    s = settle_turn(cfg, initial_state(cfg, F(8)), 1, F(1), F(2))
+    assert (s.budget_p1, s.budget_p2, s.countdown) == (F(23, 3), F(2), (3, 2))
+    res = evaluate(inst, state=s)
+    assert (res.can_win, res.nodes_expanded) == (False, 51)
+    assert not GridEvaluator(AP_SET_THIRD).win(4, 3, 2, F(23, 3), 2)
+    with pytest.raises(DomainError, match="23/4"):
+        evaluate(inst, state=s._replace(budget_p1=F(23, 4)))
+
+
 def test_evaluate_with_pending_value():
     inst = OracleInstance(FP_SET01, 3, F(6), F(4))
     assert p1_can_win(inst, pending_value=1)
@@ -499,3 +512,16 @@ def test_node_ceiling_raises_resource_error(monkeypatch):
     with pytest.raises(ResourceError, match="at turns=4, b2=6 grid units"):
         ev.win_given_value(4, 2, 2, 9, 6, 1)
     assert ev.nodes_expanded == 10
+
+
+def test_depth_ceiling_raises_before_any_work():
+    ev = GridEvaluator(FP_SET01)
+    over = oracle_module.MAX_TURNS + 1
+    for query in (ev.win, lambda *args: ev.win_given_value(*args, 0)):
+        with pytest.raises(ResourceError, match=f"depth ceiling is {oracle_module.MAX_TURNS} turns"):
+            query(over, 0, 1, 0, 0)  # P1 needs nothing, yet the depth is checked first
+    assert ev.nodes_expanded == 0
+    # At the ceiling the deepest recursion, two frames a turn on a value-set
+    # variant, still fits under the default limit.
+    h = oracle_module.MAX_TURNS // 2
+    assert not ev.win(oracle_module.MAX_TURNS, h, h, 0, 1)

@@ -35,6 +35,7 @@ from multibattle import (
     observe_outcome,
     run_game,
 )
+from multibattle import simulate
 from multibattle.simulate import _least_above, _policy_bid, _ScriptedAdversary
 
 F = Fraction
@@ -500,6 +501,25 @@ def test_exhaustive_check_respects_its_state_budget():
     cfg = GameConfig(FP_SET01, turns=5)
     with pytest.raises(ResourceError):
         exhaustive_adversary_check(cfg, F(9, 5), denominator_bound=8, max_states=10)
+
+
+def test_exhaustive_check_has_a_depth_ceiling():
+    with pytest.raises(ResourceError, match=f"depth ceiling of {simulate.MAX_SWEEP_TURNS} turns"):
+        exhaustive_adversary_check(GameConfig(FP_FIXED1, 2001), 2, 1)
+    assert exhaustive_adversary_check(GameConfig(FP_FIXED1, simulate.MAX_SWEEP_TURNS), 2, 1).win_all
+
+
+def test_the_sweep_takes_zero_value_bids_from_the_policy(monkeypatch):
+    """A policy that spends on zero-value turns loses, and the sweep finds that line."""
+    cfg = GameConfig(FP_SET01, turns=3)
+    assert exhaustive_adversary_check(cfg, F(3, 2), denominator_bound=8).win_all
+    bid = simulate.next_bid
+    monkeypatch.setattr(simulate, "next_bid", lambda state, value: bid(state, 1))
+    verdict = exhaustive_adversary_check(cfg, F(3, 2), denominator_bound=8)
+    assert not verdict.win_all
+    assert [(t.value, t.bid_p1, t.bid_p2) for t in verdict.counterexample.turns] == [
+        (0, F(1), F(0)), (0, F(1, 2), F(0)), (1, F(0), F(1, 8)),
+    ]
 
 
 def test_omnipotent_adversary_grid_unit_is_configurable():
