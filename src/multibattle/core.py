@@ -180,6 +180,11 @@ class AuctionVariant:
     ``alpha`` is the fraction of a losing bid the loser forfeits, and it
     alone carries the pricing rule: first-price is alpha = 0, so
     ``pricing`` only names the variant (a first-price one takes no alpha).
+
+    ``__post_init__`` sets ``is_triangular`` (value-set model), ``has_closed_form``
+    (alpha in {0, 1}) and ``alpha_pair`` (alpha's numerator, denominator) once as
+    attributes, not fields: ~10 ns a read against ~100 for a property, while
+    ``==``, ``hash`` and ``repr`` still see the fields alone.
     """
 
     pricing: Pricing
@@ -187,12 +192,17 @@ class AuctionVariant:
     alpha: Fraction = Fraction(0)
 
     def __post_init__(self):
+        if not (isinstance(self.pricing, Pricing) and isinstance(self.values, ValueModel)):
+            raise DomainError(f"need a Pricing and a ValueModel, got {self.pricing!r} and {self.values!r}")
         alpha = Fraction(self.alpha)
         object.__setattr__(self, "alpha", alpha)
         if not 0 <= alpha <= 1:
             raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
         if self.pricing is Pricing.FIRST_PRICE and alpha != 0:
             raise DomainError("first-price variants take no alpha")
+        object.__setattr__(self, "is_triangular", self.values is ValueModel.SET01)
+        object.__setattr__(self, "has_closed_form", alpha.denominator == 1)
+        object.__setattr__(self, "alpha_pair", (alpha.numerator, alpha.denominator))
 
     @classmethod
     def first_price(cls, values: ValueModel) -> "AuctionVariant":
@@ -205,18 +215,8 @@ class AuctionVariant:
     @property
     def short_name(self) -> str:
         p = "fp" if self.pricing is Pricing.FIRST_PRICE else "ap"
-        v = "set" if self.values is ValueModel.SET01 else "fixed"
+        v = "set" if self.is_triangular else "fixed"
         return f"{p}-{v}"
-
-    @property
-    def has_closed_form(self) -> bool:
-        """Whether matrix entries have a closed form: alpha in {0, 1}, its only integers."""
-        return self.alpha.denominator == 1
-
-    @property
-    def is_triangular(self) -> bool:
-        """Whether matrix states with i > j are unwinnable for this variant."""
-        return self.values is ValueModel.SET01
 
 
 FP_SET01 = AuctionVariant.first_price(ValueModel.SET01)
@@ -338,7 +338,7 @@ def settle_turn(
     """
     if value not in (0, 1):
         raise DomainError(f"turn value must be 0 or 1, got {value!r}")
-    if config.variant.values is ValueModel.FIXED1 and value != 1:
+    if value != 1 and not config.variant.is_triangular:
         raise DomainError("fixed-value contests only auction value-1 objects")
     if state.turn_index >= config.turns:
         raise GameDecidedError("all turns already played")
@@ -365,8 +365,7 @@ def _settle(
     must be ``at_least(bid_p1, bid_p2)``. Only ``settle_turn`` and
     ``run_game`` call it, each after making ``settle_turn``'s checks.
     """
-    alpha = config.variant.alpha
-    an, ad = alpha.numerator, alpha.denominator
+    an, ad = config.variant.alpha_pair
     b1 = as_fraction(state.budget_p1)
     b2 = as_fraction(state.budget_p2)
     s1, s2 = state.score_p1, state.score_p2

@@ -253,7 +253,7 @@ def _pair_rows(variant: AuctionVariant, n: int):
     The same recurrence and row order as ``_float_rows``; placeholders
     left of a value-set diagonal are (0, 1).
     """
-    an, ad = variant.alpha.numerator, variant.alpha.denominator
+    an, ad = variant.alpha_pair
     kn = ad - an  # the loser keeps kn/ad of a bid
     above_n, above_d = [0] * (n + 1), [1] * (n + 1)
     yield above_n, above_d
@@ -319,12 +319,12 @@ def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]
     variant, i <= j; ``closed_form`` checks all three.
     """
     if variant.is_triangular:
-        if variant.alpha.numerator == 0:
+        if variant.alpha_pair[0] == 0:
             num, den = i * (j - i + 3), (j - i + 1) * (j + 2)
         else:
             den = (j - i + 1) * (j + 1)
             num = den + (i - 1) * (j - i + 3)
-    elif variant.alpha.numerator == 0:
+    elif variant.alpha_pair[0] == 0:
         num, den = i, j
     else:
         num, den = i + j - 1, j
@@ -343,7 +343,7 @@ def entry_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
         return closed_form_pair(variant, i, j) if i else (0, 1)
     # Entries depend on the value model and alpha alone; hashing these
     # ints is far cheaper than hashing the variant.
-    key = (variant.is_triangular, variant.alpha.numerator, variant.alpha.denominator)
+    key = (variant.is_triangular,) + variant.alpha_pair
     rows = _TABLES.pop(key, ())
     if len(rows) <= max(i, j):
         rows = list(_rows(variant, max(i, j), True))

@@ -37,7 +37,6 @@ from .core import (
     GameState,
     Numeric,
     ResourceError,
-    ValueModel,
 )
 
 
@@ -77,10 +76,8 @@ class GridEvaluator:
 
     def __init__(self, variant: AuctionVariant):
         self.variant = variant
-        # First-price variants carry alpha = 0: d = 1, an = 0.
-        self._d = variant.alpha.denominator
-        self._an = variant.alpha.numerator
-        self._set01 = variant.values is ValueModel.SET01
+        self._an, self._d = variant.alpha_pair  # first-price variants carry alpha = 0: an = 0, d = 1
+        self._set01 = variant.is_triangular
         self._memo: dict = {}
         self._query = (0, 0)  # (remaining, b) of the current win/win_given_value call
         self.nodes_expanded = 0
@@ -273,7 +270,7 @@ def evaluate(
     if pending_value is not None:
         if pending_value not in (0, 1):
             raise DomainError(f"pending value must be 0 or 1, got {pending_value!r}")
-        if inst.variant.values is ValueModel.FIXED1 and pending_value != 1:
+        if pending_value != 1 and not inst.variant.is_triangular:
             raise DomainError("fixed-value contests only auction value-1 objects")
         if remaining < 1:
             raise DomainError("no turn left to evaluate a pending value for")

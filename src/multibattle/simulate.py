@@ -30,7 +30,6 @@ from .core import (
     Player,
     ResourceError,
     TurnRecord,
-    ValueModel,
     _settle,
     affordable,
     as_fraction,
@@ -241,7 +240,7 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
     state = initial_state(config, b1)
     p1.begin(config, b1)
     p2.begin(config, b1)
-    fixed_value = config.variant.values is ValueModel.FIXED1
+    fixed_value = not config.variant.is_triangular
     P1, P2 = Player.P1, Player.P2  # an Enum member lookup costs more than a local
     records: list[TurnRecord] = []
     fault = None
@@ -299,17 +298,22 @@ class AdversarySweepVerdict:
 def _least_above(p: Fraction, bound: int) -> Fraction:
     """The least rational above ``p >= 0`` whose denominator is at most ``bound``.
 
-    For each q <= bound the least multiple of 1/q above p is
-    (floor(p*q) + 1)/q; the answer is the smallest of these, compared in
-    integers. O(bound) steps.
+    A Stern-Brocot descent: lo = ln/ld <= p < hi = hn/hd are Farey
+    neighbours, so no rational between them has a denominator below
+    ld + hd; once that exceeds ``bound``, hi is the answer. Each step takes
+    every mediant step toward p that p and the bound allow: O(log bound).
     """
     pn, pd = p.numerator, p.denominator
-    best_n, best_q = pn // pd + 1, 1
-    for q in range(2, bound + 1):
-        n = pn * q // pd + 1
-        if n * best_q < best_n * q:
-            best_n, best_q = n, q
-    return Fraction(best_n, best_q)
+    ln, ld, hn, hd = pn // pd, 1, pn // pd + 1, 1
+    while ld + hd <= bound:
+        below, above = pn * ld - ln * pd, hn * pd - pn * hd  # p - lo >= 0 and hi - p > 0, scaled
+        if below >= above:  # the mediant is at most p: raise lo
+            k = min(below // above, (bound - ld) // hd)
+            ln, ld = ln + k * hn, ld + k * hd
+        else:  # the mediant is above p: lower hi
+            k = min((above - 1) // below if below else bound, (bound - hd) // ld)
+            hn, hd = hn + k * ln, hd + k * ld
+    return Fraction(hn, hd)
 
 
 def exhaustive_adversary_check(
@@ -333,8 +337,8 @@ def exhaustive_adversary_check(
     its own bids); only the adversary's budget differs, and a poorer
     adversary's lines are a subset of a richer one's. So if the cheapest
     winning bid has no losing line, no dearer one has. That bid is
-    computed, not looked up in a built grid: O(``denominator_bound * b2``)
-    integer steps per contested state.
+    computed, not looked up in a built grid: O(log(``denominator_bound *
+    b2``)) integer steps per contested state.
 
     Measured at the optimal ratio with a bound of 8 on fp-set, fp-fixed,
     ap-set, ap-fixed, ap-set alpha=1/3 and ap-fixed alpha=1/2 (2-vCPU
@@ -354,7 +358,7 @@ def exhaustive_adversary_check(
             "must be a positive integer"
         )
     bound = bound_frac.numerator
-    values = (0, 1) if config.variant.values is ValueModel.SET01 else (1,)
+    values = (0, 1) if config.variant.is_triangular else (1,)
 
     MISS = object()
     memo: dict = {}

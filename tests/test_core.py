@@ -1,5 +1,9 @@
 """Game rules: turn settlement, countdowns, win detection, traces."""
 
+import copy
+import dataclasses
+import pickle
+import re
 from fractions import Fraction
 
 import pytest
@@ -151,6 +155,52 @@ def test_variant_validation():
     assert AP_FIXED1.short_name == "ap-fixed"
     assert FP_SET01.is_triangular and AP_SET01.is_triangular
     assert not FP_FIXED1.is_triangular
+
+
+@pytest.mark.parametrize("pricing, values, message", [
+    # Taken as fixed-value before: obr(v, 5, exact=True) gave 5/3, where ap-set gives 5/2.
+    (Pricing.ALL_PAY, "set01", "got <Pricing.ALL_PAY: 'all-pay'> and 'set01'"),
+    # Named itself ap-set before, and GameTrace.to_json then raised AttributeError.
+    ("first-price", ValueModel.SET01, "got 'first-price' and <ValueModel.SET01: 'set01'>"),
+    (Pricing.FIRST_PRICE, None, "got <Pricing.FIRST_PRICE: 'first-price'> and None"),
+])
+def test_variant_rejects_a_pricing_or_value_model_of_another_type(pricing, values, message):
+    with pytest.raises(DomainError, match=re.escape("need a Pricing and a ValueModel, " + message)):
+        AuctionVariant(pricing, values)
+
+
+_DERIVED_VARIANTS = [
+    FP_SET01, FP_FIXED1, AP_SET01, AP_FIXED1,
+    AuctionVariant.all_pay(ValueModel.SET01, 0),
+    AuctionVariant.all_pay(ValueModel.SET01, F(1, 3)),
+    AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 2)),
+    AuctionVariant.all_pay(ValueModel.SET01, F(7, 9)),
+]
+
+
+@pytest.mark.parametrize("variant", _DERIVED_VARIANTS, ids=lambda v: f"{v.short_name}:{v.alpha}")
+def test_derived_attributes_follow_the_fields_through_every_copy(variant):
+    other = ValueModel.FIXED1 if variant.values is ValueModel.SET01 else ValueModel.SET01
+    copies = [
+        variant,
+        dataclasses.replace(variant),
+        dataclasses.replace(variant, values=other),
+        copy.deepcopy(variant),
+        pickle.loads(pickle.dumps(variant)),
+    ]
+    for v in copies:
+        assert v.is_triangular is (v.values is ValueModel.SET01)
+        assert v.has_closed_form is (v.alpha.denominator == 1)
+        assert v.alpha_pair == (v.alpha.numerator, v.alpha.denominator)
+        assert all(type(x) is int for x in v.alpha_pair)
+        # The derived attributes are no fields: everything dataclass-made sees the fields alone.
+        same = AuctionVariant(v.pricing, v.values, v.alpha)
+        assert v == same and hash(v) == hash(same) == hash((v.pricing, v.values, v.alpha))
+        assert repr(v) == f"AuctionVariant(pricing={v.pricing!r}, values={v.values!r}, alpha={v.alpha!r})"
+        assert [f.name for f in dataclasses.fields(v)] == ["pricing", "values", "alpha"]
+        assert dataclasses.asdict(v) == {"pricing": v.pricing, "values": v.values, "alpha": v.alpha}
+    assert copies[1] == variant and copies[3] == variant and copies[4] == variant
+    assert copies[2] != variant and copies[2].is_triangular is not variant.is_triangular
 
 
 def test_unwinnable_orders_above_everything():

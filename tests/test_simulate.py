@@ -332,13 +332,48 @@ def test_grid_bids_enumerate_all_coarse_rationals():
         exhaustive_adversary_check(cfg, F(1, 2), denominator_bound=1)
 
 
+def _least_above_by_scan(p, bound):
+    """The least rational above p >= 0 with denominator at most bound, one denominator at a time.
+
+    For each q <= bound the least multiple of 1/q above p is
+    (floor(p*q) + 1)/q; the answer is the smallest of these. O(bound)
+    steps: the reference for ``_least_above``'s O(log bound) descent.
+    """
+    pn, pd = p.numerator, p.denominator
+    best_n, best_q = pn // pd + 1, 1
+    for q in range(2, bound + 1):
+        n = pn * q // pd + 1
+        if n * best_q < best_n * q:
+            best_n, best_q = n, q
+    return Fraction(best_n, best_q)
+
+
 @settings(deadline=None, max_examples=120)
 @given(bound=st.integers(1, 40), data=st.data())
 def test_least_above_is_the_next_grid_bid(bound, data):
     """The least grid element above p, for p on the grid and off it, below 1 and above."""
     bids = _grid_bids(F(2), bound)  # denominators up to 2 * bound
     p = data.draw(st.one_of(st.sampled_from(bids[:-1]), st.fractions(0, F(399, 200), max_denominator=200)))
-    assert _least_above(p, 2 * bound) == bids[bisect_right(bids, p)]
+    want = bids[bisect_right(bids, p)]
+    assert _least_above_by_scan(p, 2 * bound) == want
+    assert _least_above(p, 2 * bound) == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(bound=st.integers(1, 3000), p=st.fractions(0, 50, max_denominator=10**6))
+def test_least_above_matches_the_scan_at_large_bounds(bound, p):
+    assert _least_above(p, bound) == _least_above_by_scan(p, bound)
+
+
+@pytest.mark.parametrize("p", [F(0), F(1, 3), F(355, 113), F(2**61 - 1, 2**61), F(7)])
+def test_least_above_takes_logarithmic_steps_in_the_bound(p):
+    bound = 10**6
+    t0 = time.perf_counter()
+    q = _least_above(p, bound)
+    elapsed = time.perf_counter() - t0
+    assert q > p and q.denominator <= bound
+    assert elapsed < 0.005  # the scan over a million denominators takes ~0.1 s
+    assert q == _least_above_by_scan(p, bound)
 
 
 def test_a_fine_bid_grid_costs_no_grid_sized_time_or_memory():
