@@ -129,6 +129,14 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def check_turns(turns: int) -> None:
+    """Raise DomainError unless ``turns`` is an int (a bool is not) and at least 1."""
+    if turns.__class__ is not int:
+        raise DomainError(f"turns must be an int, got {turns!r}")
+    if turns < 1:
+        raise DomainError(f"turns must be >= 1, got {turns}")
+
+
 def as_fraction(x: Numeric) -> Fraction:
     """``x`` itself when it is a Fraction, else its exact Fraction."""
     return x if type(x) is Fraction else Fraction(x)
@@ -235,8 +243,9 @@ class GameConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "budget_p2", Fraction(self.budget_p2))
-        if self.turns < 1:
-            raise DomainError(f"turns must be >= 1, got {self.turns}")
+        if not isinstance(self.variant, AuctionVariant):
+            raise DomainError(f"variant must be an AuctionVariant, got {self.variant!r}")
+        check_turns(self.turns)
         if self.budget_p2 <= 0:
             raise DomainError("budget_p2 must be positive")
 

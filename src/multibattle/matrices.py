@@ -89,6 +89,8 @@ _TABLES: dict = {}
 
 
 def _check_side(n: int, exact: bool) -> None:
+    if n.__class__ is not int:
+        raise DomainError(f"matrix size must be an int, got {n!r}")
     if n < 1:
         raise DomainError(f"matrix size must be >= 1, got {n}")
     limit = MAX_EXACT_SIDE if exact else MAX_FLOAT_SIDE

@@ -37,6 +37,7 @@ from .core import (
     GameState,
     Numeric,
     ResourceError,
+    check_turns,
 )
 
 
@@ -70,8 +71,9 @@ class GridEvaluator:
     lookups, with no key tuple built per bid. A child with no turns left is
     settled by the tie rule and never stored.
 
-    The memo persists across calls, so a single evaluator can serve a
-    whole budget search or a whole simulated game, up to ``MAX_NODES`` nodes.
+    ``win`` is the one query. The memo persists across calls, so a single
+    evaluator can serve a whole budget search or a whole simulated game, up
+    to ``MAX_NODES`` nodes.
     """
 
     def __init__(self, variant: AuctionVariant):
@@ -79,14 +81,8 @@ class GridEvaluator:
         self._an, self._d = variant.alpha_pair  # first-price variants carry alpha = 0: an = 0, d = 1
         self._set01 = variant.is_triangular
         self._memo: dict = {}
-        self._query = (0, 0)  # (remaining, b) of the current win/win_given_value call
+        self._query = (0, 0)  # (remaining, b) of the current win call, for the node-ceiling message
         self.nodes_expanded = 0
-
-    def _begin(self, remaining: int, b: int) -> None:
-        """Refuse a query deeper than ``MAX_TURNS``; note it for the node-ceiling message."""
-        if remaining > MAX_TURNS:
-            raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
-        self._query = (remaining, b)
 
     def _scaled(self, a) -> int:
         """P1's budget ``a`` (grid units) as an integer count of 1/d units."""
@@ -97,23 +93,19 @@ class GridEvaluator:
             raise DomainError(f"P1 budget {a} is not a multiple of 1/{self._d} grid unit")
         return scaled.numerator
 
-    def win(self, remaining: int, i: int, j: int, a, b: int) -> bool:
+    def win(self, remaining: int, i: int, j: int, a, b: int, value: int | None = None) -> bool:
         """True iff P1 forces a win with ``remaining`` turns left.
 
-        ``a`` and ``b`` are the players' budgets in grid units. More than
+        ``a`` and ``b`` are the players' budgets in grid units; ``value``, if
+        given, fixes this turn's value before P1 bids. More than
         ``MAX_TURNS`` remaining turns raise ResourceError.
         """
-        self._begin(remaining, b)
-        return self._win(remaining, i, j, self._scaled(a), b)
-
-    def win_given_value(self, remaining: int, i: int, j: int, a, b: int, value: int) -> bool:
-        """Like win(), but with the current turn's value already chosen."""
-        self._begin(remaining, b)
-        if i <= 0:
-            return True
-        if j <= 0:
-            return False
+        if remaining > MAX_TURNS:
+            raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
+        self._query = (remaining, b)
         A = self._scaled(a)
+        if value is None or i <= 0 or j <= 0:
+            return self._win(remaining, i, j, A, b)
         if value == 0:
             shift = 1 if i + j == remaining + 1 else 0
             return self._win(remaining - 1, i - shift, j - shift, A, b)
@@ -137,7 +129,7 @@ class GridEvaluator:
         """Solve, count and store a position with i, j >= 1 and no memo entry.
 
         ``value_one=True`` solves only a turn whose value is already 1,
-        uncounted and unstored (for win_given_value).
+        uncounted and unstored (for ``win`` with ``value=1``).
         """
         # The hot loop. Children are queried in the order concede, beat,
         # with P1's bid p ascending. Every concede child shares the row
@@ -226,8 +218,7 @@ class OracleInstance:
         object.__setattr__(self, "b1", Fraction(self.b1))
         object.__setattr__(self, "b2", Fraction(self.b2))
         object.__setattr__(self, "grid_unit", Fraction(self.grid_unit))
-        if self.turns < 1:
-            raise DomainError(f"turns must be >= 1, got {self.turns}")
+        check_turns(self.turns)
         if self.grid_unit <= 0:
             raise DomainError("grid_unit must be positive")
         if self.b1 < 0 or self.b2 < 0:
@@ -256,14 +247,13 @@ def evaluate(
     """Exact win/loss evaluation from the start or from a mid-game state.
 
     ``pending_value`` evaluates the position where this turn's value is
-    already fixed and P1 is about to bid.
+    already fixed and P1 is about to bid: one ``GridEvaluator.win`` query.
     """
     if state is None:
         state = GameState(inst.b1, inst.b2, 0, 0, 0, CountdownPair.fresh(inst.turns))
     if state.turn_index > inst.turns:
         raise DomainError("state has more turns than the instance")
-    remaining = inst.turns - state.turn_index
-    countdown = state.countdown
+    remaining, (i, j) = inst.turns - state.turn_index, state.countdown
     # After a lost all-pay turn P1's budget may sit on the finer 1/d grid,
     # which the evaluator checks; P2's stays on the unit grid.
     a, b = Fraction(state.budget_p1) / inst.grid_unit, inst._units(state.budget_p2)
@@ -275,10 +265,7 @@ def evaluate(
         if remaining < 1:
             raise DomainError("no turn left to evaluate a pending value for")
     ev = GridEvaluator(inst.variant)
-    if pending_value is None:
-        won = ev.win(remaining, countdown.i, countdown.j, a, b)
-    else:
-        won = ev.win_given_value(remaining, countdown.i, countdown.j, a, b, pending_value)
+    won = ev.win(remaining, i, j, a, b, pending_value)
     return OracleResult(won, ev.nodes_expanded)
 
 
@@ -324,23 +311,11 @@ def min_winning_budget(
     variants (fixed-value ones stay under 0.05 s). Cost grows quickly with
     both.
     """
-    g = Fraction(grid_unit)
-    if g <= 0:
-        raise DomainError("grid_unit must be positive")
-    b2 = Fraction(b2)
+    inst = OracleInstance(variant, turns, 0, b2, grid_unit)
+    g, b2, b_units = inst.grid_unit, inst.b2, inst._units(inst.b2)
     if b2 <= 0:
         raise DomainError("b2 must be positive")
-    b_units_frac = b2 / g
-    if b_units_frac.denominator != 1:
-        raise DomainError(f"b2={b2} is not a multiple of grid unit {g}")
-    b_units = b_units_frac.numerator
-    if ceiling is None:
-        cap_units = 4 * b_units
-    else:
-        cap_frac = Fraction(ceiling) / g
-        cap_units = cap_frac.numerator // cap_frac.denominator
-    if turns < 1:
-        raise DomainError(f"turns must be >= 1, got {turns}")
+    cap_units = 4 * b_units if ceiling is None else Fraction(ceiling) // g  # Fraction // is an int floor
     if method not in ("linear", "bisect"):
         raise DomainError(f"unknown search method {method!r}")
 

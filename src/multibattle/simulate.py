@@ -24,12 +24,14 @@ from .core import (
     DomainError,
     FaultRecord,
     GameConfig,
+    GameDecidedError,
     GameState,
     GameTrace,
     Numeric,
     Player,
     ResourceError,
     TurnRecord,
+    UnwinnableStateError,
     _settle,
     affordable,
     as_fraction,
@@ -54,13 +56,13 @@ MAX_SWEEP_TURNS = 800
 def _policy_bid(s: StrategyState, value: int, budget: Fraction) -> Fraction:
     """The strategy's bid, capped at the budget P1 holds.
 
-    From states the strategy cannot plan for (already decided in its
-    model, or unwinnable under a triangular variant) it bids zero.
+    Where the strategy cannot plan (``next_bid`` raises GameDecidedError
+    or UnwinnableStateError, by the strategy's own rule) it bids zero.
     """
-    cd = s.countdown
-    if cd.i <= 0 or cd.j <= 0 or (s.variant.is_triangular and cd.i > cd.j):
+    try:
+        bid = next_bid(s, value)
+    except (GameDecidedError, UnwinnableStateError):
         return Fraction(0)
-    bid = next_bid(s, value)
     budget = as_fraction(budget)
     return bid if at_least(budget, bid) else budget
 
@@ -179,13 +181,9 @@ class OmnipotentAdversary:
 
     def _p1_wins(self, state: GameState, value: int | None = None) -> bool:
         """The oracle's verdict on ``state``, with this turn's value fixed if given."""
-        remaining = self._config.turns - state.turn_index
-        cd = state.countdown
-        a = self._grid_steps(state.budget_p1)
-        b = self._grid_steps(state.budget_p2)
-        if value is None:
-            return self._ev.win(remaining, cd.i, cd.j, a, b)
-        return self._ev.win_given_value(remaining, cd.i, cd.j, a, b, value)
+        cd, steps = state.countdown, self._grid_steps
+        return self._ev.win(self._config.turns - state.turn_index, cd.i, cd.j,
+                            steps(state.budget_p1), steps(state.budget_p2), value)
 
     def choose_value(self, state: GameState, rng: random.Random) -> int:
         for value in (1, 0):

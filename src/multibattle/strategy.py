@@ -35,6 +35,7 @@ from .core import (
     Numeric,
     UnwinnableStateError,
     as_fraction,
+    check_turns,
     paid,
 )
 from .matrices import entry_pair
@@ -81,8 +82,7 @@ class StrategyState(NamedTuple):
     @classmethod
     def fresh(cls, variant: AuctionVariant, turns: int, opponent_budget: Numeric) -> "StrategyState":
         """Start-of-game state; reading entry (h, h) sizes the variant's table or raises ResourceError."""
-        if turns < 1:
-            raise DomainError(f"turns must be >= 1, got {turns}")
+        check_turns(turns)
         countdown = CountdownPair.fresh(turns)
         entry_pair(variant, countdown.i, countdown.j)
         return cls(variant, Fraction(opponent_budget), countdown)

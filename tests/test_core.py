@@ -101,6 +101,18 @@ def test_settle_rejects_bad_values():
         settle_turn(fixed, state(fixed, 1, 1), 0, 0, 0)
 
 
+@pytest.mark.parametrize("variant, turns, message", [
+    ("fp-set", 3, "^variant must be an AuctionVariant, got 'fp-set'$"),
+    (FP_SET01, 3.5, "^turns must be an int, got 3.5$"),
+    (FP_SET01, True, "^turns must be an int, got True$"),
+    (FP_SET01, 0, "^turns must be >= 1, got 0$"),
+])
+def test_game_config_rejects_a_game_that_cannot_exist(variant, turns, message):
+    # The first three used to construct and fail later inside run_game.
+    with pytest.raises(DomainError, match=message):
+        GameConfig(variant, turns)
+
+
 def test_settle_after_last_turn_is_an_error():
     cfg = GameConfig(FP_SET01, turns=1)
     done = state(cfg, 1, 1, s1=1, idx=1)

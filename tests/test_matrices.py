@@ -428,6 +428,14 @@ def _no_work(call):
     return err.value
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True])
+def test_fills_refuse_a_side_that_is_not_an_int(n):
+    # 2.5 used to fail with a TypeError from inside the fill.
+    for exact in (False, True):
+        with pytest.raises(DomainError, match="^matrix size must be an int, got "):
+            build_matrix(FP_SET01, n, exact=exact)
+
+
 def test_fills_refuse_a_side_above_the_ceiling():
     third = FRACTIONAL_VARIANTS[0]
     assert "exceeds the float ceiling" in str(_no_work(lambda: build_matrix(FP_SET01, MAX_FLOAT_SIDE + 1)))

@@ -274,6 +274,24 @@ def test_search_input_validation():
         min_winning_budget(FP_SET01, 3, F(3, 2), grid_unit=1)
     with pytest.raises(DomainError):
         min_winning_budget(FP_SET01, 3, 4, grid_unit=0)
+    with pytest.raises(DomainError, match="^budgets must be nonnegative$"):
+        min_winning_budget(FP_SET01, 3, -2)
+
+
+@pytest.mark.parametrize("turns", [3.5, 3.0, True])
+def test_search_rejects_turns_that_are_not_an_int(turns):
+    # 3.5 turns used to get b_star = 6, as if the game existed.
+    with pytest.raises(DomainError, match="^turns must be an int, got "):
+        min_winning_budget(FP_SET01, turns, 4)
+
+
+@pytest.mark.parametrize("turns", [3.5, 3.0, True])
+def test_oracle_instance_rejects_turns_that_are_not_an_int(turns):
+    # 3.5 turns used to evaluate to can_win=True after 55 nodes.
+    with pytest.raises(DomainError, match="^turns must be an int, got "):
+        evaluate(OracleInstance(FP_SET01, turns, 6, 4))
+    with pytest.raises(DomainError, match="^turns must be >= 1, got 0$"):
+        OracleInstance(FP_SET01, 0, 6, 4)
 
 
 def test_evaluator_memo_persists_across_queries():
@@ -311,7 +329,9 @@ class FractionGridEvaluator:
         self._memo = {}
         self.nodes_expanded = 0
 
-    def win(self, remaining, i, j, a, b):
+    def win(self, remaining, i, j, a, b, value=None):
+        if value is not None:
+            return self.win_given_value(remaining, i, j, a, b, value)
         if i <= 0:
             return True
         if j <= 0:
@@ -427,7 +447,7 @@ def test_budgets_on_the_alpha_grid_match_the_fraction_reference(variant):
             a = F(k, d)
             assert new.win(remaining, i, j, a, b) == old.win(remaining, i, j, a, b), (remaining, i, j, a, b)
             for value in (0, 1):
-                assert new.win_given_value(remaining, i, j, a, b, value) == old.win_given_value(
+                assert new.win(remaining, i, j, a, b, value) == old.win_given_value(
                     remaining, i, j, a, b, value
                 )
             assert new.nodes_expanded == old.nodes_expanded
@@ -452,7 +472,7 @@ def test_a_shared_evaluator_matches_the_fraction_reference_across_queries(varian
             if value is None:
                 got, want = new.win(remaining, i, j, a, b), old.win(remaining, i, j, a, b)
             else:
-                got = new.win_given_value(remaining, i, j, a, b, value)
+                got = new.win(remaining, i, j, a, b, value)
                 want = old.win_given_value(remaining, i, j, a, b, value)
             assert (got, new.nodes_expanded) == (want, old.nodes_expanded), (remaining, i, j, a, b, value)
 
@@ -510,14 +530,14 @@ def test_node_ceiling_raises_resource_error(monkeypatch):
         evaluate(OracleInstance(AP_SET_THIRD, 5, 12, 8))
     ev = GridEvaluator(FP_FIXED1)
     with pytest.raises(ResourceError, match="at turns=4, b2=6 grid units"):
-        ev.win_given_value(4, 2, 2, 9, 6, 1)
+        ev.win(4, 2, 2, 9, 6, 1)
     assert ev.nodes_expanded == 10
 
 
 def test_depth_ceiling_raises_before_any_work():
     ev = GridEvaluator(FP_SET01)
     over = oracle_module.MAX_TURNS + 1
-    for query in (ev.win, lambda *args: ev.win_given_value(*args, 0)):
+    for query in (ev.win, lambda *args: ev.win(*args, 0)):
         with pytest.raises(ResourceError, match=f"depth ceiling is {oracle_module.MAX_TURNS} turns"):
             query(over, 0, 1, 0, 0)  # P1 needs nothing, yet the depth is checked first
     assert ev.nodes_expanded == 0

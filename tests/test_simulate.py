@@ -31,11 +31,13 @@ from multibattle import (
     build_matrix,
     countdown_for,
     exhaustive_adversary_check,
+    initial_state,
     obr,
     observe_outcome,
     run_game,
 )
 from multibattle import simulate
+from multibattle.core import GameDecidedError, UnwinnableStateError
 from multibattle.simulate import _least_above, _policy_bid, _ScriptedAdversary
 
 F = Fraction
@@ -555,6 +557,24 @@ def test_the_sweep_takes_zero_value_bids_from_the_policy(monkeypatch):
     assert [(t.value, t.bid_p1, t.bid_p2) for t in verdict.counterexample.turns] == [
         (0, F(1), F(0)), (0, F(1, 2), F(0)), (1, F(0), F(1, 8)),
     ]
+
+
+@pytest.mark.parametrize("error", [UnwinnableStateError, GameDecidedError])
+def test_policy_and_sweep_bid_zero_where_next_bid_cannot_plan(monkeypatch, error):
+    """Which states are unplannable is the strategy's rule: its error becomes a zero bid."""
+    cfg = GameConfig(FP_SET01, turns=3)
+
+    def unplannable(state, value):
+        raise error(f"countdown {tuple(state.countdown)} cannot be planned")
+
+    monkeypatch.setattr(simulate, "next_bid", unplannable)
+    policy = StrategyPolicy()
+    policy.begin(cfg, F(3, 2))
+    state = initial_state(cfg, F(3, 2))  # countdown (2, 2): plannable, so the error is the patch's
+    assert policy.bid(state, 1) == 0 and policy.bid(state, 0) == 0
+    verdict = exhaustive_adversary_check(cfg, F(3, 2), denominator_bound=8)
+    assert not verdict.win_all
+    assert [t.bid_p1 for t in verdict.counterexample.turns] == [0] * len(verdict.counterexample.turns)
 
 
 def test_omnipotent_adversary_grid_unit_is_configurable():

@@ -115,6 +115,9 @@ def ref_observe_outcome(state, turn_value, my_bid, i_won, disclosed_opponent_bid
 
 
 def ref_policy_bid(s, value, budget):
+    """Zero from unplannable states, once the value itself is valid."""
+    if value not in (0, 1):
+        raise DomainError(f"turn value must be 0 or 1, got {value!r}")
     cd = s.countdown
     if cd.i <= 0 or cd.j <= 0 or (s.variant.is_triangular and cd.i > cd.j):
         return Fraction(0)
