@@ -74,6 +74,7 @@ from .core import (
     Ratio,
     ResourceError,
     ceil_div,
+    check_turns,
 )
 
 # Largest matrix side a fill accepts. Exact entries at a fractional alpha
@@ -391,8 +392,10 @@ def handicap_obr(variant: AuctionVariant, turns: int, k: int, exact: bool = Fals
     (ceil((T-k)/2), ceil((T+k)/2)); a nonpositive first index means P1
     needs nothing, so the ratio is 0.
     """
-    if turns < 1:
-        raise DomainError(f"turns must be >= 1, got {turns}")
+    if turns.__class__ is not int or turns < 1:  # inline: this is solve's hot path
+        check_turns(turns)
+    if k.__class__ is not int:
+        raise DomainError(f"handicap must be an int, got {k!r}")
     if k < 0:
         raise DomainError(f"handicap must be nonnegative, got {k}")
     i = ceil_div(turns - k, 2)

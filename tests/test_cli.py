@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import time
 import tracemalloc
 from fractions import Fraction
@@ -387,16 +388,66 @@ def test_an_unwritable_trace_path_exits_one(tmp_path, capsys):
 
 def test_a_trace_beyond_float_range_exits_one_and_writes_nothing(tmp_path, capsys):
     path = tmp_path / "trace.json"
-    code, out, err = run(
-        capsys,
-        "simulate", "--variant", "fp-set", "--turns", "3", "--ratio", "1e400",
-        "--adversary", "allin", "--trace", str(path),
-    )
+    argv = ["simulate", "--variant", "fp-set", "--turns", "3", "--ratio", "1e400", "--adversary", "allin"]
+    argv += ["--trace", str(path)]
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: a trace amount is too large for a float; the trace was not written\n"
     assert not path.exists()
-    code, out, _ = run(capsys, "simulate", "--variant", "fp-set", "--turns", "3", "--ratio", "1e400", "--adversary", "allin")
+    # The text is built before the file is opened, so an existing trace keeps its bytes.
+    path.write_bytes(b"an older trace")
+    assert run(capsys, *argv)[:2] == (1, "")
+    assert path.read_bytes() == b"an older trace"
+    code, out, _ = run(capsys, *argv[:-2])
     assert (code, out) == (0, "winner=P1 reason=exhausted turns=3\n")
+
+
+def _simulate_trace(capsys, path, turns):
+    argv = ["simulate", "--variant", "fp-set", "--turns", str(turns), "--ratio", "2", "--adversary", "random"]
+    code, out, err = run(capsys, *argv, "--seed", "42", "--trace", str(path))
+    assert (code, err) == (0, "")
+    return out
+
+
+@pytest.mark.parametrize("before, after", [(40, 3), (3, 40)], ids=["shorter-over-longer", "longer-over-shorter"])
+def test_a_trace_over_an_existing_file_reads_back_as_a_fresh_write(tmp_path, capsys, monkeypatch, before, after):
+    fresh, path = tmp_path / "fresh.json", tmp_path / "trace.json"
+    _simulate_trace(capsys, fresh, after)
+    _simulate_trace(capsys, path, before)
+    path.chmod(0o640)
+    old = path.stat()
+    opened = []
+    real_open = os.open
+    monkeypatch.setattr(os, "open", lambda p, flags, *a: opened.append(flags) or real_open(p, flags, *a))
+    _simulate_trace(capsys, path, after)
+    assert path.read_bytes() == fresh.read_bytes()
+    new = path.stat()
+    assert new.st_size != old.st_size
+    assert (new.st_ino, new.st_mode) == (old.st_ino, old.st_mode)
+    # The file is never cut to zero first: ext4 flushes a file's data at close after that.
+    assert len(opened) == 1 and not opened[0] & os.O_TRUNC
+
+
+def test_a_trace_through_a_symlink_writes_its_target(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("x" * 100_000)
+    link.symlink_to(target)
+    _simulate_trace(capsys, link, 9)
+    assert link.is_symlink() and link.resolve() == target
+    _simulate_trace(capsys, tmp_path / "fresh.json", 9)
+    assert target.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_a_trace_to_dev_null_exits_zero(capsys):
+    # /dev/null is not a regular file, so it is written but not truncated.
+    assert _simulate_trace(capsys, os.devnull, 9).startswith("winner=")
+
+
+def test_a_directory_trace_path_exits_one(tmp_path, capsys):
+    argv = ["simulate", "--variant", "fp-set", "--turns", "3", "--ratio", "3/2", "--adversary", "allin"]
+    code, out, err = run(capsys, *argv, "--trace", str(tmp_path))
+    assert (code, out) == (1, "winner=P1 reason=exhausted turns=3\n")
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 def _options(parser, path=()):

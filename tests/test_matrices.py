@@ -1,6 +1,7 @@
 """Countdown matrices: recurrences, closed forms, queries, serialization."""
 
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -484,6 +485,27 @@ def test_handicap_obr_general_alpha_uses_the_dp():
     variant = AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 3))
     value = handicap_obr(variant, 5, 1, exact=True)
     assert value == build_matrix(variant, 3, exact=True).entry(2, 3)
+
+
+@pytest.mark.parametrize(
+    "variant, turns",
+    [(FP_SET01, 3.5), (FP_SET01, True), (FRACTIONAL_VARIANTS[0], 3.5), (FRACTIONAL_VARIANTS[0], True)],
+    ids=["closed-form-3.5", "closed-form-True", "third-3.5", "third-True"],
+)
+def test_obr_rejects_turns_that_are_not_an_int(variant, turns):
+    # These used to raise a TypeError from gcd, return obr(1), or name the derived side 2.0.
+    for exact in (False, True):
+        for call in (lambda: obr(variant, turns, exact), lambda: handicap_obr(variant, turns, 1, exact)):
+            with pytest.raises(DomainError, match=f"^turns must be an int, got {re.escape(repr(turns))}$"):
+                call()
+
+
+@pytest.mark.parametrize("k", [1.5, True])
+def test_handicap_obr_rejects_a_handicap_that_is_not_an_int(k):
+    for variant in (FP_SET01, FRACTIONAL_VARIANTS[0]):
+        for exact in (False, True):
+            with pytest.raises(DomainError, match=f"^handicap must be an int, got {re.escape(repr(k))}$"):
+                handicap_obr(variant, 5, k, exact)
 
 
 # -------------------------------------------------------------- verify report
