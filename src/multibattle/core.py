@@ -36,7 +36,8 @@ Each turn is checked once: ``settle_turn`` checks the value, the turn
 count and both bids, then calls ``_settle``, the one copy of the
 payment, score and countdown step; ``run_game`` makes the same checks
 itself (it turns an illegal bid into a fault) and calls ``_settle``
-directly.
+directly, and so does the exhaustive sweep, whose moves are legal as
+it builds them (see ``_settle``).
 
 ``GameTrace.to_json(indent)`` writes the same bytes as
 ``json.dumps(trace.to_json_dict(), indent=indent)`` without building the
@@ -345,7 +346,7 @@ def settle_turn(
     Checks the value, the turn count and both bids, then settles through
     ``_settle``.
     """
-    if value not in (0, 1):
+    if value.__class__ is not int or value not in (0, 1):
         raise DomainError(f"turn value must be 0 or 1, got {value!r}")
     if value != 1 and not config.variant.is_triangular:
         raise DomainError("fixed-value contests only auction value-1 objects")
@@ -371,8 +372,10 @@ def _settle(
     """The successor state of a turn whose value and bids are already checked.
 
     The one copy of the payment, score and countdown step. ``p1_wins``
-    must be ``at_least(bid_p1, bid_p2)``. Only ``settle_turn`` and
-    ``run_game`` call it, each after making ``settle_turn``'s checks.
+    must be ``at_least(bid_p1, bid_p2)``. ``settle_turn`` and ``run_game``
+    call it after making ``settle_turn``'s checks; the exhaustive sweep
+    builds its moves legal (legal values, decided states return first,
+    bids capped at P1's budget or checked against P2's).
     """
     an, ad = config.variant.alpha_pair
     b1 = as_fraction(state.budget_p1)

@@ -97,9 +97,12 @@ class GridEvaluator:
         """True iff P1 forces a win with ``remaining`` turns left.
 
         ``a`` and ``b`` are the players' budgets in grid units; ``value``, if
-        given, fixes this turn's value before P1 bids. More than
-        ``MAX_TURNS`` remaining turns raise ResourceError.
+        given, fixes this turn's value (an int, 0 or 1) before P1 bids; any
+        other value raises DomainError. More than ``MAX_TURNS`` remaining
+        turns raise ResourceError.
         """
+        if value is not None and (value.__class__ is not int or value not in (0, 1)):
+            raise DomainError(f"turn value must be 0 or 1, got {value!r}")
         if remaining > MAX_TURNS:
             raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
         self._query = (remaining, b)
@@ -143,34 +146,22 @@ class GridEvaluator:
             # Every child is settled by the tie rule: P1 wins a conceded
             # turn iff i - 1 <= j and a beaten one iff i <= j - 1.
             won = i <= j + 1 and (top >= b or i < j)
-        elif i == 1:
-            # A concede hands P1 the game; only a beat can stop it.
-            won = top >= b
-            if j > 1:
-                expand, an = self._expand, self._an
-                beat = self._memo.get((r, 1, j - 1), _NONE)
-                for p in range(min(top + 1, b)):
-                    a1, b1 = A - an * p, b - p - 1
-                    child = beat.get(b1, _NONE).get(a1)
-                    if child is None:
-                        child = expand(r, 1, j - 1, a1, b1)
-                    if child:
-                        won = True
-                        break
         else:
             won = False
             expand, d, an = self._expand, self._d, self._an
             i1, j1 = i - 1, j - 1
-            concede = self._memo.get((r, i1, j), _NONE).get(b, _NONE)
+            # No child to query: a concede at i = 1 hands P1 the game, a beat at j = 1 P2.
+            concede = self._memo.get((r, i1, j), _NONE).get(b, _NONE) if i1 else None
             beat = self._memo.get((r, i, j1), _NONE) if j1 else None
             for p in range(top + 1):
-                # P2 concedes: P1 pays its bid, P2 pays nothing.
-                a1 = A - p * d
-                child = concede.get(a1)
-                if child is None:
-                    child = expand(r, i1, j, a1, b)
-                if not child:
-                    continue
+                if concede is not None:
+                    # P2 concedes: P1 pays its bid, P2 pays nothing.
+                    a1 = A - p * d
+                    child = concede.get(a1)
+                    if child is None:
+                        child = expand(r, i1, j, a1, b)
+                    if not child:
+                        continue
                 if p < b:
                     # P2 beats the bid by one unit.
                     if beat is None:
@@ -258,7 +249,7 @@ def evaluate(
     # which the evaluator checks; P2's stays on the unit grid.
     a, b = Fraction(state.budget_p1) / inst.grid_unit, inst._units(state.budget_p2)
     if pending_value is not None:
-        if pending_value not in (0, 1):
+        if pending_value.__class__ is not int or pending_value not in (0, 1):
             raise DomainError(f"pending value must be 0 or 1, got {pending_value!r}")
         if pending_value != 1 and not inst.variant.is_triangular:
             raise DomainError("fixed-value contests only auction value-1 objects")

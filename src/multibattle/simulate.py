@@ -133,8 +133,8 @@ class RandomSeededAdversary:
     """
 
     def __init__(self, bid_denominator: int = 16):
-        if bid_denominator < 1:
-            raise DomainError("bid denominator must be >= 1")
+        if bid_denominator.__class__ is not int or bid_denominator < 1:
+            raise DomainError(f"bid denominator must be an int >= 1, got {bid_denominator!r}")
         self.bid_denominator = bid_denominator
 
     def begin(self, config: GameConfig, budget_p1: Fraction) -> None:
@@ -327,7 +327,8 @@ def exhaustive_adversary_check(
     at most ``denominator_bound * b2``) that it can afford. Returns a
     win-all verdict or one losing trace. P1 takes every move, zero-value
     turns included, from ``_policy_bid`` and ``observe_outcome``, like
-    ``StrategyPolicy``; every successor state comes from ``settle_turn``.
+    ``StrategyPolicy``. Successors come from ``core._settle``, as in
+    ``run_game``: each move is built legal (see the comment in ``explore``).
 
     Other adversary moves are dominated. Nonzero bids that lose, or on a
     zero-value turn, only waste adversary budget. After any winning bid
@@ -344,11 +345,14 @@ def exhaustive_adversary_check(
     3.0k at T = 13, each under 0.3 s. The memo is capped at
     ``max_states``; overruns raise ResourceError with progress counts. A
     game above ``MAX_SWEEP_TURNS`` turns raises ResourceError, and a
-    ``denominator_bound * b2`` that is no positive integer DomainError,
-    before any state is explored.
+    ``denominator_bound`` that is neither an int nor a Fraction (a bool
+    included), or a ``denominator_bound * b2`` that is no positive
+    integer, DomainError, before any state is explored.
     """
     if config.turns > MAX_SWEEP_TURNS:
         raise ResourceError(f"sweep of {config.turns} turns exceeds the depth ceiling of {MAX_SWEEP_TURNS} turns")
+    if denominator_bound.__class__ not in (int, Fraction):
+        raise DomainError(f"denominator bound must be an int or a Fraction, got {denominator_bound!r}")
     bound_frac = denominator_bound * config.budget_p2
     if bound_frac.denominator != 1 or bound_frac < 1:
         raise DomainError(
@@ -386,10 +390,14 @@ def exhaustive_adversary_check(
                 f"(remaining={config.turns - state.turn_index}, "
                 f"scores {state.score_p1}-{state.score_p2})"
             )
+        # Settled by _settle, as in run_game, not re-checked by settle_turn: each
+        # value is legal, a decided state has returned above, _policy_bid caps
+        # P1's bid at its budget, and a beat bid q passes at_least(budget_p2, q).
         line = None
         for value in values:
             p = _policy_bid(policy, value, state.budget_p1)
-            sub = explore(settle_turn(config, state, value, p, 0), observe_outcome(policy, value, p, True))
+            conceded = _settle(config, state, value, p, Fraction(0), True)
+            sub = explore(conceded, observe_outcome(policy, value, p, True))
             if sub is not None:
                 line = ((value, Fraction(0)),) + sub
                 break
@@ -397,9 +405,7 @@ def exhaustive_adversary_check(
                 # Beat P1 with the cheapest grid bid above its own; dearer ones are dominated.
                 q = _least_above(p, bound)
                 if at_least(state.budget_p2, q):
-                    sub = explore(
-                        settle_turn(config, state, 1, p, q), observe_outcome(policy, 1, p, False)
-                    )
+                    sub = explore(_settle(config, state, 1, p, q, False), observe_outcome(policy, 1, p, False))
                     if sub is not None:
                         line = ((1, q),) + sub
         memo[key] = line

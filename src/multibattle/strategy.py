@@ -94,7 +94,7 @@ def next_bid(state: StrategyState, turn_value: int) -> Fraction:
     Zero-value turns get a zero bid; there is nothing at stake and
     spending would only erode the guarantee.
     """
-    if turn_value not in (0, 1):
+    if turn_value.__class__ is not int or turn_value not in (0, 1):
         raise DomainError(f"turn value must be 0 or 1, got {turn_value!r}")
     if turn_value == 0:
         return Fraction(0)

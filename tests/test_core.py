@@ -101,6 +101,13 @@ def test_settle_rejects_bad_values():
         settle_turn(fixed, state(fixed, 1, 1), 0, 0, 0)
 
 
+@pytest.mark.parametrize("value", [True, False, 1.0])
+def test_settle_rejects_a_turn_value_that_is_not_an_int(value):
+    cfg = GameConfig(FP_SET01, turns=3)
+    with pytest.raises(DomainError, match=f"^turn value must be 0 or 1, got {re.escape(repr(value))}$"):
+        settle_turn(cfg, state(cfg, 1, 1), value, 1, 0)
+
+
 @pytest.mark.parametrize("variant, turns, message", [
     ("fp-set", 3, "^variant must be an AuctionVariant, got 'fp-set'$"),
     (FP_SET01, 3.5, "^turns must be an int, got 3.5$"),

@@ -22,6 +22,7 @@ from multibattle import (
     ValueModel,
     build_matrix,
     closed_form,
+    countdown_for,
     handicap_obr,
     obr,
     optimal_bid_fraction,
@@ -479,6 +480,19 @@ def test_handicap_obr():
     assert handicap_obr(FP_SET01, 3, 7, exact=True) == 0
     with pytest.raises(DomainError):
         handicap_obr(FP_SET01, 3, -1)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS + FRACTIONAL_VARIANTS)
+def test_a_handicap_game_is_the_tail_of_a_longer_game(variant):
+    """Handicap k over T turns prices the last T turns of a (T + k)-turn game P1 leads k-0 after k turns.
+
+    So the start pair is an ordinary countdown pair: ``countdown_for``
+    needs no new formula for it.
+    """
+    for turns in range(1, 41):
+        for k in range(45):
+            pair = entry_pair(variant, *countdown_for(turns + k, k, k, 0))
+            assert handicap_obr(variant, turns, k, exact=True) == F(*pair), (turns, k)
 
 
 def test_handicap_obr_general_alpha_uses_the_dp():

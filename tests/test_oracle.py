@@ -230,6 +230,23 @@ def test_evaluate_with_pending_value():
         evaluate(inst, pending_value=2)
 
 
+@pytest.mark.parametrize("value", [True, False, 1.0])
+def test_evaluate_rejects_a_pending_value_that_is_not_an_int(value):
+    with pytest.raises(DomainError, match="^pending value must be 0 or 1, got "):
+        evaluate(OracleInstance(FP_SET01, 3, F(6), F(4)), pending_value=value)
+
+
+@pytest.mark.parametrize("value", [2, -1, True, False, 1.0])
+def test_win_rejects_a_value_outside_none_zero_and_one(value):
+    ev = GridEvaluator(FP_FIXED1)
+    with pytest.raises(DomainError, match="^turn value must be 0 or 1, got "):
+        ev.win(3, 2, 2, 3, 4, value)
+    with pytest.raises(DomainError, match="^turn value must be 0 or 1, got "):
+        ev.win(3, 0, 2, 3, 4, value)  # even where the countdown has decided the game
+    # Value 0 stays a legal query on a fixed-value variant.
+    assert ev.win(3, 2, 2, 3, 4, 0) == ev.win(2, 1, 1, 3, 4)
+
+
 def test_instance_validation():
     with pytest.raises(DomainError):
         OracleInstance(FP_SET01, 0, F(1), F(1))

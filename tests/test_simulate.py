@@ -334,6 +334,22 @@ def test_grid_bids_enumerate_all_coarse_rationals():
         exhaustive_adversary_check(cfg, F(1, 2), denominator_bound=1)
 
 
+@pytest.mark.parametrize("bound", [2.5, 8.0, True])
+def test_the_sweep_rejects_a_bound_that_is_neither_an_int_nor_a_fraction(bound, monkeypatch):
+    def explored(*args):
+        raise AssertionError("a state was explored")
+
+    monkeypatch.setattr(simulate, "initial_state", explored)
+    with pytest.raises(DomainError, match="^denominator bound must be an int or a Fraction, got "):
+        exhaustive_adversary_check(GameConfig(FP_SET01, turns=3), F(3, 2), bound)
+
+
+@pytest.mark.parametrize("denominator", [2.5, 16.0, True, 0])
+def test_random_adversary_rejects_a_denominator_that_is_no_int_of_at_least_one(denominator):
+    with pytest.raises(DomainError, match="^bid denominator must be an int >= 1, got "):
+        RandomSeededAdversary(denominator)
+
+
 def _least_above_by_scan(p, bound):
     """The least rational above p >= 0 with denominator at most bound, one denominator at a time.
 

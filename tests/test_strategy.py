@@ -99,6 +99,14 @@ def test_next_bid_rejects_bad_value():
         next_bid(s, 2)
 
 
+@pytest.mark.parametrize("value", [True, False, 1.0])
+def test_next_bid_rejects_a_turn_value_that_is_not_an_int(value):
+    with pytest.raises(DomainError, match="^turn value must be 0 or 1, got "):
+        next_bid(StrategyState.fresh(FP_SET01, 3, 1), value)
+    # Value 0 stays legal on a fixed-value variant: the policy bids nothing.
+    assert next_bid(StrategyState.fresh(FP_FIXED1, 3, 1), 0) == 0
+
+
 def test_fresh_state_builds_matrix_only_when_needed():
     """A state holds no matrix; only a variant with no closed form fills a table, sized by the game."""
     assert StrategyState._fields == ("variant", "tracked_opponent_budget", "countdown")

@@ -60,7 +60,7 @@ VARIANTS = [
 
 
 def ref_settle_turn(config, state, value, bid_p1, bid_p2):
-    if value not in (0, 1):
+    if value.__class__ is not int or value not in (0, 1):
         raise DomainError(f"turn value must be 0 or 1, got {value!r}")
     if config.variant.values is ValueModel.FIXED1 and value != 1:
         raise DomainError("fixed-value contests only auction value-1 objects")
@@ -90,7 +90,7 @@ def ref_settle_turn(config, state, value, bid_p1, bid_p2):
 
 
 def ref_next_bid(state, turn_value):
-    if turn_value not in (0, 1):
+    if turn_value.__class__ is not int or turn_value not in (0, 1):
         raise DomainError(f"turn value must be 0 or 1, got {turn_value!r}")
     if turn_value == 0:
         return Fraction(0)
@@ -99,16 +99,15 @@ def ref_next_bid(state, turn_value):
     return fraction * state.tracked_opponent_budget
 
 
-def ref_observe_outcome(state, turn_value, my_bid, i_won, disclosed_opponent_bid=None):
+def ref_observe_outcome(state, turn_value, my_bid, i_won):
     cd = state.countdown
     if turn_value == 1 and i_won:
         cd = CountdownPair(max(0, cd.i - 1), cd.j)
     elif turn_value == 1:
         cd = CountdownPair(cd.i, max(0, cd.j - 1))
     b = state.tracked_opponent_budget
-    if disclosed_opponent_bid is not None or not i_won:
-        her_bid = Fraction(my_bid if disclosed_opponent_bid is None else disclosed_opponent_bid)
-        b -= state.variant.alpha * her_bid if i_won else her_bid
+    if not i_won:
+        b -= Fraction(my_bid)
         if b < 0:
             b = Fraction(0)
     return StrategyState(state.variant, b, cd)
@@ -116,7 +115,7 @@ def ref_observe_outcome(state, turn_value, my_bid, i_won, disclosed_opponent_bid
 
 def ref_policy_bid(s, value, budget):
     """Zero from unplannable states, once the value itself is valid."""
-    if value not in (0, 1):
+    if value.__class__ is not int or value not in (0, 1):
         raise DomainError(f"turn value must be 0 or 1, got {value!r}")
     cd = s.countdown
     if cd.i <= 0 or cd.j <= 0 or (s.variant.is_triangular and cd.i > cd.j):
@@ -163,7 +162,7 @@ def test_settle_turn_matches_the_fraction_reference(variant, turns, data):
     idx = data.draw(st.integers(0, turns + 1))
     b1, b2 = data.draw(budgets), data.draw(budgets)
     state = GameState(b1, b2, s1, s2, idx, countdown_for(turns, idx, s1, s2))
-    value = data.draw(st.sampled_from([0, 1, 1, 2]))
+    value = data.draw(st.sampled_from([0, 1, 1, 2, True]))
     p = bid_near(data, b1)
     q = bid_near(data, b2, p)
     new = outcome(settle_turn, cfg, state, value, p, q)
@@ -189,7 +188,7 @@ def test_policy_matches_the_fraction_reference(variant, turns, opponent_budget, 
         ref = ref_observe_outcome(ref, value, my_bid, i_won)
         assert new == ref
         assert type(new.tracked_opponent_budget) is Fraction
-    value = data.draw(st.sampled_from([0, 1, 1, 2]))
+    value = data.draw(st.sampled_from([0, 1, 1, 2, True]))
     assert outcome(next_bid, new, value) == outcome(ref_next_bid, ref, value)
     budget = data.draw(st.one_of(budgets, st.floats(0, 6, allow_nan=False, allow_infinity=False)))
     assert outcome(_policy_bid, new, value, budget) == outcome(ref_policy_bid, ref, value, budget)
