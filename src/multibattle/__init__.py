@@ -8,10 +8,14 @@ objects appear and can react to P1's bids. The package answers, exactly:
   winning (countdown matrices, closed forms, ``obr``),
 * how to bid so the guarantee is realized online (``strategy``),
 * what the truth is on small discretized instances (``oracle``),
-* and how games actually play out (``simulate``), with machine-checkable
-  JSON traces.
+* and how games actually play out (``simulate``), with reproducible
+  JSON traces that record amounts as floats.
 
-Exact rational and float arithmetic are both supported throughout.
+The strategy, the oracle and the simulator compute in exact rational
+arithmetic (``fractions.Fraction``). Only the matrix reads
+(``build_matrix``, ``closed_form``, ``obr`` and ``handicap_obr``) have
+a float mode, their default, for speed at large sizes; ``exact=True``
+makes them exact.
 """
 
 from .core import (

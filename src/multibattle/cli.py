@@ -19,12 +19,15 @@ import sys
 from fractions import Fraction
 
 from .core import (
+    AP_FIXED1,
+    AP_SET01,
+    FP_FIXED1,
+    FP_SET01,
     AuctionVariant,
     DomainError,
     GameConfig,
     Pricing,
     ResourceError,
-    ValueModel,
 )
 from .matrices import handicap_obr, matrix_csv_lines, matrix_json_chunks, obr, verify_matrix
 
@@ -42,12 +45,7 @@ from .simulate import (
 )
 from .strategy import optimal_bid_fraction
 
-_VARIANTS = {
-    "fp-set": (Pricing.FIRST_PRICE, ValueModel.SET01),
-    "fp-fixed": (Pricing.FIRST_PRICE, ValueModel.FIXED1),
-    "ap-set": (Pricing.ALL_PAY, ValueModel.SET01),
-    "ap-fixed": (Pricing.ALL_PAY, ValueModel.FIXED1),
-}
+_VARIANTS = {v.short_name: v for v in (FP_SET01, FP_FIXED1, AP_SET01, AP_FIXED1)}
 
 _ADVERSARIES = {
     "omnipotent": OmnipotentAdversary,
@@ -77,26 +75,19 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _variant_from(ns) -> AuctionVariant:
-    pricing, values = _VARIANTS[ns.variant]
-    alpha_text = ns.alpha
-    if pricing is Pricing.FIRST_PRICE:
-        if alpha_text is not None:
-            raise DomainError("--alpha only applies to all-pay variants")
-        return AuctionVariant(pricing, values)
-    alpha = Fraction(1) if alpha_text is None else _parse_fraction(alpha_text)
-    return AuctionVariant(pricing, values, alpha)
-
-
-def _fmt_float(x: float) -> str:
-    if x == int(x):
-        return str(int(x))
-    return repr(x)
+    base = _VARIANTS[ns.variant]
+    if ns.alpha is None:
+        return base
+    if base.pricing is Pricing.FIRST_PRICE:  # core takes alpha = 0 here; the CLI refuses any --alpha
+        raise DomainError("--alpha only applies to all-pay variants")
+    return AuctionVariant.all_pay(base.values, _parse_fraction(ns.alpha))
 
 
 def _fmt(value, exact: bool) -> str:
     if exact:
         return str(Fraction(value))
-    return _fmt_float(float(value))
+    x = float(value)
+    return str(int(x)) if x == int(x) else repr(x)
 
 
 _TURNS_HELP = "number of turns T in the game"
@@ -171,8 +162,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_obr(ns) -> int:
-    variant = _variant_from(ns)
+def _cmd_obr(ns, variant: AuctionVariant) -> int:
     if ns.handicap is not None:
         value = handicap_obr(variant, ns.turns, ns.handicap, exact=ns.exact)
     else:
@@ -181,16 +171,14 @@ def _cmd_obr(ns) -> int:
     return 0
 
 
-def _cmd_matrix(ns) -> int:
-    variant = _variant_from(ns)
+def _cmd_matrix(ns, variant: AuctionVariant) -> int:
     encode = matrix_csv_lines if ns.format == "csv" else matrix_json_chunks
     for chunk in encode(variant, ns.size, exact=ns.exact):
         sys.stdout.write(chunk)
     return 0
 
 
-def _cmd_bid(ns) -> int:
-    variant = _variant_from(ns)
+def _cmd_bid(ns, variant: AuctionVariant) -> int:
     fraction = optimal_bid_fraction(variant, ns.i, ns.j)
     budget = _parse_fraction(ns.opponent_budget)
     if budget < 0:
@@ -203,37 +191,21 @@ def _cmd_bid(ns) -> int:
     return 0
 
 
-def _cmd_oracle(ns) -> int:
-    variant = _variant_from(ns)
+def _cmd_oracle(ns, variant: AuctionVariant) -> int:
     grid = _parse_fraction(ns.grid_unit)
     if ns.b1 is None:
         res = min_winning_budget(variant, ns.turns, ns.b2, grid_unit=grid)
-        print(
-            json.dumps(
-                {
-                    "b_star": res.b_star,
-                    "ratio": float(res.ratio),
-                    "nodes_expanded": res.nodes_expanded,
-                }
-            )
-        )
+        doc = {"b_star": res.b_star, "ratio": float(res.ratio)}
     else:
         inst = OracleInstance(variant, ns.turns, Fraction(ns.b1), Fraction(ns.b2), grid)
         res = evaluate(inst)
-        print(
-            json.dumps(
-                {
-                    "b1": ns.b1,
-                    "p1_can_win": res.can_win,
-                    "nodes_expanded": res.nodes_expanded,
-                }
-            )
-        )
+        doc = {"b1": ns.b1, "p1_can_win": res.can_win}
+    doc["nodes_expanded"] = res.nodes_expanded
+    print(json.dumps(doc))
     return 0
 
 
-def _cmd_simulate(ns) -> int:
-    variant = _variant_from(ns)
+def _cmd_simulate(ns, variant: AuctionVariant) -> int:
     config = GameConfig(variant, ns.turns)
     b1 = _parse_fraction(ns.ratio)
     trace = run_game(config, b1, StrategyPolicy(), _ADVERSARIES[ns.adversary](), seed=ns.seed)
@@ -255,8 +227,7 @@ def _write_in_place(path: str, text: str) -> None:
             fh.truncate()
 
 
-def _cmd_verify(ns) -> int:
-    variant = _variant_from(ns)
+def _cmd_verify(ns, variant: AuctionVariant) -> int:
     report = verify_matrix(variant, ns.size)
     print(report.summary())
     return 0 if report.ok else 3
@@ -286,7 +257,7 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         ns = _parser().parse_args(argv)
-        return _COMMANDS[ns.command](ns)
+        return _COMMANDS[ns.command](ns, _variant_from(ns))
     except (_UsageError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -138,6 +138,12 @@ def check_turns(turns: int) -> None:
         raise DomainError(f"turns must be >= 1, got {turns}")
 
 
+def check_countdowns(i: int, j: int) -> None:
+    """Raise DomainError unless the countdowns ``i`` and ``j`` are both ints (a bool is not)."""
+    if i.__class__ is not int or j.__class__ is not int:
+        raise DomainError(f"countdowns must be ints, got ({i!r}, {j!r})")
+
+
 def as_fraction(x: Numeric) -> Fraction:
     """``x`` itself when it is a Fraction, else its exact Fraction."""
     return x if type(x) is Fraction else Fraction(x)

@@ -77,6 +77,7 @@ from .core import (
     Ratio,
     ResourceError,
     ceil_div,
+    check_countdowns,
     check_turns,
 )
 
@@ -119,6 +120,7 @@ class CountdownMatrix:
         self._rows = rows
 
     def entry(self, i: int, j: int) -> Ratio:
+        check_countdowns(i, j)
         if not (0 <= i <= self.n and 1 <= j <= self.n):
             raise DomainError(f"entry ({i}, {j}) outside matrix of size {self.n}")
         row = self._rows[i]
@@ -363,7 +365,10 @@ def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) ->
 
     First-price is alpha = 0. Other alphas have no closed form and raise
     NoClosedFormError. Triangular variants return UNWINNABLE for i > j.
+    Countdowns that are not ints (bools included) raise DomainError.
     """
+    if i.__class__ is not int or j.__class__ is not int:  # inline: solve's hot path
+        check_countdowns(i, j)
     if i < 1 or j < 1:
         raise DomainError(f"closed form needs i, j >= 1, got ({i}, {j})")
     if not variant.has_closed_form:

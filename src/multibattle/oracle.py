@@ -96,17 +96,22 @@ class GridEvaluator:
     def win(self, remaining: int, i: int, j: int, a, b: int, value: int | None = None) -> bool:
         """True iff P1 forces a win with ``remaining`` turns left.
 
-        ``a`` and ``b`` are the players' budgets in grid units; ``value``, if
-        given, fixes this turn's value (an int, 0 or 1) before P1 bids; any
-        other value raises DomainError. More than ``MAX_TURNS`` remaining
-        turns raise ResourceError.
+        ``a`` and ``b`` are the players' budgets in grid units, ``b`` an int;
+        ``value``, if given, fixes this turn's value (an int, 0 or 1) before
+        P1 bids. A negative budget, a ``b`` that is not an int (a bool
+        included) or any other value raises DomainError. More than
+        ``MAX_TURNS`` remaining turns raise ResourceError.
         """
         if value is not None and (value.__class__ is not int or value not in (0, 1)):
             raise DomainError(f"turn value must be 0 or 1, got {value!r}")
+        if b.__class__ is not int:
+            raise DomainError(f"P2 budget must be an int of grid units, got {b!r}")
         if remaining > MAX_TURNS:
             raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
-        self._query = (remaining, b)
         A = self._scaled(a)
+        if A < 0 or b < 0:
+            raise DomainError("budgets must be nonnegative")
+        self._query = (remaining, b)
         if value is None or i <= 0 or j <= 0:
             return self._win(remaining, i, j, A, b)
         if value == 0:
@@ -293,7 +298,8 @@ def min_winning_budget(
     monotone in P1's budget, so the first win is the least winning budget,
     and the queries share one evaluator's memo. The scan is capped at
     ``ceiling`` (budget amount, default 4 * b2, above every variant's
-    limiting ratio); running past it raises ResourceError. ``method`` is
+    limiting ratio); running past it raises ResourceError, and a negative
+    ceiling raises DomainError before any search. ``method`` is
     validated: both ``"linear"`` and ``"bisect"`` run this scan.
 
     Practical sizing guidance, at grid unit 1 on a 2-vCPU x86 host under
@@ -307,6 +313,8 @@ def min_winning_budget(
     if b2 <= 0:
         raise DomainError("b2 must be positive")
     cap_units = 4 * b_units if ceiling is None else Fraction(ceiling) // g  # Fraction // is an int floor
+    if cap_units < 0:
+        raise DomainError(f"ceiling must be nonnegative, got {ceiling}")
     if method not in ("linear", "bisect"):
         raise DomainError(f"unknown search method {method!r}")
 

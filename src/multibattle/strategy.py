@@ -35,6 +35,7 @@ from .core import (
     Numeric,
     UnwinnableStateError,
     as_fraction,
+    check_countdowns,
     check_turns,
     paid,
 )
@@ -60,9 +61,12 @@ def optimal_bid_fraction(variant: AuctionVariant, i: int, j: int) -> Fraction:
     """Exact fraction r* = x[i][j] - x[i-1][j] of the tracked opponent budget at countdown (i, j).
 
     Both entries are integer pairs from ``matrices.entry_pair``; the one
-    Fraction made is the result. Raises GameDecidedError when either
-    countdown is zero and UnwinnableStateError for triangular i > j.
+    Fraction made is the result. Raises DomainError when a countdown is not
+    an int (a bool included), GameDecidedError when either countdown is
+    zero and UnwinnableStateError for triangular i > j.
     """
+    if i.__class__ is not int or j.__class__ is not int:  # inline: solve's hot path
+        check_countdowns(i, j)
     num, den = _bid_fraction_pair(variant, i, j)
     return Fraction(num, den)
 

@@ -80,6 +80,29 @@ def test_all_pay_alpha_defaults_to_one(capsys):
     assert out == "3/2\n"
 
 
+# The least argv each subcommand takes besides --variant.
+MINIMAL_ARGV = {
+    "obr": ["--turns", "3"],
+    "matrix": ["--size", "3"],
+    "bid": ["--i", "1", "--j", "2"],
+    "oracle": ["--turns", "3", "--b2", "2"],
+    "simulate": ["--turns", "3", "--ratio", "2", "--adversary", "allin"],
+    "verify": ["--size", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+def test_alpha_is_refused_on_first_price_and_defaults_to_one_on_all_pay(command, capsys):
+    for name in ("fp-set", "fp-fixed"):
+        # Core takes a first-price variant at alpha = 0; the CLI refuses any --alpha on one.
+        got = run(capsys, command, "--variant", name, "--alpha", "0", *MINIMAL_ARGV[command])
+        assert got == (1, "", "error: --alpha only applies to all-pay variants\n")
+    for name in ("ap-set", "ap-fixed"):
+        default = run(capsys, command, "--variant", name, *MINIMAL_ARGV[command])
+        assert default[0] == 0
+        assert default == run(capsys, command, "--variant", name, "--alpha", "1", *MINIMAL_ARGV[command])
+
+
 def test_alpha_accepts_fractions(capsys):
     code, out, _ = run(
         capsys, "obr", "--variant", "ap-set", "--turns", "2", "--alpha", "1/2", "--exact"

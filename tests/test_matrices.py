@@ -596,8 +596,25 @@ def test_build_matrix_rejects_bad_sizes():
         m.entry(1, 0)
 
 
+@pytest.mark.parametrize("i, j", [(1.0, 2), (True, 2), (1, 2.0), (1, True)])
+def test_entry_rejects_countdowns_that_are_not_ints(i, j):
+    # 1.0 used to raise a TypeError from a list index; True read as row 1.
+    for exact in (False, True):
+        with pytest.raises(DomainError, match=r"^countdowns must be ints, got \("):
+            build_matrix(FP_SET01, 3, exact=exact).entry(i, j)
+
+
 def test_closed_form_rejects_bad_states():
     with pytest.raises(DomainError):
         closed_form(FP_SET01, 0, 3)
     with pytest.raises(NoClosedFormError):
         closed_form(AuctionVariant.all_pay(ValueModel.FIXED1, F(2, 3)), 2, 2)
+
+
+@pytest.mark.parametrize("i, j", [(1.5, 2), (True, 2), (1, 2.0), (1, True)])
+def test_closed_form_rejects_countdowns_that_are_not_ints(i, j):
+    # 1.5 used to raise a TypeError from gcd; True read as 1.
+    for variant in ALL_VARIANTS:
+        for exact in (False, True):
+            with pytest.raises(DomainError, match=r"^countdowns must be ints, got \("):
+                closed_form(variant, i, j, exact=exact)

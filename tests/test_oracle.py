@@ -247,6 +247,25 @@ def test_win_rejects_a_value_outside_none_zero_and_one(value):
     assert ev.win(3, 2, 2, 3, 4, 0) == ev.win(2, 1, 1, 3, 4)
 
 
+@pytest.mark.parametrize("a, b", [(6, -4), (-6, 4), (F(-1, 2), 4), (6, True), (6, 4.0), (6, F(4))])
+def test_win_rejects_a_negative_budget_or_a_p2_budget_that_is_not_an_int(a, b):
+    # (6, -4) used to answer True and (-6, 4) False.
+    ev = GridEvaluator(AP_SET_HALF)
+    message = "^(budgets must be nonnegative|P2 budget must be an int of grid units, got .*)$"
+    with pytest.raises(DomainError, match=message):
+        ev.win(3, 2, 2, a, b)
+    assert ev.nodes_expanded == 0
+
+
+def test_search_rejects_a_negative_ceiling():
+    # A negative ceiling used to raise ResourceError ("raise the ceiling"), the exit-2 class.
+    for ceiling in (-1, F(-1, 2)):
+        with pytest.raises(DomainError, match="^ceiling must be nonnegative, got "):
+            min_winning_budget(FP_SET01, 3, 4, ceiling=ceiling)
+    with pytest.raises(ResourceError):
+        min_winning_budget(FP_SET01, 3, 4, ceiling=0)
+
+
 def test_instance_validation():
     with pytest.raises(DomainError):
         OracleInstance(FP_SET01, 0, F(1), F(1))

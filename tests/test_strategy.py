@@ -60,6 +60,16 @@ def test_bid_fraction_rejects_decided_and_unwinnable_states():
         optimal_bid_fraction(FP_SET01, 3, 2)
 
 
+@pytest.mark.parametrize(
+    "variant", [FP_SET01, AuctionVariant.all_pay(ValueModel.SET01, F(1, 3))], ids=["fp-set", "ap-set@1/3"]
+)
+@pytest.mark.parametrize("i, j", [(2.0, 3), (True, 3), (2, 3.0), (2, True)])
+def test_bid_fraction_rejects_countdowns_that_are_not_ints(variant, i, j):
+    # 2.0 used to raise a TypeError from gcd or from a list index; True read as 1.
+    with pytest.raises(DomainError, match=r"^countdowns must be ints, got \("):
+        optimal_bid_fraction(variant, i, j)
+
+
 def test_bid_fraction_general_alpha_needs_a_matrix():
     variant = AuctionVariant.all_pay(ValueModel.SET01, F(1, 2))
     matrix = build_matrix(variant, 4, exact=True)
