@@ -21,8 +21,8 @@ At alpha = 0 this is ``x[i][j-1] * (1 + x[i-1][j]) / (1 + x[i][j-1])``.
 Closed forms exist at alpha in {0, 1}; ``verify_matrix`` checks the
 recurrence against them entry by entry in exact arithmetic. At other
 alphas ``obr`` and ``handicap_obr`` run the recurrence in O(n) memory.
-The exact read keeps two rows at a time. The float read advances four
-rows per pass over the columns and keeps one row plus four running
+The exact read keeps two rows at a time. The float read advances eight
+rows per pass over the columns and keeps one row plus eight running
 values.
 
 Exact values are computed on reduced integer pairs ``(num, den)``, not
@@ -41,7 +41,8 @@ module: ``CountdownMatrix.entry`` and ``defined_entries``, exact
 ``closed_form``, ``obr`` and ``handicap_obr``, and a mismatch in a
 ``verify_matrix`` report. CSV and JSON format the pair directly
 (``matrix_csv_lines`` and ``matrix_json_chunks`` format each row as it
-is filled). The float recurrence runs on floats throughout.
+is filled). The float recurrence runs on floats; a stored float matrix
+packs each row into an ``array("d")``, 8 bytes an entry, not about 32.
 
 ``entry_pair`` is the strategy's one reader of x: the closed form, else
 one exact table per variant, grown on demand; the four most recently
@@ -64,10 +65,12 @@ loses those games at 9/10 of it.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, starmap
 from math import gcd
+from struct import Struct
 
 from .core import (
     UNWINNABLE,
@@ -83,7 +86,7 @@ from .core import (
 
 # Largest matrix side a fill accepts. Exact entries at a fractional alpha
 # grow by about one digit per row, so the exact fill's time grows faster
-# than n^2; a float matrix holds n^2 Python floats.
+# than n^2; a float matrix holds (n + 1)^2 packed doubles, 34 MB at 2048.
 MAX_EXACT_SIDE = 512
 MAX_FLOAT_SIDE = 2048
 
@@ -110,7 +113,8 @@ class CountdownMatrix:
     Rows are indexed 1..n with a virtual all-zero row 0 (a player who
     needs nothing wins for free). For triangular variants, entries with
     i > j read as the UNWINNABLE sentinel. An exact matrix stores row i as
-    ``(numerators, denominators)``; a float matrix as a list of floats.
+    ``(numerators, denominators)``; a float matrix as an ``array("d")`` of
+    n + 1 doubles, packed from the list ``_float_rows`` yields.
     """
 
     def __init__(self, variant: AuctionVariant, n: int, rows: list, exact: bool):
@@ -195,16 +199,12 @@ def _float_rows(variant: AuctionVariant, n: int):
     above = [0.0] * (n + 1)
     yield above
     for i in range(1, n + 1):
-        row = [0.0] * (n + 1)
         if variant.is_triangular:
             start, left = i, 1 + above[i]
         else:
             start, left = 1, 0.0 + i
-        row[start] = left
-        for j in range(start + 1, n + 1):
-            up = above[j]
-            left = up + (left - up) / (left + keep)
-            row[j] = left
+        row = [0.0] * start + [left]
+        row += [left := up + (left - up) / (left + keep) for up in above[start + 1:]]
         yield row
         above = row
 
@@ -212,30 +212,30 @@ def _float_rows(variant: AuctionVariant, n: int):
 def _float_row(variant: AuctionVariant, n: int, i: int) -> list:
     """Row i of the n-column float matrix: the list ``_float_rows`` yields at index i.
 
-    Advances four rows per pass over the columns and keeps only the last
-    of them as a list: the other three live in the running values l0..l2,
+    Advances eight rows per pass over the columns and keeps only the last
+    of them as a list: the other seven live in the running values l0..l6,
     each row's entry computed from the one above it exactly as in
-    ``_float_rows``, so every float is the same. The first i % 4 rows
+    ``_float_rows``, so every float is the same. The first i % 8 rows
     come from ``_float_rows`` itself.
     """
     keep = 1 - float(variant.alpha)  # loser keeps this share of a bid
-    above = next(islice(_float_rows(variant, n), i % 4, None))
-    for r in range(i % 4 + 1, i + 1, 4):  # rows r..r+3; this row becomes r+3
+    above = next(islice(_float_rows(variant, n), i % 8, None))
+    for r in range(i % 8 + 1, i + 1, 8):  # rows r..r+7; this row becomes r+7
         if variant.is_triangular:
             # Row r+m starts on its diagonal, 1 + (row r+m-1)[r+m]: each column
-            # r..r+3 advances the rows started so far, then starts the next.
+            # r..r+7 advances the rows started so far, then starts the next.
             started = []
-            for up in above[r:r + 4]:
+            for up in above[r:r + 8]:
                 for m, left in enumerate(started):
                     up = started[m] = up + (left - up) / (left + keep)
                 started.append(1 + up)
-            l0, l1, l2, l3 = started
-            row = [0.0] * (r + 3)
-            row.append(l3)
-            start = r + 4
+            l0, l1, l2, l3, l4, l5, l6, l7 = started
+            row = [0.0] * (r + 7)
+            row.append(l7)
+            start = r + 8
         else:
-            l0, l1, l2, l3 = 0.0 + r, 0.0 + (r + 1), 0.0 + (r + 2), 0.0 + (r + 3)
-            row = [0.0, l3]
+            l0, l1, l2, l3, l4, l5, l6, l7 = map(float, range(r, r + 8))
+            row = [0.0, l7]
             start = 2
         append = row.append
         for up in islice(above, start, None):
@@ -243,7 +243,11 @@ def _float_row(variant: AuctionVariant, n: int, i: int) -> list:
             l1 = l0 + (l1 - l0) / (l1 + keep)
             l2 = l1 + (l2 - l1) / (l2 + keep)
             l3 = l2 + (l3 - l2) / (l3 + keep)
-            append(l3)
+            l4 = l3 + (l4 - l3) / (l4 + keep)
+            l5 = l4 + (l5 - l4) / (l5 + keep)
+            l6 = l5 + (l6 - l5) / (l6 + keep)
+            l7 = l6 + (l7 - l6) / (l7 + keep)
+            append(l7)
         above = row
     return above
 
@@ -290,7 +294,10 @@ def build_matrix(variant: AuctionVariant, n: int, exact: bool = False) -> Countd
     (each entry needs only its left and upper neighbours). Raises
     ResourceError above ``MAX_EXACT_SIDE``/``MAX_FLOAT_SIDE``.
     """
-    return CountdownMatrix(variant, n, list(_rows(variant, n, exact)), exact)
+    rows = _rows(variant, n, exact)
+    if not exact:  # each row as n + 1 packed doubles, 8 bytes an entry
+        rows = (array("d", b) for b in starmap(Struct("%dd" % (n + 1)).pack, rows))
+    return CountdownMatrix(variant, n, list(rows), exact)
 
 
 def matrix_csv_lines(variant: AuctionVariant, n: int, exact: bool = False):

@@ -37,6 +37,7 @@ from .core import (
     GameState,
     Numeric,
     ResourceError,
+    check_countdowns,
     check_turns,
 )
 
@@ -86,6 +87,8 @@ class GridEvaluator:
 
     def _scaled(self, a) -> int:
         """P1's budget ``a`` (grid units) as an integer count of 1/d units."""
+        if a.__class__ is bool:
+            raise DomainError(f"P1 budget must be a number of grid units, got {a!r}")
         if isinstance(a, int):
             return a * self._d
         scaled = Fraction(a) * self._d
@@ -98,14 +101,18 @@ class GridEvaluator:
 
         ``a`` and ``b`` are the players' budgets in grid units, ``b`` an int;
         ``value``, if given, fixes this turn's value (an int, 0 or 1) before
-        P1 bids. A negative budget, a ``b`` that is not an int (a bool
-        included) or any other value raises DomainError. More than
-        ``MAX_TURNS`` remaining turns raise ResourceError.
+        P1 bids. A negative budget or ``remaining``, a ``remaining``, ``i``,
+        ``j`` or ``b`` that is not an int (a bool included), a bool ``a`` or
+        any other value raises DomainError. More than ``MAX_TURNS``
+        remaining turns raise ResourceError.
         """
         if value is not None and (value.__class__ is not int or value not in (0, 1)):
             raise DomainError(f"turn value must be 0 or 1, got {value!r}")
         if b.__class__ is not int:
             raise DomainError(f"P2 budget must be an int of grid units, got {b!r}")
+        if remaining.__class__ is not int or remaining < 0 or i.__class__ is not int or j.__class__ is not int:
+            check_countdowns(i, j)  # inline: a budget search asks once per budget
+            raise DomainError(f"turns left must be a nonnegative int, got {remaining!r}")
         if remaining > MAX_TURNS:
             raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
         A = self._scaled(a)

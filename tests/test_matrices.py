@@ -214,6 +214,17 @@ def test_exact_obr_without_closed_form_runs_in_linear_memory():
     assert peak < 100_000
 
 
+def test_a_stored_float_matrix_holds_packed_doubles():
+    # 513 rows of 513 doubles are 2.1 MB packed; lists of float objects took over 8 MB.
+    tracemalloc.start()
+    try:
+        build_matrix(FP_FIXED1, 512)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_500_000
+
+
 # ------------------------------------------- Fraction reference recurrence
 
 
@@ -398,6 +409,29 @@ def test_float_row_matches_the_row_at_a_time_fill(variant):
     for n in [*range(1, 41), 97, 128]:
         for i, want in enumerate(_float_reference_rows(variant, n)):
             assert _bits(_float_row(variant, n, i)) == _bits(want), (n, i)
+
+
+@pytest.mark.parametrize("variant", FLOAT_ROW_VARIANTS)
+def test_stored_float_matrix_matches_the_row_at_a_time_fill(variant):
+    for n in [*range(1, 42), 97, 128]:
+        m = build_matrix(variant, n)
+        rows = list(_float_reference_rows(variant, n))
+        starts = [max(i, 1) if variant.is_triangular else 1 for i in range(n + 1)]
+        for i, (want, start) in enumerate(zip(rows, starts)):
+            cols = range(start, n + 1)
+            assert [m.entry(i, j).hex() for j in cols] == [want[j].hex() for j in cols], (n, i)
+        csv = "i\\j," + ",".join(map(str, range(1, n + 1))) + "\n" + "".join(
+            f"{i}," + ",".join(["inf"] * (starts[i] - 1) + [format(x, ".17g") for x in rows[i][starts[i]:]]) + "\n"
+            for i in range(1, n + 1)
+        )
+        assert m.to_csv() == csv, n
+        doc = {
+            "variant": variant.short_name,
+            "alpha": float(variant.alpha),
+            "n": n,
+            "entries": [[None] * (starts[i] - 1) + rows[i][starts[i]:] for i in range(1, n + 1)],
+        }
+        assert json.dumps(m.to_json_dict()) == json.dumps(doc), n
 
 
 @pytest.mark.parametrize("variant", FLOAT_ROW_VARIANTS[4:])

@@ -257,6 +257,22 @@ def test_win_rejects_a_negative_budget_or_a_p2_budget_that_is_not_an_int(a, b):
     assert ev.nodes_expanded == 0
 
 
+@pytest.mark.parametrize(
+    "remaining, i, j, a, message",
+    [(-1, 2, 2, 6, "turns left must be a nonnegative int"), (3.5, 2, 2, 6, "turns left must be a nonnegative int"),
+     (True, 2, 2, 6, "turns left must be a nonnegative int"), (3, 2.0, 2, 6, "countdowns must be ints"),
+     (3, True, 2, 6, "countdowns must be ints"), (3, 2, 2.0, 6, "countdowns must be ints"),
+     (3, 2, False, 6, "countdowns must be ints"), (3, 2, 2, True, "P1 budget must be a number of grid units"),
+     (3, 2, 2, False, "P1 budget must be a number of grid units")],
+)
+def test_win_rejects_turns_left_or_countdowns_that_are_no_ints_and_a_bool_budget(remaining, i, j, a, message):
+    # (-1, 2, 2, 6) and (3.5, 2, 2, 6) used to answer True, and a = True read as a budget of 1.
+    ev = GridEvaluator(FP_SET01)
+    with pytest.raises(DomainError, match=f"^{message}, got "):
+        ev.win(remaining, i, j, a, 4)
+    assert ev.nodes_expanded == 0
+
+
 def test_search_rejects_a_negative_ceiling():
     # A negative ceiling used to raise ResourceError ("raise the ceiling"), the exit-2 class.
     for ceiling in (-1, F(-1, 2)):
