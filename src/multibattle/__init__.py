@@ -31,7 +31,6 @@ from .core import (
     GameConfig,
     GameState,
     GameTrace,
-    NoClosedFormError,
     OverbidError,
     Player,
     Pricing,

@@ -83,10 +83,6 @@ class UnwinnableStateError(DomainError):
     """The requested state cannot be won by P1 with any budget."""
 
 
-class NoClosedFormError(DomainError):
-    """No closed form exists for this variant (all-pay with alpha not in {0, 1})."""
-
-
 class Unwinnable:
     """Sentinel for matrix entries where no P1 budget suffices.
 
@@ -197,7 +193,8 @@ class AuctionVariant:
     ``pricing`` only names the variant (a first-price one takes no alpha).
 
     ``__post_init__`` sets ``is_triangular`` (value-set model), ``has_closed_form``
-    (alpha in {0, 1}) and ``alpha_pair`` (alpha's numerator, denominator) once as
+    (alpha in {0, 1}, where the O(1) closed forms apply; every alpha has the
+    binomial ones) and ``alpha_pair`` (alpha's numerator, denominator) once as
     attributes, not fields: ~10 ns a read against ~100 for a property, while
     ``==``, ``hash`` and ``repr`` still see the fields alone.
     """

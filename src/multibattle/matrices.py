@@ -17,49 +17,36 @@ winning and losing the turn at the optimal bid fraction:
 
     x[i][j] = x[i-1][j] + (x[i][j-1] - x[i-1][j]) / (x[i][j-1] + 1 - alpha)
 
-At alpha = 0 this is ``x[i][j-1] * (1 + x[i-1][j]) / (1 + x[i][j-1])``.
-Closed forms exist at alpha in {0, 1}; ``verify_matrix`` checks the
-recurrence against them entry by entry in exact arithmetic. At other
-alphas ``obr`` and ``handicap_obr`` run the recurrence in O(n) memory.
-The exact read keeps two rows at a time. The float read advances eight
-rows per pass over the columns and keeps one row plus eight running
-values.
+Closed forms exist at every alpha: O(1) at alpha in {0, 1}, binomial
+sums of O(j) terms elsewhere (``_binomial_pair``); ``verify_matrix``
+checks the recurrence against them exactly. At other alphas the float
+``obr`` and ``handicap_obr`` run the recurrence in O(n) memory, eight
+rows per pass over the columns.
 
-Exact values are computed on reduced integer pairs ``(num, den)``, not
-on ``Fraction`` objects. With left = ln/ld, up = un/ud and alpha = an/ad,
-one entry is
+Exact values are reduced integer pairs ``(num, den)`` with a positive
+denominator, not ``Fraction`` objects. With left = ln/ld, up = un/ud and
+alpha = an/ad, one entry is
 
     dp  = ln*ad + (ad - an)*ld
     num = un*dp + (ln*ud - un*ld)*ad
     den = ud*dp
 
-divided by their gcd, so every stored pair is in lowest terms with a
-positive denominator, the form ``Fraction`` keeps. An exact
-``CountdownMatrix`` holds each row as a list of numerators and a list of
-denominators. A value becomes a ``Fraction`` only where it leaves this
-module: ``CountdownMatrix.entry`` and ``defined_entries``, exact
-``closed_form``, ``obr`` and ``handicap_obr``, and a mismatch in a
-``verify_matrix`` report. CSV and JSON format the pair directly
-(``matrix_csv_lines`` and ``matrix_json_chunks`` format each row as it
-is filled). The float recurrence runs on floats; a stored float matrix
-packs each row into an ``array("d")``, 8 bytes an entry, not about 32.
+divided by their gcd. A value becomes a ``Fraction`` only where it
+leaves this module; CSV and JSON format each row as it is filled.
 
-``entry_pair`` is the strategy's one reader of x: the closed form, else
-one exact table per variant, grown on demand; the four most recently
-read variants keep theirs.
+``entry_pair`` is the strategy's one reader of x: the O(1) closed form,
+else the binomial sums behind a memo of at most 16384 entries.
 
-A matrix fill is O(n^2) entries, so ``build_matrix`` and the fills behind
-``matrix_csv_lines``, ``matrix_json_chunks``, ``entry_pair``, ``obr``,
-``handicap_obr`` and ``verify_matrix`` refuse a side above
-``MAX_EXACT_SIDE`` (exact) or ``MAX_FLOAT_SIDE`` (float) with
-ResourceError, before allocating anything.
+A fill is O(n^2) entries, so ``build_matrix``, the CSV and JSON streams,
+the float ``obr`` and ``handicap_obr`` and ``verify_matrix`` refuse a
+side above ``MAX_EXACT_SIDE`` (exact) or ``MAX_FLOAT_SIDE`` (float) with
+ResourceError, before allocating anything; the binomial sums refuse
+max(i, j) above ``MAX_EXACT_SIDE`` the same way.
 
-The fixed-value all-pay matrix at general alpha is an extension derived
-from the same indifference argument. ``verify_matrix`` has a closed form
-to check it against only at alpha in {0, 1}, and no report marks it. At
-alpha = 1/2 the tests play it: the strategy reading it wins the sweep
-(T = 11) and omnipotent-adversary games (T = 3, 5) at its ratio, and
-loses those games at 9/10 of it.
+The fixed-value all-pay matrix at general alpha extends the same
+indifference argument; ``verify_matrix`` checks it exactly. At alpha =
+1/2 the strategy reading it wins the sweep (T = 11) and omnipotent games
+(T = 3, 5) at its ratio, and loses those games at 9/10 of it.
 """
 
 from __future__ import annotations
@@ -68,15 +55,15 @@ import json
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, starmap
-from math import gcd
+from math import comb, gcd
 from struct import Struct
 
 from .core import (
     UNWINNABLE,
     AuctionVariant,
     DomainError,
-    NoClosedFormError,
     Ratio,
     ResourceError,
     ceil_div,
@@ -89,11 +76,6 @@ from .core import (
 # than n^2; a float matrix holds (n + 1)^2 packed doubles, 34 MB at 2048.
 MAX_EXACT_SIDE = 512
 MAX_FLOAT_SIDE = 2048
-
-# entry_pair's exact tables (rows 0..n) for variants with no closed form,
-# least recently read first, at most _MAX_TABLES of them.
-_MAX_TABLES = 4
-_TABLES: dict = {}
 
 
 def _check_side(n: int, exact: bool) -> None:
@@ -288,11 +270,9 @@ def _rows(variant: AuctionVariant, n: int, exact: bool):
 
 
 def build_matrix(variant: AuctionVariant, n: int, exact: bool = False) -> CountdownMatrix:
-    """Build the countdown matrix of size n for the given variant.
+    """Build the countdown matrix of size n, row-major from each row's boundary: O(n^2) entries.
 
-    O(n^2) entry computations; fill is row-major from each row's boundary
-    (each entry needs only its left and upper neighbours). Raises
-    ResourceError above ``MAX_EXACT_SIDE``/``MAX_FLOAT_SIDE``.
+    Raises ResourceError above ``MAX_EXACT_SIDE``/``MAX_FLOAT_SIDE``.
     """
     rows = _rows(variant, n, exact)
     if not exact:  # each row as n + 1 packed doubles, 8 bytes an entry
@@ -301,31 +281,65 @@ def build_matrix(variant: AuctionVariant, n: int, exact: bool = False) -> Countd
 
 
 def matrix_csv_lines(variant: AuctionVariant, n: int, exact: bool = False):
-    """``build_matrix(variant, n, exact).to_csv()`` one line at a time.
+    """``build_matrix(variant, n, exact).to_csv()`` one line at a time, in O(n) memory.
 
-    Each line is formatted as its row is filled, and only the row above
-    is kept, so the text streams out in O(n) memory. Raises ResourceError
-    above the same ceilings as ``build_matrix``, before any line.
+    Each line is formatted as its row is filled. Raises ResourceError
+    above ``build_matrix``'s ceilings, before any line.
     """
     return _csv_lines(variant, n, _rows(variant, n, exact), exact)
 
 
 def matrix_json_chunks(variant: AuctionVariant, n: int, exact: bool = False):
-    """``json.dumps(build_matrix(variant, n, exact).to_json_dict())`` and a newline, a row at a time.
-
-    Streams like ``matrix_csv_lines``: each row is encoded as it is
-    filled, with only the row above kept. Raises ResourceError above the
-    same ceilings as ``build_matrix``, before any text.
-    """
+    """``json.dumps(build_matrix(variant, n, exact).to_json_dict())`` and a newline, streamed like the CSV."""
     return _json_chunks(variant, n, _rows(variant, n, exact), exact)
 
 
-def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
-    """Closed-form entry (i, j) as a reduced (numerator, denominator) pair.
+def _series(n: int, terms: int, cut: int, kn: int, ad: int) -> int:
+    """Sum over m < terms of [C(n+m, m) - C(n+m, m-cut)] * kn**(terms-1-m) * ad**m, by Horner's rule."""
+    # C(n, k) is 0 for k < 0; each binomial times ad**m advances from the last.
+    acc, c, d = 0, 1, 0  # the sum so far, C(n+m, m) * ad**m, C(n+m, m-cut) * ad**m
+    for m in range(terms):
+        if m:
+            c = c * (ad * (n + m)) // m
+        if m == cut:
+            d = ad**m
+        elif m > cut:
+            d = d * (ad * (n + m)) // (m - cut)
+        acc = acc * kn + c - d
+    return acc
 
-    Needs ``variant.has_closed_form``, i, j >= 1 and, on a triangular
-    variant, i <= j; ``closed_form`` checks all three.
+
+def _binomial_pair(is_triangular: bool, an: int, ad: int, i: int, j: int) -> tuple[int, int]:
+    """Entry (i, j) at alpha = an/ad, i, j >= 1, as a reduced pair: binomial sums in q = 1 - alpha = kn/ad.
+
+        fixed:  C(i+j-1, i-1) / sum_{m<j} C(i-1+m, m) q^(j-1-m)
+        set01:  sum_{m<i} [C(j-1+m, m) - C(j-1+m, m-2)] q^(i-1-m)
+                / sum_{m<j} [C(i-1+m, m) - C(i-1+m, m-(j-i+1))] q^(j-1-m),  i <= j
+
+    The subtracted terms are ballot-problem reflections (Feller, vol. 1, ch. III).
     """
+    kn = ad - an
+    if is_triangular:
+        num = _series(j - 1, i, 2, kn, ad) * ad ** (j - i)
+        den = _series(i - 1, j, j - i + 1, kn, ad)
+    else:
+        num = comb(i + j - 1, i - 1) * ad ** (j - 1)
+        den = _series(i - 1, j, j, kn, ad)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+# entry_pair's memo, keyed by ints: hashing them beats hashing the variant.
+_binomial_memo = lru_cache(maxsize=1 << 14)(_binomial_pair)
+
+
+def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
+    """Closed-form entry (i, j), i, j >= 1 (i <= j if triangular), as a reduced pair.
+
+    O(1) at alpha in {0, 1}, ``_binomial_pair`` elsewhere; unchecked.
+    """
+    if not variant.has_closed_form:
+        return _binomial_pair(variant.is_triangular, *variant.alpha_pair, i, j)
     if variant.is_triangular:
         if variant.alpha_pair[0] == 0:
             num, den = i * (j - i + 3), (j - i + 1) * (j + 2)
@@ -343,35 +357,26 @@ def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]
 def entry_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
     """Exact defined entry (i, j), i >= 0 and j >= 1, as a reduced (numerator, denominator) pair.
 
-    Where no closed form exists, the variant's table is refilled at side
-    max(i, j) when a read needs a larger one (entries do not depend on the
-    side); ResourceError above ``MAX_EXACT_SIDE``, as in ``build_matrix``.
+    The O(1) closed form, else the binomial sums memoized for the last
+    16384 distinct reads; ResourceError for max(i, j) above ``MAX_EXACT_SIDE``.
     """
     if variant.has_closed_form:
         return closed_form_pair(variant, i, j) if i else (0, 1)
-    # Entries depend on the value model and alpha alone; hashing these
-    # ints is far cheaper than hashing the variant.
-    key = (variant.is_triangular,) + variant.alpha_pair
-    rows = _TABLES.pop(key, ())
-    if len(rows) <= max(i, j):
-        rows = list(_rows(variant, max(i, j), True))
-    _TABLES[key] = rows  # now the most recently read
-    if len(_TABLES) > _MAX_TABLES:
-        del _TABLES[next(iter(_TABLES))]
-    nums, dens = rows[i]
-    return nums[j], dens[j]
+    _check_side(max(i, j), True)
+    return _binomial_memo(variant.is_triangular, *variant.alpha_pair, i, j) if i else (0, 1)
 
 
 def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) -> Ratio:
-    """Closed-form matrix entry, where one exists.
+    """Closed-form matrix entry.
 
     set01, alpha=0:   i * (j - i + 3) / ((j - i + 1) * (j + 2))
     set01, alpha=1:   1 + (i - 1) * (j - i + 3) / ((j - i + 1) * (j + 1))
     fixed, alpha=0:   i / j
     fixed, alpha=1:   (i + j - 1) / j
 
-    First-price is alpha = 0. Other alphas have no closed form and raise
-    NoClosedFormError. Triangular variants return UNWINNABLE for i > j.
+    First-price is alpha = 0. Other alphas take ``_binomial_pair``'s sums
+    and raise ResourceError for max(i, j) above ``MAX_EXACT_SIDE``. Floats
+    round the exact value once. Triangular variants return UNWINNABLE for i > j.
     Countdowns that are not ints (bools included) raise DomainError.
     """
     if i.__class__ is not int or j.__class__ is not int:  # inline: solve's hot path
@@ -379,9 +384,7 @@ def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) ->
     if i < 1 or j < 1:
         raise DomainError(f"closed form needs i, j >= 1, got ({i}, {j})")
     if not variant.has_closed_form:
-        raise NoClosedFormError(
-            f"no closed form for all-pay with alpha={variant.alpha}; build the matrix instead"
-        )
+        _check_side(max(i, j), True)
     if variant.is_triangular and i > j:
         return UNWINNABLE
     num, den = closed_form_pair(variant, i, j)
@@ -410,11 +413,8 @@ def handicap_obr(variant: AuctionVariant, turns: int, k: int, exact: bool = Fals
     j = ceil_div(turns + k, 2)
     if i <= 0:
         return Fraction(0) if exact else 0.0
-    if variant.has_closed_form:
+    if exact or variant.has_closed_form:
         return closed_form(variant, i, j, exact=exact)
-    if exact:  # rolling rows of the recurrence
-        nums, dens = next(islice(_rows(variant, j, True), i, None))
-        return Fraction(nums[j], dens[j])
     _check_side(j, False)
     return _float_row(variant, j, i)[j]
 
@@ -438,13 +438,10 @@ class MatrixVerifyReport:
 
 
 def verify_matrix(variant: AuctionVariant, n: int) -> MatrixVerifyReport:
-    """Check every defined DP entry against the closed form, exactly.
+    """Check every defined DP entry against ``closed_form_pair`` exactly, holding two rows at a time.
 
-    Compares reduced integer pairs row by row, holding two rows at a time.
-    Raises NoClosedFormError for variants without one (all-pay with
-    alpha outside {0, 1}).
+    At every alpha; the binomial sums bypass ``entry_pair``'s memo.
     """
-    closed_form(variant, 1, 1, exact=True)  # fail fast if no closed form
     rows = _rows(variant, n, exact=True)
     checked = 0
     for i, (nums, dens) in enumerate(islice(rows, 1, None), 1):

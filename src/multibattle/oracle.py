@@ -91,6 +91,8 @@ class GridEvaluator:
             raise DomainError(f"P1 budget must be a number of grid units, got {a!r}")
         if isinstance(a, int):
             return a * self._d
+        if not isinstance(a, (Fraction, float)):
+            raise DomainError(f"P1 budget must be a number of grid units, got {a!r}")
         scaled = Fraction(a) * self._d
         if scaled.denominator != 1:
             raise DomainError(f"P1 budget {a} is not a multiple of 1/{self._d} grid unit")
@@ -218,9 +220,11 @@ class OracleInstance:
     grid_unit: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "b1", Fraction(self.b1))
-        object.__setattr__(self, "b2", Fraction(self.b2))
-        object.__setattr__(self, "grid_unit", Fraction(self.grid_unit))
+        for name in ("b1", "b2", "grid_unit"):
+            x = getattr(self, name)
+            if x.__class__ is bool or not isinstance(x, (int, Fraction, float)):
+                raise DomainError(f"{name} must be an int, Fraction or float, got {x!r}")
+            object.__setattr__(self, name, Fraction(x))
         check_turns(self.turns)
         if self.grid_unit <= 0:
             raise DomainError("grid_unit must be positive")

@@ -18,8 +18,8 @@ The boundary rules x[i][i] = 1 + x[i-1][i] and x[i][1] = i make r* = 1
 on triangular diagonals and fixed-value column 1: P1 bids the whole
 tracked budget there.
 
-Every entry of x comes from ``matrices.entry_pair``: the closed form, or
-else the variant's one exact table, shared by every game and call.
+Every entry of x comes from ``matrices.entry_pair``: a closed form at
+every alpha, memoized where it costs O(j) terms, shared by every game.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class StrategyState(NamedTuple):
 
     @classmethod
     def fresh(cls, variant: AuctionVariant, turns: int, opponent_budget: Numeric) -> "StrategyState":
-        """Start-of-game state; reading entry (h, h) sizes the variant's table or raises ResourceError."""
+        """Start-of-game state; reading entry (h, h) raises ResourceError above the exact ceiling."""
         check_turns(turns)
         countdown = CountdownPair.fresh(turns)
         entry_pair(variant, countdown.i, countdown.j)

@@ -294,10 +294,12 @@ def test_verify_mismatch_exits_three(monkeypatch, capsys):
     assert "mismatch" in out
 
 
-def test_verify_without_closed_form_is_a_domain_error(capsys):
-    code, _, err = run(capsys, "verify", "--variant", "ap-set", "--alpha", "1/2", "--size", "5")
-    assert code == 1
-    assert "no closed form" in err
+def test_verify_at_a_fractional_alpha(capsys):
+    # A fractional alpha has binomial closed forms: verify checks them and exits 0.
+    code, out, err = run(capsys, "verify", "--variant", "ap-set", "--alpha", "1/2", "--size", "5")
+    assert (code, out, err) == (0, "ap-set n=5: 15 entries match closed form\n", "")
+    code, out, _ = run(capsys, "verify", "--variant", "ap-fixed", "--alpha", "12345/65536", "--size", "8")
+    assert (code, out) == (0, "ap-fixed n=8: 64 entries match closed form\n")
 
 
 def test_resource_errors_exit_two(monkeypatch, capsys):

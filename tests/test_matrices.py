@@ -17,7 +17,6 @@ from multibattle import (
     UNWINNABLE,
     AuctionVariant,
     DomainError,
-    NoClosedFormError,
     ResourceError,
     ValueModel,
     build_matrix,
@@ -29,12 +28,20 @@ from multibattle import (
     verify_matrix,
 )
 from multibattle import matrices
-from multibattle.matrices import MAX_EXACT_SIDE, MAX_FLOAT_SIDE, MatrixVerifyReport, _float_row, entry_pair
+from multibattle.matrices import (
+    MAX_EXACT_SIDE,
+    MAX_FLOAT_SIDE,
+    MatrixVerifyReport,
+    _binomial_pair,
+    _float_row,
+    _pair_rows,
+    entry_pair,
+)
 
 F = Fraction
 
 ALL_VARIANTS = [FP_SET01, FP_FIXED1, AP_SET01, AP_FIXED1]
-# No closed form: these go through the recurrence alone.
+# Fractional alpha: no O(1) closed form, only the binomial sums.
 FRACTIONAL_VARIANTS = [
     AuctionVariant.all_pay(ValueModel.SET01, F(1, 3)),
     AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 2)),
@@ -46,6 +53,17 @@ REFERENCE_VARIANTS = [
         ["fp-set", "fp-fixed", "ap-set", "ap-fixed", "ap-set-third", "ap-fixed-half", "ap-set-two-sevenths"],
     )
 ]
+# Both value models at six alphas, a large denominator among them.
+BINOMIAL_VARIANTS = [
+    AuctionVariant.all_pay(values, alpha)
+    for alpha in (F(0), F(1, 3), F(1, 2), F(2, 7), F(12345, 65536), F(1))
+    for values in (ValueModel.SET01, ValueModel.FIXED1)
+]
+FRACTIONAL_BINOMIAL = [v for v in BINOMIAL_VARIANTS if not v.has_closed_form]
+
+
+def _alpha_id(variant):
+    return f"{variant.short_name}-{variant.alpha}"
 
 
 # ---------------------------------------------------------------- spot values
@@ -201,8 +219,8 @@ def test_obr_without_closed_form_runs_in_linear_memory(variant):
 
 
 def test_exact_obr_without_closed_form_runs_in_linear_memory():
-    # Two rows of h = 80 exact pairs at ap-set alpha=1/3 peak near 15 kB;
-    # the full 80 x 80 matrix would peak near 400 kB.
+    # The binomial sums at h = 80 hold a few big ints; the full 80 x 80
+    # matrix at ap-set alpha=1/3 would peak near 400 kB.
     variant = FRACTIONAL_VARIANTS[0]
     tracemalloc.start()
     try:
@@ -295,7 +313,7 @@ def test_exact_ratios_match_the_fraction_reference(variant):
 
 
 READ_SIDE = 12
-# The reference variants plus two more without a closed form: five such, one more than the tables kept.
+# The reference variants plus two more at a fractional alpha: five read through the memo.
 READ_REFERENCE = [
     (v, build_matrix(v, READ_SIDE, exact=True))
     for v in [p.values[0] for p in REFERENCE_VARIANTS]
@@ -313,28 +331,27 @@ READ_REFERENCE = [
         max_size=30,
     )
 )
-# All five variants without a closed form, so the first one read is dropped, then read again.
-@example(reads=[(4, 1, 3), (5, 3, 2), (6, 2, 4), (7, 5, 1), (8, 3, 3), (4, 6, 6), (5, 1, 1), (8, 0, 2)])
+# All five fractional variants, each read again; row 0 reads stay out of the memo.
+@example(reads=[(4, 1, 3), (5, 3, 2), (6, 2, 4), (7, 5, 1), (8, 3, 3), (4, 6, 6), (4, 1, 3), (5, 1, 1), (8, 0, 2)])
 def test_entry_reads_in_any_order_equal_the_built_matrix(reads):
-    """Growing and shrinking reads over nine variants give build_matrix's pairs.
+    """Reads in any order over nine variants give build_matrix's pairs.
 
-    Only the four most recently read variants without a closed form keep
-    a table, and none is larger than the largest read of its variant.
+    Only fractional-alpha reads with i >= 1 enter the memo, one entry per
+    distinct (value model, alpha, i, j).
     """
-    keys = [(v.is_triangular, v.alpha.numerator, v.alpha.denominator) for v, _ref in READ_REFERENCE]
-    matrices._TABLES.clear()
-    largest, recent = {}, []
+    memo = matrices._binomial_memo
+    assert memo.cache_info().maxsize == 1 << 14
+    memo.cache_clear()
+    memoized = set()
     for k, i, j in reads:
         variant, ref = READ_REFERENCE[k]
         if variant.is_triangular and i > j:
             continue
         want = ref.entry(i, j)
         assert entry_pair(variant, i, j) == (want.numerator, want.denominator), (variant, i, j)
-        largest[k] = max(largest.get(k, 0), i, j)
-        if not variant.has_closed_form:
-            recent = [r for r in recent if r != k] + [k]
-        assert list(matrices._TABLES) == [keys[r] for r in recent[-4:]]
-        assert all(len(matrices._TABLES[keys[r]]) - 1 <= largest[r] for r in recent[-4:])
+        if i and not variant.has_closed_form:
+            memoized.add((k, i, j))
+        assert memo.cache_info().currsize == len(memoized)
 
 
 @pytest.mark.parametrize("variant", REFERENCE_VARIANTS)
@@ -351,15 +368,47 @@ def test_bid_fraction_matches_the_fraction_reference(variant):
             assert optimal_bid_fraction(variant, i, j) == want, (i, j)
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.short_name)
+@pytest.mark.parametrize(
+    "variant", ALL_VARIANTS + FRACTIONAL_BINOMIAL, ids=lambda v: v.short_name if v.has_closed_form else _alpha_id(v)
+)
 def test_float_closed_form_rounds_the_exact_one(variant):
-    for i in range(1, 41):
-        for j in range(1, 41):
-            exact = closed_form(variant, i, j, exact=True)
-            if exact is UNWINNABLE:
-                assert closed_form(variant, i, j) is UNWINNABLE
-            else:
-                assert closed_form(variant, i, j) == float(exact), (i, j)
+    # At a fractional alpha the side-512 pair runs to thousands of bits, far past a float.
+    for i, j in [(i, j) for i in range(1, 41) for j in range(1, 41)] + [(MAX_EXACT_SIDE, MAX_EXACT_SIDE)]:
+        exact = closed_form(variant, i, j, exact=True)
+        if exact is UNWINNABLE:
+            assert closed_form(variant, i, j) is UNWINNABLE
+        else:
+            assert type(exact) is F and closed_form(variant, i, j) == float(exact), (i, j)
+
+
+# ------------------------------------------------ closed forms at every alpha
+
+
+@pytest.mark.parametrize("variant", BINOMIAL_VARIANTS, ids=_alpha_id)
+def test_binomial_sums_equal_the_pair_fill(variant):
+    """Every defined cell up to side 60; at alpha in {0, 1} too, where the four O(1) forms are their special cases."""
+    n = 60
+    rows = list(_pair_rows(variant, n))
+    for i in range(1, n + 1):
+        nums, dens = rows[i]
+        for j in range(i if variant.is_triangular else 1, n + 1):
+            assert _binomial_pair(variant.is_triangular, *variant.alpha_pair, i, j) == (nums[j], dens[j]), (i, j)
+
+
+@pytest.mark.parametrize("variant", BINOMIAL_VARIANTS, ids=_alpha_id)
+def test_exact_obr_is_nondecreasing_and_bounded_up_to_400_turns(variant):
+    """Checked bounds, not theorems: below 3 + alpha on value-set variants, at
+    most 1 + alpha on fixed-value ones, with equality only at alpha = 0, where
+    the ratio is exactly 1."""
+    alpha = variant.alpha
+    ratios = [obr(variant, turns, exact=True) for turns in range(1, 401)]
+    assert all(a <= b for a, b in zip(ratios, ratios[1:]))
+    if variant.is_triangular:
+        assert all(x < 3 + alpha for x in ratios)
+    elif alpha == 0:
+        assert set(ratios) == {1}
+    else:
+        assert all(x < 1 + alpha for x in ratios)
 
 
 # ------------------------------------------- row-at-a-time float reference
@@ -570,9 +619,15 @@ def test_verify_matrix_success():
     assert report.entries_checked == 2500
 
 
-def test_verify_matrix_without_closed_form():
-    with pytest.raises(NoClosedFormError):
-        verify_matrix(AuctionVariant.all_pay(ValueModel.SET01, F(1, 2)), 10)
+@pytest.mark.parametrize("variant", FRACTIONAL_BINOMIAL, ids=_alpha_id)
+def test_verify_matrix_at_a_fractional_alpha(variant):
+    # The binomial sums are checked exactly at side 60; the memo is bypassed.
+    before = matrices._binomial_memo.cache_info().currsize
+    report = verify_matrix(variant, 60)
+    assert report.ok, report.summary()
+    assert report.entries_checked == (60 * 61 // 2 if variant.is_triangular else 3600)
+    assert report.summary().endswith(f"{report.entries_checked} entries match closed form")
+    assert matrices._binomial_memo.cache_info().currsize == before
 
 
 def test_verify_report_mismatch_summary():
@@ -641,8 +696,13 @@ def test_entry_rejects_countdowns_that_are_not_ints(i, j):
 def test_closed_form_rejects_bad_states():
     with pytest.raises(DomainError):
         closed_form(FP_SET01, 0, 3)
-    with pytest.raises(NoClosedFormError):
-        closed_form(AuctionVariant.all_pay(ValueModel.FIXED1, F(2, 3)), 2, 2)
+    two_thirds = AuctionVariant.all_pay(ValueModel.FIXED1, F(2, 3))
+    with pytest.raises(DomainError):
+        closed_form(two_thirds, 2, 0)
+    # A fractional alpha answers up to the exact ceiling, and refuses past it before any work.
+    assert closed_form(two_thirds, MAX_EXACT_SIDE, MAX_EXACT_SIDE) > 0
+    err = _no_work(lambda: closed_form(two_thirds, 1, MAX_EXACT_SIDE + 1, exact=True))
+    assert str(err) == "matrix side 513 exceeds the exact ceiling of 512"
 
 
 @pytest.mark.parametrize("i, j", [(1.5, 2), (True, 2), (1, 2.0), (1, True)])

@@ -10,6 +10,7 @@ with it everywhere the reference can reach.
 import itertools
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -271,6 +272,28 @@ def test_win_rejects_turns_left_or_countdowns_that_are_no_ints_and_a_bool_budget
     with pytest.raises(DomainError, match=f"^{message}, got "):
         ev.win(remaining, i, j, a, 4)
     assert ev.nodes_expanded == 0
+
+
+@pytest.mark.parametrize("a", ["6", "5", None, Decimal(6)])
+def test_win_rejects_a_p1_budget_that_is_not_a_number(a):
+    # '6' used to parse as a budget and answer True, and '5' False.
+    ev = GridEvaluator(FP_SET01)
+    with pytest.raises(DomainError, match="^P1 budget must be a number of grid units, got "):
+        ev.win(3, 2, 2, a, 4)
+    assert ev.nodes_expanded == 0
+    assert ev.win(3, 2, 2, 6.0, 4) and ev.win(3, 2, 2, F(6), 4) and not ev.win(3, 2, 2, 5.0, 4)
+
+
+@pytest.mark.parametrize("bad", ["6", True, None, Decimal(6)])
+@pytest.mark.parametrize("field", ["b1", "b2", "grid_unit"])
+def test_oracle_instance_rejects_amounts_that_are_not_numbers(field, bad):
+    # b1='6' used to construct with b1 = 6, and b1=True with b1 = 1.
+    amounts = {"b1": 6, "b2": 4, "grid_unit": 1, field: bad}
+    with pytest.raises(DomainError, match=f"^{field} must be an int, Fraction or float, got "):
+        OracleInstance(FP_SET01, 3, **amounts)
+    inst = OracleInstance(FP_SET01, 3, 6.0, F(4), 0.5)
+    assert (inst.b1, inst.b2, inst.grid_unit) == (6, 4, F(1, 2))
+    assert all(type(x) is F for x in (inst.b1, inst.b2, inst.grid_unit))
 
 
 def test_search_rejects_a_negative_ceiling():

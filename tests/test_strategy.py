@@ -27,6 +27,7 @@ from multibattle import (
     observe_outcome,
     optimal_bid_fraction,
     run_game,
+    verify_matrix,
 )
 from multibattle import matrices
 from multibattle.core import GameDecidedError, UnwinnableStateError
@@ -118,15 +119,17 @@ def test_next_bid_rejects_a_turn_value_that_is_not_an_int(value):
 
 
 def test_fresh_state_builds_matrix_only_when_needed():
-    """A state holds no matrix; only a variant with no closed form fills a table, sized by the game."""
+    """A state holds no matrix; only a fractional alpha reads through the memo, one entry a read."""
     assert StrategyState._fields == ("variant", "tracked_opponent_budget", "countdown")
-    matrices._TABLES.clear()
+    memo = matrices._binomial_memo
+    assert memo.cache_info().maxsize == 1 << 14
+    memo.cache_clear()
     StrategyState.fresh(FP_SET01, 9, 1)
     StrategyState.fresh(AP_SET01, 9, 1)
-    assert matrices._TABLES == {}
+    assert memo.cache_info().currsize == 0
     half = AuctionVariant.all_pay(ValueModel.SET01, F(1, 2))
     StrategyState.fresh(half, 9, 1)
-    assert {key: len(rows) - 1 for key, rows in matrices._TABLES.items()} == {(True, 1, 2): 5}
+    assert memo.cache_info().currsize == 1
     with pytest.raises(ResourceError, match="^matrix side 513 exceeds the exact ceiling of 512$"):
         StrategyState.fresh(half, 2 * MAX_EXACT_SIDE + 1, 1)
     with pytest.raises(DomainError):
@@ -134,18 +137,23 @@ def test_fresh_state_builds_matrix_only_when_needed():
 
 
 def test_a_small_game_leaves_no_large_table():
-    """A T=5 game at an alpha nothing else reads keeps one side-3 table, a few kB."""
+    """A T=5 game at an alpha nothing else reads memoizes a few small pairs; a verify sweep adds none."""
     variant = AuctionVariant.all_pay(ValueModel.FIXED1, F(3, 11))
     config = GameConfig(variant, 5)
     budget = obr(variant, 5, exact=True)
+    memo = matrices._binomial_memo
+    memo.cache_clear()
     tracemalloc.start()
     try:
         run_game(config, budget, StrategyPolicy(), AllInAdversary())
         kept, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(matrices._TABLES[False, 3, 11]) - 1 == 3
+    assert 0 < memo.cache_info().currsize <= 2 * 5
     assert kept < 20_000, kept
+    before = memo.cache_info()
+    assert verify_matrix(variant, 30).ok
+    assert memo.cache_info() == before
 
 
 def test_observe_first_price_loss_charges_my_bid():
