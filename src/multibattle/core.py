@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from math import isfinite
 from typing import NamedTuple
 
 
@@ -140,6 +141,13 @@ def check_countdowns(i: int, j: int) -> None:
         raise DomainError(f"countdowns must be ints, got ({i!r}, {j!r})")
 
 
+def finite_fraction(x: Numeric, name: str) -> Fraction:
+    """``Fraction(x)``; DomainError, naming ``name``, for a float nan or infinity, which no Fraction holds."""
+    if isinstance(x, float) and not isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x!r}")
+    return Fraction(x)
+
+
 def as_fraction(x: Numeric) -> Fraction:
     """``x`` itself when it is a Fraction, else its exact Fraction."""
     return x if type(x) is Fraction else Fraction(x)
@@ -206,7 +214,7 @@ class AuctionVariant:
     def __post_init__(self):
         if not (isinstance(self.pricing, Pricing) and isinstance(self.values, ValueModel)):
             raise DomainError(f"need a Pricing and a ValueModel, got {self.pricing!r} and {self.values!r}")
-        alpha = Fraction(self.alpha)
+        alpha = finite_fraction(self.alpha, "alpha")
         object.__setattr__(self, "alpha", alpha)
         if not 0 <= alpha <= 1:
             raise DomainError(f"alpha must lie in [0, 1], got {alpha}")
@@ -222,7 +230,7 @@ class AuctionVariant:
 
     @classmethod
     def all_pay(cls, values: ValueModel, alpha: Numeric = 1) -> "AuctionVariant":
-        return cls(Pricing.ALL_PAY, values, Fraction(alpha))
+        return cls(Pricing.ALL_PAY, values, alpha)
 
     @property
     def short_name(self) -> str:

@@ -19,9 +19,8 @@ winning and losing the turn at the optimal bid fraction:
 
 Closed forms exist at every alpha: O(1) at alpha in {0, 1}, binomial
 sums of O(j) terms elsewhere (``_binomial_pair``); ``verify_matrix``
-checks the recurrence against them exactly. At other alphas the float
-``obr`` and ``handicap_obr`` run the recurrence in O(n) memory, eight
-rows per pass over the columns.
+checks the recurrence against them exactly. A float read at another
+alpha is the exact pair divided once, so it rounds correctly.
 
 Exact values are reduced integer pairs ``(num, den)`` with a positive
 denominator, not ``Fraction`` objects. With left = ln/ld, up = un/ud and
@@ -37,11 +36,11 @@ leaves this module; CSV and JSON format each row as it is filled.
 ``entry_pair`` is the strategy's one reader of x: the O(1) closed form,
 else the binomial sums behind a memo of at most 16384 entries.
 
-A fill is O(n^2) entries, so ``build_matrix``, the CSV and JSON streams,
-the float ``obr`` and ``handicap_obr`` and ``verify_matrix`` refuse a
-side above ``MAX_EXACT_SIDE`` (exact) or ``MAX_FLOAT_SIDE`` (float) with
-ResourceError, before allocating anything; the binomial sums refuse
-max(i, j) above ``MAX_EXACT_SIDE`` the same way.
+A fill is O(n^2) entries, so ``build_matrix``, the CSV and JSON streams
+and ``verify_matrix`` refuse a side above ``MAX_EXACT_SIDE`` (exact) or
+``MAX_FLOAT_SIDE`` (float) with ResourceError, before allocating
+anything; the binomial sums refuse max(i, j) above the same ceilings the
+same way.
 
 The fixed-value all-pay matrix at general alpha extends the same
 indifference argument; ``verify_matrix`` checks it exactly. At alpha =
@@ -191,49 +190,6 @@ def _float_rows(variant: AuctionVariant, n: int):
         above = row
 
 
-def _float_row(variant: AuctionVariant, n: int, i: int) -> list:
-    """Row i of the n-column float matrix: the list ``_float_rows`` yields at index i.
-
-    Advances eight rows per pass over the columns and keeps only the last
-    of them as a list: the other seven live in the running values l0..l6,
-    each row's entry computed from the one above it exactly as in
-    ``_float_rows``, so every float is the same. The first i % 8 rows
-    come from ``_float_rows`` itself.
-    """
-    keep = 1 - float(variant.alpha)  # loser keeps this share of a bid
-    above = next(islice(_float_rows(variant, n), i % 8, None))
-    for r in range(i % 8 + 1, i + 1, 8):  # rows r..r+7; this row becomes r+7
-        if variant.is_triangular:
-            # Row r+m starts on its diagonal, 1 + (row r+m-1)[r+m]: each column
-            # r..r+7 advances the rows started so far, then starts the next.
-            started = []
-            for up in above[r:r + 8]:
-                for m, left in enumerate(started):
-                    up = started[m] = up + (left - up) / (left + keep)
-                started.append(1 + up)
-            l0, l1, l2, l3, l4, l5, l6, l7 = started
-            row = [0.0] * (r + 7)
-            row.append(l7)
-            start = r + 8
-        else:
-            l0, l1, l2, l3, l4, l5, l6, l7 = map(float, range(r, r + 8))
-            row = [0.0, l7]
-            start = 2
-        append = row.append
-        for up in islice(above, start, None):
-            l0 = up + (l0 - up) / (l0 + keep)
-            l1 = l0 + (l1 - l0) / (l1 + keep)
-            l2 = l1 + (l2 - l1) / (l2 + keep)
-            l3 = l2 + (l3 - l2) / (l3 + keep)
-            l4 = l3 + (l4 - l3) / (l4 + keep)
-            l5 = l4 + (l5 - l4) / (l5 + keep)
-            l6 = l5 + (l6 - l5) / (l6 + keep)
-            l7 = l6 + (l7 - l6) / (l7 + keep)
-            append(l7)
-        above = row
-    return above
-
-
 def _pair_rows(variant: AuctionVariant, n: int):
     """Yield rows 0..n exactly, each as (numerators, denominators) of reduced pairs.
 
@@ -375,8 +331,9 @@ def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) ->
     fixed, alpha=1:   (i + j - 1) / j
 
     First-price is alpha = 0. Other alphas take ``_binomial_pair``'s sums
-    and raise ResourceError for max(i, j) above ``MAX_EXACT_SIDE``. Floats
-    round the exact value once. Triangular variants return UNWINNABLE for i > j.
+    and raise ResourceError for max(i, j) above ``MAX_EXACT_SIDE`` (exact) or
+    ``MAX_FLOAT_SIDE`` (float). Floats round the exact value once, at every
+    alpha. Triangular variants return UNWINNABLE for i > j.
     Countdowns that are not ints (bools included) raise DomainError.
     """
     if i.__class__ is not int or j.__class__ is not int:  # inline: solve's hot path
@@ -384,7 +341,7 @@ def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) ->
     if i < 1 or j < 1:
         raise DomainError(f"closed form needs i, j >= 1, got ({i}, {j})")
     if not variant.has_closed_form:
-        _check_side(max(i, j), True)
+        _check_side(max(i, j), exact)
     if variant.is_triangular and i > j:
         return UNWINNABLE
     num, den = closed_form_pair(variant, i, j)
@@ -413,10 +370,7 @@ def handicap_obr(variant: AuctionVariant, turns: int, k: int, exact: bool = Fals
     j = ceil_div(turns + k, 2)
     if i <= 0:
         return Fraction(0) if exact else 0.0
-    if exact or variant.has_closed_form:
-        return closed_form(variant, i, j, exact=exact)
-    _check_side(j, False)
-    return _float_row(variant, j, i)[j]
+    return closed_form(variant, i, j, exact=exact)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .core import (
     ResourceError,
     check_countdowns,
     check_turns,
+    finite_fraction,
 )
 
 
@@ -93,7 +94,7 @@ class GridEvaluator:
             return a * self._d
         if not isinstance(a, (Fraction, float)):
             raise DomainError(f"P1 budget must be a number of grid units, got {a!r}")
-        scaled = Fraction(a) * self._d
+        scaled = finite_fraction(a, "P1 budget") * self._d
         if scaled.denominator != 1:
             raise DomainError(f"P1 budget {a} is not a multiple of 1/{self._d} grid unit")
         return scaled.numerator
@@ -224,7 +225,7 @@ class OracleInstance:
             x = getattr(self, name)
             if x.__class__ is bool or not isinstance(x, (int, Fraction, float)):
                 raise DomainError(f"{name} must be an int, Fraction or float, got {x!r}")
-            object.__setattr__(self, name, Fraction(x))
+            object.__setattr__(self, name, finite_fraction(x, name))
         check_turns(self.turns)
         if self.grid_unit <= 0:
             raise DomainError("grid_unit must be positive")

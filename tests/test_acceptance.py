@@ -239,6 +239,24 @@ def test_criterion_10_performance_and_determinism():
     )
 
 
+def test_criterion_11_float_obr_at_a_fractional_alpha():
+    # One float read of x[2048][2048] sums O(h) binomial terms; the recurrence
+    # it replaced filled 2048 rows. 0.3 as a float has a 55-bit denominator.
+    times = []
+    for alpha in (F(1, 3), F(0.3)):
+        variant = AuctionVariant.all_pay(ValueModel.SET01, alpha)
+        t0 = time.perf_counter()
+        x = obr(variant, 4096)
+        times.append(time.perf_counter() - t0)
+        assert 3 < x < 3 + alpha
+    check(
+        11,
+        max(times) < 0.5,
+        "float obr at T=4096, ap-set, alpha in {1/3, 0.3 as a float}: "
+        + ", ".join(f"{t:.3f}s" for t in times) + " (limit 0.5s each)",
+    )
+
+
 # Every criterion the module defines, in number order, so none is left out of
 # the standalone run.
 _CRITERIA = [fn for name, fn in sorted(globals().items()) if name.startswith("test_criterion_")]

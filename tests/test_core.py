@@ -188,6 +188,15 @@ def test_variant_rejects_a_pricing_or_value_model_of_another_type(pricing, value
         AuctionVariant(pricing, values)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")], ids=repr)
+def test_variant_rejects_an_alpha_that_is_not_finite(alpha):
+    # nan used to escape as "cannot convert NaN to integer ratio", a bare ValueError.
+    for make in (lambda: AuctionVariant.all_pay(ValueModel.SET01, alpha),
+                 lambda: AuctionVariant(Pricing.ALL_PAY, ValueModel.FIXED1, alpha)):
+        with pytest.raises(DomainError, match=f"^alpha must be finite, got {alpha!r}$"):
+            make()
+
+
 _DERIVED_VARIANTS = [
     FP_SET01, FP_FIXED1, AP_SET01, AP_FIXED1,
     AuctionVariant.all_pay(ValueModel.SET01, 0),

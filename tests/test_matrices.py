@@ -33,7 +33,6 @@ from multibattle.matrices import (
     MAX_FLOAT_SIDE,
     MatrixVerifyReport,
     _binomial_pair,
-    _float_row,
     _pair_rows,
     entry_pair,
 )
@@ -207,7 +206,7 @@ def test_float_mode_tracks_exact_mode():
 
 @pytest.mark.parametrize("variant", FRACTIONAL_VARIANTS, ids=["ap-set-third", "ap-fixed-half"])
 def test_obr_without_closed_form_runs_in_linear_memory(variant):
-    # Two rows of h = 400 floats; the full 400 x 400 matrix would peak at 3-5 MB.
+    # The binomial sums at h = 400 hold a few big ints; the full 400 x 400 float matrix would peak at 3-5 MB.
     tracemalloc.start()
     try:
         obr(variant, 800)
@@ -415,7 +414,7 @@ def test_exact_obr_is_nondecreasing_and_bounded_up_to_400_turns(variant):
 
 
 def _float_reference_rows(variant, n):
-    """Rows 0..n of the float recurrence one row at a time: the reference for ``_float_row``."""
+    """Rows 0..n of the float recurrence one row at a time: the reference for ``build_matrix``'s float fill."""
     keep = 1 - float(variant.alpha)
     above = [0.0] * (n + 1)
     yield above
@@ -447,19 +446,6 @@ FLOAT_ROW_VARIANTS = [
 ]
 
 
-def _bits(row):
-    """Each entry's exact bits; raises TypeError on anything but a float."""
-    return list(map(float.hex, row))
-
-
-@pytest.mark.parametrize("variant", FLOAT_ROW_VARIANTS)
-def test_float_row_matches_the_row_at_a_time_fill(variant):
-    # Every n mod 4 tail, and value-set blocks that start anywhere on the diagonal.
-    for n in [*range(1, 41), 97, 128]:
-        for i, want in enumerate(_float_reference_rows(variant, n)):
-            assert _bits(_float_row(variant, n, i)) == _bits(want), (n, i)
-
-
 @pytest.mark.parametrize("variant", FLOAT_ROW_VARIANTS)
 def test_stored_float_matrix_matches_the_row_at_a_time_fill(variant):
     for n in [*range(1, 42), 97, 128]:
@@ -483,18 +469,28 @@ def test_stored_float_matrix_matches_the_row_at_a_time_fill(variant):
         assert json.dumps(m.to_json_dict()) == json.dumps(doc), n
 
 
-@pytest.mark.parametrize("variant", FLOAT_ROW_VARIANTS[4:])
-def test_float_obr_matches_the_row_at_a_time_fill(variant):
-    # Entry (i, j) depends on columns <= j only, so one fill of side 103
-    # covers every (i, j) below with T <= 201 and k <= 5.
-    rows = list(_float_reference_rows(variant, 103))
-    for turns in [*range(1, 41), *range(41, 202, 8)]:
-        h = -(-turns // 2)
-        assert repr(obr(variant, turns)) == repr(rows[h][h]), turns
+# The fractional FLOAT_ROW_VARIANTS, plus both value models at a 17-bit denominator.
+FLOAT_OBR_VARIANTS = FLOAT_ROW_VARIANTS[4:] + [
+    pytest.param(AuctionVariant.all_pay(values, F(12345, 65536)), id=f"{name}-12345/65536")
+    for values, name in ((ValueModel.SET01, "ap-set"), (ValueModel.FIXED1, "ap-fixed"))
+]
+
+
+@pytest.mark.parametrize("variant", FLOAT_OBR_VARIANTS)
+def test_float_obr_rounds_the_exact_one(variant):
+    for turns in [*range(1, 202), *range(209, 1025, 8)]:
+        assert obr(variant, turns).hex() == float(obr(variant, turns, exact=True)).hex(), turns
         for k in range(6):
-            i, j = -(-(turns - k) // 2), -(-(turns + k) // 2)
-            want = rows[i][j] if i > 0 else 0.0
-            assert repr(handicap_obr(variant, turns, k)) == repr(want), (turns, k)
+            want = float(handicap_obr(variant, turns, k, exact=True))
+            assert handicap_obr(variant, turns, k).hex() == want.hex(), (turns, k)
+
+
+@pytest.mark.parametrize("alpha", [F(1, 3), F(0.3)], ids=["third", "float-0.3"])
+def test_float_closed_form_answers_at_the_float_ceiling(alpha):
+    for values in (ValueModel.SET01, ValueModel.FIXED1):
+        variant = AuctionVariant.all_pay(values, alpha)
+        num, den = _binomial_pair(variant.is_triangular, *variant.alpha_pair, MAX_FLOAT_SIDE, MAX_FLOAT_SIDE)
+        assert closed_form(variant, MAX_FLOAT_SIDE, MAX_FLOAT_SIDE).hex() == (num / den).hex()
 
 
 # ------------------------------------------------------------------- ceiling
@@ -531,7 +527,7 @@ def test_fills_refuse_a_side_above_the_ceiling():
     _no_work(lambda: obr(third, 2 * MAX_FLOAT_SIDE + 1))
     _no_work(lambda: obr(third, 2 * MAX_EXACT_SIDE + 1, exact=True))
     _no_work(lambda: handicap_obr(third, 2 * MAX_FLOAT_SIDE - 1, 3))
-    # At the ceiling the rolling float fill still runs; closed forms have none.
+    # At the ceiling the float closed form still answers; the O(1) ones have none.
     assert obr(third, 2 * MAX_FLOAT_SIDE) > 0
     assert obr(FP_SET01, 10**6, exact=True) == closed_form(FP_SET01, 5 * 10**5, 5 * 10**5, exact=True)
 
@@ -703,6 +699,9 @@ def test_closed_form_rejects_bad_states():
     assert closed_form(two_thirds, MAX_EXACT_SIDE, MAX_EXACT_SIDE) > 0
     err = _no_work(lambda: closed_form(two_thirds, 1, MAX_EXACT_SIDE + 1, exact=True))
     assert str(err) == "matrix side 513 exceeds the exact ceiling of 512"
+    # Floats answer up to the float ceiling, and refuse past it the same way.
+    err = _no_work(lambda: closed_form(two_thirds, 1, MAX_FLOAT_SIDE + 1))
+    assert str(err) == "matrix side 2049 exceeds the float ceiling of 2048"
 
 
 @pytest.mark.parametrize("i, j", [(1.5, 2), (True, 2), (1, 2.0), (1, True)])

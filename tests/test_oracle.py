@@ -296,6 +296,26 @@ def test_oracle_instance_rejects_amounts_that_are_not_numbers(field, bad):
     assert all(type(x) is F for x in (inst.b1, inst.b2, inst.grid_unit))
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("a", NON_FINITE, ids=repr)
+def test_win_rejects_a_p1_budget_that_is_not_finite(a):
+    # nan used to escape as a bare ValueError, and inf as an OverflowError.
+    ev = GridEvaluator(FP_SET01)
+    with pytest.raises(DomainError, match=f"^P1 budget must be finite, got {a!r}$"):
+        ev.win(3, 2, 2, a, 4)
+    assert ev.nodes_expanded == 0
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("field", ["b1", "b2", "grid_unit"])
+def test_oracle_instance_rejects_amounts_that_are_not_finite(field, bad):
+    amounts = {"b1": 6, "b2": 4, "grid_unit": 1, field: bad}
+    with pytest.raises(DomainError, match=f"^{field} must be finite, got {bad!r}$"):
+        OracleInstance(FP_SET01, 3, **amounts)
+
+
 def test_search_rejects_a_negative_ceiling():
     # A negative ceiling used to raise ResourceError ("raise the ceiling"), the exit-2 class.
     for ceiling in (-1, F(-1, 2)):
