@@ -14,16 +14,18 @@ clinch the game, and symmetrically for P2. A countdown of zero means that
 player has already won (P1 checked first, consistent with the tie rules).
 
 Turn arithmetic runs on integer pairs. Budgets and bids are reduced
-``Fraction``s, and the helpers below work on their ``numerator`` and
-``denominator``: ``affordable`` and ``at_least`` compare by
+``Fraction``s, and the helpers below read each one's pair once with
+``as_integer_ratio()`` (``numerator`` and ``denominator`` are a Python
+property each): ``affordable`` and ``at_least`` compare by
 cross-multiplying, and ``paid`` takes a payment n/d off a budget bn/bd
 as one ``Fraction(bn*d - n*bd, bd*d)``. A new ``Fraction`` is made only
-for a value that leaves a function: ``as_fraction`` wraps a bid given as
-an int or float once (a ``Fraction`` passes through), ``paid`` makes
-each new budget, and the strategy makes its bid from the bid-fraction
-pair times the tracked budget. ``Fraction`` operators dispatch through
-the ``numbers`` ABCs and re-normalise every result; at the sizes a game
-reaches, that costs more than the integer work.
+for a value that leaves a function: ``as_fraction`` wraps an int or a
+finite float once (a ``Fraction`` passes through), ``paid`` makes each
+new budget, and the strategy makes its bid from the bid-fraction pair
+times the tracked budget; a zero bid or clamped budget is the shared
+``ZERO``. ``Fraction`` operators dispatch through the ``numbers`` ABCs
+and re-normalise every result; at the sizes a game reaches, that costs
+more than the integer work.
 
 The records a turn makes (``CountdownPair``, ``GameState``,
 ``TurnRecord``, and the strategy's ``StrategyState``) are
@@ -31,7 +33,10 @@ The records a turn makes (``CountdownPair``, ``GameState``,
 frozen dataclasses, whose ``__init__`` sets each field through
 ``object.__setattr__``. Being tuples, they also compare equal to plain
 tuples of the same fields. The two validating ones check their fields
-in ``__new__`` on a thin subclass.
+in ``__new__`` on a thin subclass (``_replace`` included). Where that
+check cannot fail, a record is built with ``tuple.__new__``: the
+countdown pairs of ``countdown_for`` and ``observe_outcome``, clamped at
+zero, and ``TurnRecord`` and ``StrategyState``, which check nothing.
 Each turn is checked once: ``settle_turn`` checks the value, the turn
 count and both bids, then calls ``_settle``, the one copy of the
 payment, score and countdown step; ``run_game`` makes the same checks
@@ -148,29 +153,36 @@ def finite_fraction(x: Numeric, name: str) -> Fraction:
     return Fraction(x)
 
 
-def as_fraction(x: Numeric) -> Fraction:
-    """``x`` itself when it is a Fraction, else its exact Fraction."""
-    return x if type(x) is Fraction else Fraction(x)
+def as_fraction(x: Numeric, name: str = "amount") -> Fraction:
+    """``x`` itself when it is a Fraction, else ``finite_fraction(x, name)``."""
+    return x if type(x) is Fraction else finite_fraction(x, name)
+
+
+ZERO = Fraction(0)  # Fractions are immutable, so every zero bid can be this one
 
 
 def affordable(bid: Fraction, budget: Fraction) -> bool:
     """Whether ``0 <= bid <= budget``; both are Fractions or ints."""
-    n = bid.numerator
-    return n >= 0 and n * budget.denominator <= budget.numerator * bid.denominator
+    n, d = bid.as_integer_ratio()
+    bn, bd = budget.as_integer_ratio()
+    return n >= 0 and n * bd <= bn * d
 
 
 def at_least(a: Fraction, b: Fraction) -> bool:
     """Whether ``a >= b``; both are Fractions or ints."""
-    return a.numerator * b.denominator >= b.numerator * a.denominator
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return an * bd >= bn * ad
 
 
 def paid(budget: Fraction, amount: Fraction, an: int = 1, ad: int = 1) -> Fraction:
     """``budget - (an/ad) * amount`` as one Fraction; ``budget`` itself when nothing is paid."""
-    n = an * amount.numerator
+    n, d = amount.as_integer_ratio()
+    n *= an
     if not n:
         return budget
-    d = ad * amount.denominator
-    bn, bd = budget.numerator, budget.denominator
+    d *= ad
+    bn, bd = budget.as_integer_ratio()
     return Fraction(bn * d - n * bd, bd * d)
 
 
@@ -254,7 +266,7 @@ class GameConfig:
     budget_p2: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "budget_p2", Fraction(self.budget_p2))
+        object.__setattr__(self, "budget_p2", finite_fraction(self.budget_p2, "budget_p2"))
         if not isinstance(self.variant, AuctionVariant):
             raise DomainError(f"variant must be an AuctionVariant, got {self.variant!r}")
         check_turns(self.turns)
@@ -294,11 +306,13 @@ def countdown_for(turns: int, turn_index: int, score_p1: int, score_p2: int) -> 
 
     The maximum combined score still achievable is the points already scored
     plus one per remaining turn; each player needs the majority of that.
-    Values are clamped at zero (a negative need means the game is over).
+    Values are clamped at zero (a negative need means the game is over),
+    so the pair skips ``CountdownPair.__new__``, whose one check is that.
     """
     achievable = score_p1 + score_p2 + (turns - turn_index)
-    h = ceil_div(achievable, 2) if achievable > 0 else 0
-    return CountdownPair(max(0, h - score_p1), max(0, h - score_p2))
+    h = (achievable + 1) // 2 if achievable > 0 else 0
+    i, j = h - score_p1, h - score_p2
+    return tuple.__new__(CountdownPair, (i if i > 0 else 0, j if j > 0 else 0))
 
 
 class _GameState(NamedTuple):
@@ -317,7 +331,11 @@ class GameState(_GameState):
 
     def __new__(cls, budget_p1, budget_p2, score_p1, score_p2, turn_index, countdown):
         for b in (budget_p1, budget_p2):
-            if (b.numerator if type(b) is Fraction else b) < 0:
+            if type(b) is Fraction:
+                b = b.numerator
+            elif isinstance(b, float):
+                b = finite_fraction(b, "budget")
+            if b < 0:
                 raise DomainError("budgets must be nonnegative")
         if score_p1 < 0 or score_p2 < 0:
             raise DomainError("scores must be nonnegative")
@@ -330,7 +348,7 @@ class GameState(_GameState):
 
 
 def initial_state(config: GameConfig, budget_p1: Numeric) -> GameState:
-    b1 = Fraction(budget_p1)
+    b1 = finite_fraction(budget_p1, "budget_p1")
     if b1 < 0:
         raise DomainError("budget_p1 must be nonnegative")
     return GameState(
@@ -363,8 +381,8 @@ def settle_turn(
         raise DomainError("fixed-value contests only auction value-1 objects")
     if state.turn_index >= config.turns:
         raise GameDecidedError("all turns already played")
-    bid_p1 = as_fraction(bid_p1)
-    bid_p2 = as_fraction(bid_p2)
+    bid_p1 = as_fraction(bid_p1, "P1 bid")
+    bid_p2 = as_fraction(bid_p2, "P2 bid")
     if not affordable(bid_p1, as_fraction(state.budget_p1)):
         raise OverbidError(f"P1 bid {bid_p1} outside [0, {state.budget_p1}]")
     if not affordable(bid_p2, as_fraction(state.budget_p2)):
@@ -389,16 +407,18 @@ def _settle(
     bids capped at P1's budget or checked against P2's).
     """
     an, ad = config.variant.alpha_pair
-    b1 = as_fraction(state.budget_p1)
-    b2 = as_fraction(state.budget_p2)
-    s1, s2 = state.score_p1, state.score_p2
+    b1, b2, s1, s2, idx, _ = state
+    if type(b1) is not Fraction:
+        b1 = as_fraction(b1)
+    if type(b2) is not Fraction:
+        b2 = as_fraction(b2)
     if p1_wins:
         b1, b2 = paid(b1, bid_p1), paid(b2, bid_p2, an, ad)
         s1 += value
     else:
         b1, b2 = paid(b1, bid_p1, an, ad), paid(b2, bid_p2)
         s2 += value
-    idx = state.turn_index + 1
+    idx += 1
     return GameState(b1, b2, s1, s2, idx, countdown_for(config.turns, idx, s1, s2))
 
 

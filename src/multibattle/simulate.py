@@ -32,10 +32,12 @@ from .core import (
     ResourceError,
     TurnRecord,
     UnwinnableStateError,
+    ZERO,
     _settle,
     affordable,
     as_fraction,
     at_least,
+    finite_fraction,
     initial_state,
     settle_turn,
     winner_if_decided,
@@ -46,7 +48,7 @@ from .matrices import build_matrix  # noqa: F401
 from .oracle import GridEvaluator
 from .strategy import StrategyState, next_bid, observe_outcome, optimal_bid_fraction  # noqa: F401
 
-# run_game keeps one TurnRecord, about 0.4 KB, per turn played.
+# run_game keeps one TurnRecord per turn played: about 0.35 KB with its amounts.
 MAX_GAME_TURNS = 100_000
 # The sweep recurses one frame per turn; this leaves its callers room under
 # CPython's default limit of 1000 frames.
@@ -62,8 +64,9 @@ def _policy_bid(s: StrategyState, value: int, budget: Fraction) -> Fraction:
     try:
         bid = next_bid(s, value)
     except (GameDecidedError, UnwinnableStateError):
-        return Fraction(0)
-    budget = as_fraction(budget)
+        return ZERO
+    if type(budget) is not Fraction:
+        budget = as_fraction(budget)
     return bid if at_least(budget, bid) else budget
 
 
@@ -97,14 +100,14 @@ class AllInAdversary:
         return 1
 
     def choose_bid(self, state: GameState, value: int, p1_bid: Fraction, rng) -> Fraction:
-        return state.budget_p2 if value == 1 else Fraction(0)
+        return state.budget_p2 if value == 1 else ZERO
 
 
 class MatchPlusEpsilonAdversary:
     """Outbids P1 by a fixed epsilon whenever it can afford to."""
 
     def __init__(self, epsilon: Numeric = Fraction(1, 100)):
-        self.epsilon = Fraction(epsilon)
+        self.epsilon = finite_fraction(epsilon, "epsilon")
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
 
@@ -116,11 +119,11 @@ class MatchPlusEpsilonAdversary:
 
     def choose_bid(self, state: GameState, value: int, p1_bid: Fraction, rng) -> Fraction:
         if value == 0:
-            return Fraction(0)
-        p, e = as_fraction(p1_bid), self.epsilon
-        pn, pd, en, ed = p.numerator, p.denominator, e.numerator, e.denominator
+            return ZERO
+        pn, pd = as_fraction(p1_bid).as_integer_ratio()
+        en, ed = self.epsilon.as_integer_ratio()
         raised = Fraction(pn * ed + en * pd, pd * ed)
-        return raised if at_least(state.budget_p2, raised) else Fraction(0)
+        return raised if at_least(state.budget_p2, raised) else ZERO
 
 
 class RandomSeededAdversary:
@@ -145,8 +148,8 @@ class RandomSeededAdversary:
 
     def choose_bid(self, state: GameState, value: int, p1_bid: Fraction, rng) -> Fraction:
         d = self.bid_denominator
-        b = as_fraction(state.budget_p2)
-        return Fraction(rng.randint(0, d) * b.numerator, d * b.denominator)
+        bn, bd = as_fraction(state.budget_p2).as_integer_ratio()
+        return Fraction(rng.randint(0, d) * bn, d * bd)
 
 
 class OmnipotentAdversary:
@@ -161,7 +164,7 @@ class OmnipotentAdversary:
     """
 
     def __init__(self, grid_unit: Numeric | None = None):
-        self.grid_unit = None if grid_unit is None else Fraction(grid_unit)
+        self.grid_unit = None if grid_unit is None else finite_fraction(grid_unit, "grid_unit")
         if self.grid_unit is not None and self.grid_unit <= 0:
             raise DomainError("grid_unit must be positive")
         self._ev: GridEvaluator | None = None
@@ -193,15 +196,15 @@ class OmnipotentAdversary:
 
     def choose_bid(self, state: GameState, value: int, p1_bid: Fraction, rng) -> Fraction:
         if value == 0:
-            return Fraction(0)
-        if not self._p1_wins(settle_turn(self._config, state, 1, p1_bid, 0)):
-            return Fraction(0)
+            return ZERO
+        if not self._p1_wins(settle_turn(self._config, state, 1, p1_bid, ZERO)):
+            return ZERO
         q = self._grid * (self._grid_steps(as_fraction(p1_bid)) + 1)
         if at_least(state.budget_p2, q) and not self._p1_wins(
             settle_turn(self._config, state, 1, p1_bid, q)
         ):
             return q
-        return Fraction(0)
+        return ZERO
 
 
 class _ScriptedAdversary:
@@ -218,7 +221,7 @@ class _ScriptedAdversary:
         return self._moves[self._at][0] if self._at < len(self._moves) else 1
 
     def choose_bid(self, state: GameState, value: int, p1_bid: Fraction, rng) -> Fraction:
-        q = self._moves[self._at][1] if self._at < len(self._moves) else Fraction(0)
+        q = self._moves[self._at][1] if self._at < len(self._moves) else ZERO
         self._at += 1
         return q
 
@@ -233,7 +236,7 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
     """
     if config.turns > MAX_GAME_TURNS:
         raise ResourceError(f"game of {config.turns} turns exceeds the playout ceiling of {MAX_GAME_TURNS} turns")
-    b1 = Fraction(budget_p1)
+    b1 = finite_fraction(budget_p1, "budget_p1")
     rng = random.Random(seed)
     state = initial_state(config, b1)
     p1.begin(config, b1)
@@ -254,24 +257,29 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
             value = p2.choose_value(state, rng)
             if value.__class__ is not int or value not in (0, 1):
                 raise DomainError(f"adversary chose invalid value {value!r}")
-        p_bid = as_fraction(p1.bid(state, value))
+        p_bid = p1.bid(state, value)
+        if type(p_bid) is not Fraction:
+            p_bid = as_fraction(p_bid, "P1 bid")
         if not affordable(p_bid, state.budget_p1):
             fault = FaultRecord(state.turn_index, P1, p_bid, state.budget_p1)
             winner, reason = P2, "fault"
             break
-        q_bid = as_fraction(p2.choose_bid(state, value, p_bid, rng))
+        q_bid = p2.choose_bid(state, value, p_bid, rng)
+        if type(q_bid) is not Fraction:
+            q_bid = as_fraction(q_bid, "P2 bid")
         if not affordable(q_bid, state.budget_p2):
             fault = FaultRecord(state.turn_index, P2, q_bid, state.budget_p2)
             winner, reason = P1, "fault"
             break
         # run_game has now made every check settle_turn makes: the value
         # above, the turn count in winner_if_decided, both bids here.
+        # TurnRecord checks nothing, so it is built without its __new__.
         p1_wins = at_least(p_bid, q_bid)
         new_state = _settle(config, state, value, p_bid, q_bid, p1_wins)
-        records.append(TurnRecord(
-            state.turn_index, value, p_bid, q_bid, P1 if p1_wins else P2,
-            new_state.budget_p1, new_state.budget_p2, new_state.score_p1, new_state.score_p2,
-        ))
+        left1, left2, score1, score2, _, _ = new_state
+        records.append(tuple.__new__(TurnRecord, (
+            state.turn_index, value, p_bid, q_bid, P1 if p1_wins else P2, left1, left2, score1, score2,
+        )))
         p1.observe(value, p_bid, p1_wins)
         state = new_state
     return GameTrace(
@@ -375,36 +383,32 @@ def exhaustive_adversary_check(
         decided = winner_if_decided(config, state)
         if decided is not None:
             return None if decided is Player.P1 else ()
-        b1, b2, tracked = state.budget_p1, state.budget_p2, policy.tracked_opponent_budget
-        key = (
-            b1.numerator, b1.denominator, b2.numerator, b2.denominator,
-            state.score_p1, state.score_p2, state.turn_index,
-            tracked.numerator, tracked.denominator,
-        )
+        b1, b2, s1, s2, idx, _ = state
+        key = (*b1.as_integer_ratio(), *b2.as_integer_ratio(), s1, s2, idx,
+               *policy.tracked_opponent_budget.as_integer_ratio())
         hit = memo.get(key, MISS)
         if hit is not MISS:
             return hit
         if len(memo) >= max_states:
             raise ResourceError(
                 f"exhaustive sweep exceeded {max_states} states "
-                f"(remaining={config.turns - state.turn_index}, "
-                f"scores {state.score_p1}-{state.score_p2})"
+                f"(remaining={config.turns - idx}, scores {s1}-{s2})"
             )
         # Settled by _settle, as in run_game, not re-checked by settle_turn: each
         # value is legal, a decided state has returned above, _policy_bid caps
         # P1's bid at its budget, and a beat bid q passes at_least(budget_p2, q).
         line = None
         for value in values:
-            p = _policy_bid(policy, value, state.budget_p1)
-            conceded = _settle(config, state, value, p, Fraction(0), True)
+            p = _policy_bid(policy, value, b1)
+            conceded = _settle(config, state, value, p, ZERO, True)
             sub = explore(conceded, observe_outcome(policy, value, p, True))
             if sub is not None:
-                line = ((value, Fraction(0)),) + sub
+                line = ((value, ZERO),) + sub
                 break
             if value:
                 # Beat P1 with the cheapest grid bid above its own; dearer ones are dominated.
                 q = _least_above(p, bound)
-                if at_least(state.budget_p2, q):
+                if at_least(b2, q):
                     sub = explore(_settle(config, state, 1, p, q, False), observe_outcome(policy, 1, p, False))
                     if sub is not None:
                         line = ((1, q),) + sub

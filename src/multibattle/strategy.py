@@ -34,9 +34,11 @@ from .core import (
     GameDecidedError,
     Numeric,
     UnwinnableStateError,
+    ZERO,
     as_fraction,
     check_countdowns,
     check_turns,
+    finite_fraction,
     paid,
 )
 from .matrices import entry_pair
@@ -89,22 +91,25 @@ class StrategyState(NamedTuple):
         check_turns(turns)
         countdown = CountdownPair.fresh(turns)
         entry_pair(variant, countdown.i, countdown.j)
-        return cls(variant, Fraction(opponent_budget), countdown)
+        return cls(variant, finite_fraction(opponent_budget, "opponent_budget"), countdown)
 
 
 def next_bid(state: StrategyState, turn_value: int) -> Fraction:
     """The policy's bid for a turn of the given value.
 
-    Zero-value turns get a zero bid; there is nothing at stake and
-    spending would only erode the guarantee.
+    Zero-value turns get a zero bid (the shared ``ZERO``); there is nothing
+    at stake and spending would only erode the guarantee.
     """
     if turn_value.__class__ is not int or turn_value not in (0, 1):
         raise DomainError(f"turn value must be 0 or 1, got {turn_value!r}")
     if turn_value == 0:
-        return Fraction(0)
-    num, den = _bid_fraction_pair(state.variant, state.countdown.i, state.countdown.j)
-    b = as_fraction(state.tracked_opponent_budget)
-    return Fraction(num * b.numerator, den * b.denominator)
+        return ZERO
+    variant, b, (i, j) = state
+    num, den = _bid_fraction_pair(variant, i, j)
+    if type(b) is not Fraction:
+        b = as_fraction(b)
+    bn, bd = b.as_integer_ratio()
+    return Fraction(num * bn, den * bd)
 
 
 def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_won: bool) -> StrategyState:
@@ -119,15 +124,20 @@ def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_wo
     nothing), so the tracked budget stays; P1's own bid after a P1 loss
     (she had to beat it and pays it in full), so the tracked budget drops
     by it, clamped at zero, whatever P2 actually bid.
+
+    The turn value is checked as in ``next_bid``. Both records skip
+    ``__new__`` (see ``core``): the countdown dropped is clamped at zero.
     """
-    cd = state.countdown
-    if turn_value == 1 and i_won:
-        cd = CountdownPair(max(0, cd.i - 1), cd.j)
-    elif turn_value == 1:
-        cd = CountdownPair(cd.i, max(0, cd.j - 1))
-    b = as_fraction(state.tracked_opponent_budget)
+    if turn_value.__class__ is not int or turn_value not in (0, 1):
+        raise DomainError(f"turn value must be 0 or 1, got {turn_value!r}")
+    variant, b, cd = state
+    if turn_value:
+        i, j = cd
+        cd = tuple.__new__(CountdownPair, (i - 1 if i > 0 else 0, j) if i_won else (i, j - 1 if j > 0 else 0))
+    if type(b) is not Fraction:
+        b = as_fraction(b)
     if not i_won:
-        b = paid(b, as_fraction(my_bid))
+        b = paid(b, as_fraction(my_bid, "my_bid"))
         if b.numerator < 0:
-            b = Fraction(0)
-    return StrategyState(state.variant, b, cd)
+            b = ZERO
+    return tuple.__new__(StrategyState, (variant, b, cd))

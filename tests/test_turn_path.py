@@ -8,11 +8,18 @@ the differential reference, as are ``ref_match_bid`` and
 ``ref_random_bid`` for the two adversaries that now build their bids
 from pairs. ``run_game`` checks each turn once and settles it through
 ``core._settle``; its traces are replayed through ``settle_turn`` here.
+
+``countdown_for``, ``observe_outcome`` and ``run_game`` build their
+records with ``tuple.__new__``, skipping a ``__new__`` whose check cannot
+fail there; the tests at the end hold those records to their reference
+values and exact types, and check that ``_replace`` still validates.
 """
 
 import random
+import re
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +35,7 @@ from multibattle import (
     GameConfig,
     GameState,
     MatchPlusEpsilonAdversary,
+    OmnipotentAdversary,
     Player,
     RandomSeededAdversary,
     StrategyPolicy,
@@ -43,8 +51,8 @@ from multibattle import (
     settle_turn,
     winner_if_decided,
 )
-from multibattle.core import CountdownPair, GameDecidedError, OverbidError
-from multibattle.simulate import _policy_bid
+from multibattle.core import CountdownPair, GameDecidedError, OverbidError, TurnRecord, ceil_div
+from multibattle.simulate import _policy_bid, _ScriptedAdversary
 
 F = Fraction
 
@@ -266,3 +274,101 @@ def test_adversary_bids_match_the_fraction_reference(
     new = rand.choose_bid(state, value, p1_bid, random.Random(seed))
     ref = ref_random_bid(rand, state, random.Random(seed))
     assert (new, type(new)) == (ref, Fraction)
+
+
+def ref_countdown_for(turns, turn_index, score_p1, score_p2):
+    """``countdown_for`` through ``ceil_div``, ``max`` and the checking constructor."""
+    achievable = score_p1 + score_p2 + (turns - turn_index)
+    h = ceil_div(achievable, 2) if achievable > 0 else 0
+    return CountdownPair(max(0, h - score_p1), max(0, h - score_p2))
+
+
+def test_countdown_for_matches_the_ceil_div_reference():
+    for turns in range(1, 41):
+        for idx in range(turns + 2):  # one past the end: nothing achievable is left to split
+            for s1 in range(turns + 1):
+                for s2 in range(turns + 1):
+                    new = countdown_for(turns, idx, s1, s2)
+                    assert type(new) is CountdownPair
+                    assert new == ref_countdown_for(turns, idx, s1, s2), (turns, idx, s1, s2)
+
+
+class RecordingPolicy(StrategyPolicy):
+    """The strategy policy, keeping the game state and strategy state of every bid."""
+
+    def __init__(self):
+        self.seen = []
+
+    def bid(self, state, value):
+        self.seen.append((state, self._state))
+        return super().bid(state, value)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: f"{v.short_name}@{v.alpha}")
+def test_run_game_records_have_exactly_their_types(variant):
+    for adversary in REPLAY_ADVERSARIES:
+        for turns, scale in ((9, 1), (10, F(1, 2))):
+            policy = RecordingPolicy()
+            trace = run_game(GameConfig(variant, turns), obr(variant, turns, exact=True) * scale,
+                             policy, adversary(), seed=turns)
+            assert trace.turns and len(policy.seen) == len(trace.turns)
+            assert all(type(rec) is TurnRecord for rec in trace.turns)
+            for state, plan in policy.seen:
+                assert type(state) is GameState and type(state.countdown) is CountdownPair
+                assert type(plan) is StrategyState and type(plan.countdown) is CountdownPair
+                assert type(state.budget_p1) is Fraction and type(plan.tracked_opponent_budget) is Fraction
+
+
+def test_replace_on_fast_built_records_still_checks():
+    cfg = GameConfig(AP_SET01, 5)
+    state = settle_turn(cfg, initial_state(cfg, 2), 1, F(1, 2), F(1, 3))
+    plan = observe_outcome(StrategyState.fresh(AP_SET01, 5, 1), 1, F(1, 3), True)
+    for cd in (countdown_for(5, 1, 1, 0), state.countdown, plan.countdown):
+        with pytest.raises(DomainError, match="^countdown values must be nonnegative"):
+            cd._replace(i=-1)
+        with pytest.raises(DomainError, match="^countdown values must be nonnegative"):
+            cd._replace(j=-1)
+    for field in ("budget_p1", "budget_p2"):
+        with pytest.raises(DomainError, match="^budgets must be nonnegative$"):
+            state._replace(**{field: F(-1, 3)})
+    with pytest.raises(DomainError, match="^scores must be nonnegative$"):
+        state._replace(score_p2=-1)
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+GAME = GameConfig(FP_SET01, 3)
+
+# Each entry point that takes an amount, with the name its DomainError gives.
+# A non-finite float used to escape as a bare ValueError (nan) or
+# OverflowError (inf), and GameState held a nan budget outright.
+AMOUNT_ENTRY_POINTS = {
+    "settle_turn P1": ("P1 bid", lambda x: settle_turn(GAME, initial_state(GAME, 2), 1, x, 0)),
+    "settle_turn P2": ("P2 bid", lambda x: settle_turn(GAME, initial_state(GAME, 2), 1, 0, x)),
+    "initial_state": ("budget_p1", lambda x: initial_state(GAME, x)),
+    "run_game": ("budget_p1", lambda x: run_game(GAME, x, StrategyPolicy(), AllInAdversary())),
+    "run_game P2 bid": ("P2 bid", lambda x: run_game(GAME, 2, StrategyPolicy(), _ScriptedAdversary([(1, x)]))),
+    "GameConfig": ("budget_p2", lambda x: GameConfig(FP_SET01, 3, budget_p2=x)),
+    "GameState p1": ("budget", lambda x: GameState(x, 1, 0, 0, 0, CountdownPair(2, 2))),
+    "GameState p2": ("budget", lambda x: GameState(1, x, 0, 0, 0, CountdownPair(2, 2))),
+    "StrategyState.fresh": ("opponent_budget", lambda x: StrategyState.fresh(FP_SET01, 3, x)),
+    "observe_outcome": ("my_bid", lambda x: observe_outcome(StrategyState.fresh(FP_SET01, 3, 1), 1, x, False)),
+    "MatchPlusEpsilonAdversary": ("epsilon", lambda x: MatchPlusEpsilonAdversary(x)),
+    "OmnipotentAdversary": ("grid_unit", lambda x: OmnipotentAdversary(x)),
+}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("entry", list(AMOUNT_ENTRY_POINTS))
+def test_amounts_that_are_not_finite_raise_domain_error(entry, bad):
+    name, call = AMOUNT_ENTRY_POINTS[entry]
+    with pytest.raises(DomainError, match=f"^{name} must be finite, got {bad!r}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("value", [True, False, 2, -1, 1.0, F(1, 3)], ids=repr)
+def test_observe_outcome_refuses_the_turn_values_next_bid_refuses(value):
+    # It used to drop P2's countdown for True or 1/3, as for a value of 1.
+    s = StrategyState.fresh(FP_SET01, 3, 1)
+    for fn in (lambda: next_bid(s, value), lambda: observe_outcome(s, value, F(1, 3), False)):
+        with pytest.raises(DomainError, match=re.escape(f"turn value must be 0 or 1, got {value!r}")):
+            fn()
