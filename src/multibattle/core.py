@@ -20,10 +20,10 @@ property each): ``affordable`` and ``at_least`` compare by
 cross-multiplying, and ``paid`` takes a payment n/d off a budget bn/bd
 as one ``Fraction(bn*d - n*bd, bd*d)``. A new ``Fraction`` is made only
 for a value that leaves a function: ``as_fraction`` wraps an int or a
-finite float once (a ``Fraction`` passes through), ``paid`` makes each
-new budget, and the strategy makes its bid from the bid-fraction pair
-times the tracked budget; a zero bid or clamped budget is the shared
-``ZERO``. ``Fraction`` operators dispatch through the ``numbers`` ABCs
+finite float once (a ``Fraction`` passes through; anything else is
+refused), ``paid`` makes each new budget, and the strategy makes its bid
+from the bid-fraction pair times the tracked budget; a zero bid or
+clamped budget is the shared ``ZERO``. ``Fraction`` operators dispatch through the ``numbers`` ABCs
 and re-normalise every result; at the sizes a game reaches, that costs
 more than the integer work.
 
@@ -147,9 +147,17 @@ def check_countdowns(i: int, j: int) -> None:
 
 
 def finite_fraction(x: Numeric, name: str) -> Fraction:
-    """``Fraction(x)``; DomainError, naming ``name``, for a float nan or infinity, which no Fraction holds."""
-    if isinstance(x, float) and not isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
+    """``Fraction(x)`` of an int, a Fraction or a finite float.
+
+    DomainError, naming ``name``, for a float nan or infinity, which no
+    Fraction holds, and for anything else: a bool, or a string or Decimal
+    that ``Fraction`` would parse.
+    """
+    if isinstance(x, float):
+        if not isfinite(x):
+            raise DomainError(f"{name} must be finite, got {x!r}")
+    elif x.__class__ is bool or not isinstance(x, (int, Fraction)):
+        raise DomainError(f"{name} must be an int, Fraction or float, got {x!r}")
     return Fraction(x)
 
 

@@ -9,9 +9,9 @@ The search memoizes on (remaining turns, countdown pair, budgets): scores
 influence the rest of the game only through the countdown pair, so these
 decide a position. The memo is nested in that order, first by remaining
 turns and countdown pair, then by P2's and P1's budgets as integers (see
-GridEvaluator), so the inner loop over P1's bids looks budgets up in tables
-it fetched once. Two reductions keep the tree small without giving up
-exactness:
+GridEvaluator), so the inner loop over P1's bids looks budgets up in rows
+it fetched once and hands to the children it expands, which store into
+them. Two reductions keep the tree small without giving up exactness:
 
 * Zero-value turns are settled without bids. Winning one changes no score
   and the countdown shift does not depend on the winner, so any nonzero
@@ -20,6 +20,12 @@ exactness:
   unit. Losing bids above zero and winning bids above the minimum only
   cost her more, and winnability is monotone in budgets.
 
+Monotonicity also ends a lost node early: once the concede child of one
+bid loses, so does that of every dearer bid, and no beat child is asked
+after it. The node stops there and only expands the concede children of
+the dearer bids that its row still lacks, so the nodes expanded, and the
+order they are expanded in, stay those of the full bid loop.
+
 This module is the ground truth the matrices and the strategy are checked
 against on small instances, and the brain of the simulator's omnipotent
 adversary.
@@ -27,6 +33,7 @@ adversary.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,8 +49,6 @@ from .core import (
     finite_fraction,
 )
 
-
-_NONE: dict = {}  # shared read-only stand-in for an absent memo table
 
 # An evaluator raises ResourceError when its expanded (stored) nodes reach
 # this: about 100 MB of memo at ~50 bytes a node.
@@ -65,13 +70,21 @@ class GridEvaluator:
     ``A // d``. A budget off the 1/d grid raises DomainError.
 
     The memo is nested: ``(remaining, i, j)`` maps to P2's budget ``b``,
-    which maps to ``A``, which maps to the verdict. Scores enter a position
-    only through the countdown pair, so these five integers decide it, and
-    no key tuple is kept per position. An expanded node fetches its concede
-    row ``(remaining - 1, i - 1, j)[b]`` and its beat table
-    ``(remaining - 1, i, j - 1)`` once; each bid then costs integer-keyed
-    lookups, with no key tuple built per bid. A child with no turns left is
-    settled by the tie rule and never stored.
+    which maps to a row, a dict from ``A`` to the verdict. Scores enter a
+    position only through the countdown pair, so these five integers
+    decide it, and no key tuple is kept per position. An expanded node
+    fetches, or makes, its concede row ``(remaining - 1, i - 1, j)[b]``
+    and its beat table ``(remaining - 1, i, j - 1)`` once; each bid then
+    costs integer-keyed lookups, with no key tuple built per bid, and a
+    child it expands is handed its row and stores its verdict there. A
+    child with no turns left is settled by the tie rule and never stored.
+
+    The concede children of a node's bids run down one residue of ``A``
+    mod d: ``A``, ``A - d``, ... A node is lost once one of them loses,
+    and then expands the rest of that run, its monotone tail, down to the
+    bottom of the residue. So a row keeps, under the negative key
+    ``-1 - (A mod d)``, a watermark per residue: every position of the
+    residue at or below it is in the row, and a later tail stops there.
 
     ``win`` is the one query. The memo persists across calls, so a single
     evaluator can serve a whole budget search or a whole simulated game, up
@@ -82,7 +95,8 @@ class GridEvaluator:
         self.variant = variant
         self._an, self._d = variant.alpha_pair  # first-price variants carry alpha = 0: an = 0, d = 1
         self._set01 = variant.is_triangular
-        self._memo: dict = {}
+        # (remaining, i, j) -> b -> row; a lookup makes a missing table or row.
+        self._memo: defaultdict = defaultdict(lambda: defaultdict(dict))
         self._query = (0, 0)  # (remaining, b) of the current win call, for the node-ceiling message
         self.nodes_expanded = 0
 
@@ -127,7 +141,7 @@ class GridEvaluator:
         if value == 0:
             shift = 1 if i + j == remaining + 1 else 0
             return self._win(remaining - 1, i - shift, j - shift, A, b)
-        return self._expand(remaining, i, j, A, b, value_one=True)
+        return self._expand(remaining, i, j, A, b, None)
 
     def _win(self, remaining: int, i: int, j: int, A: int, b: int) -> bool:
         if i <= 0:
@@ -138,23 +152,24 @@ class GridEvaluator:
             # Unreachable from consistent states; fall back to the score
             # tie rules (i <= j means P1 is not behind).
             return i <= j
-        won = self._memo.get((remaining, i, j), _NONE).get(b, _NONE).get(A)
+        row = self._memo[remaining, i, j][b]
+        won = row.get(A)
         if won is None:
-            won = self._expand(remaining, i, j, A, b)
+            won = self._expand(remaining, i, j, A, b, row)
         return won
 
-    def _expand(self, remaining: int, i: int, j: int, A: int, b: int, value_one: bool = False) -> bool:
-        """Solve, count and store a position with i, j >= 1 and no memo entry.
+    def _expand(self, remaining: int, i: int, j: int, A: int, b: int, row: dict | None) -> bool:
+        """Solve, count and store in ``row`` a position with i, j >= 1 not in it.
 
-        ``value_one=True`` solves only a turn whose value is already 1,
-        uncounted and unstored (for ``win`` with ``value=1``).
+        ``row`` is the position's memo row ``(remaining, i, j)[b]``, made by
+        the caller. ``row=None`` solves only a turn whose value is already
+        1, uncounted and unstored (for ``win`` with ``value=1``).
         """
         # The hot loop. Children are queried in the order concede, beat,
-        # with P1's bid p ascending. Every concede child shares the row
-        # (r, i - 1, j)[b] and every beat child the table (r, i, j - 1), so
-        # both are fetched once. While the loop runs, only this node's own
-        # children are written at remaining r, and no child key comes up
-        # twice, so a fetched table never lacks an entry it is asked for.
+        # with P1's bid p ascending. Every concede child lives in the row
+        # (r, i - 1, j)[b] and every beat child in the table (r, i, j - 1),
+        # so both are fetched (or made) once and handed to the children,
+        # which store into them.
         top = A // self._d  # P1's largest bid
         r = remaining - 1
         if r <= 0:
@@ -163,33 +178,48 @@ class GridEvaluator:
             won = i <= j + 1 and (top >= b or i < j)
         else:
             won = False
-            expand, d, an = self._expand, self._d, self._an
+            memo, expand, d, an = self._memo, self._expand, self._d, self._an
             i1, j1 = i - 1, j - 1
             # No child to query: a concede at i = 1 hands P1 the game, a beat at j = 1 P2.
-            concede = self._memo.get((r, i1, j), _NONE).get(b, _NONE) if i1 else None
-            beat = self._memo.get((r, i, j1), _NONE) if j1 else None
+            concede = memo[r, i1, j][b] if i1 else None
+            beat = memo[r, i, j1] if j1 else None
             for p in range(top + 1):
                 if concede is not None:
                     # P2 concedes: P1 pays its bid, P2 pays nothing.
                     a1 = A - p * d
                     child = concede.get(a1)
                     if child is None:
-                        child = expand(r, i1, j, a1, b)
+                        child = expand(r, i1, j, a1, b, concede)
                     if not child:
-                        continue
+                        # Lost: every dearer bid's concede child has less
+                        # budget, so it loses too. The full loop would still
+                        # expand those children, so expand, in its order, the
+                        # ones the row lacks: a1 - d, a1 - 2d, ... down to the
+                        # row's watermark for this residue of A mod d, kept
+                        # under key -1 - (A mod d). Their subtrees lie below
+                        # remaining r, so only this walk adds to the row.
+                        mark = -1 - a1 % d
+                        low = concede.get(mark, -1)
+                        for a2 in range(a1 - d, low, -d):
+                            if a2 not in concede:
+                                expand(r, i1, j, a2, b, concede)
+                        if A > low:  # bids 0..p stored A down to a1, the walk the rest
+                            concede[mark] = A
+                        break
                 if p < b:
                     # P2 beats the bid by one unit.
                     if beat is None:
                         continue
                     a1, b1 = A - an * p, b - p - 1
-                    child = beat.get(b1, _NONE).get(a1)
+                    child_row = beat[b1]
+                    child = child_row.get(a1)
                     if child is None:
-                        child = expand(r, i, j1, a1, b1)
+                        child = expand(r, i, j1, a1, b1, child_row)
                     if not child:
                         continue
                 won = True
                 break
-        if value_one:
+        if row is None:
             return won
         self.nodes_expanded += 1
         if self.nodes_expanded >= MAX_NODES:
@@ -200,12 +230,6 @@ class GridEvaluator:
             # not depend on who takes it.
             shift = 1 if i + j == remaining + 1 else 0
             won = self._win(r, i - shift, j - shift, A, b)
-        table = self._memo.get((remaining, i, j))
-        if table is None:
-            table = self._memo[remaining, i, j] = {}
-        row = table.get(b)
-        if row is None:
-            row = table[b] = {}
         row[A] = won
         return won
 
@@ -222,10 +246,7 @@ class OracleInstance:
 
     def __post_init__(self):
         for name in ("b1", "b2", "grid_unit"):
-            x = getattr(self, name)
-            if x.__class__ is bool or not isinstance(x, (int, Fraction, float)):
-                raise DomainError(f"{name} must be an int, Fraction or float, got {x!r}")
-            object.__setattr__(self, name, finite_fraction(x, name))
+            object.__setattr__(self, name, finite_fraction(getattr(self, name), name))
         check_turns(self.turns)
         if self.grid_unit <= 0:
             raise DomainError("grid_unit must be positive")
@@ -315,10 +336,10 @@ def min_winning_budget(
     validated: both ``"linear"`` and ``"bisect"`` run this scan.
 
     Practical sizing guidance, at grid unit 1 on a 2-vCPU x86 host under
-    CPython 3.11: turns <= 9 with b2 <= 30 takes at most ~0.1 s on every
-    variant; turns = 11 with b2 = 40 takes 0.2-0.4 s on the value-set
-    variants (fixed-value ones stay under 0.05 s). Cost grows quickly with
-    both.
+    CPython 3.11 (best of 2): turns <= 9 with b2 <= 30 takes at most
+    ~0.06 s on every variant; turns = 11 with b2 = 40 takes 0.10-0.12 s
+    on fp-set and ap-set and 0.22 s on ap-set at alpha = 1/3 (fixed-value
+    variants stay under 0.02 s). Cost grows quickly with both.
     """
     inst = OracleInstance(variant, turns, 0, b2, grid_unit)
     g, b2, b_units = inst.grid_unit, inst.b2, inst._units(inst.b2)

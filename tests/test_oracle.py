@@ -37,6 +37,7 @@ from multibattle import (
     p1_can_win,
     settle_turn,
 )
+from multibattle.core import CountdownPair
 
 F = Fraction
 AP_SET_HALF = AuctionVariant.all_pay(ValueModel.SET01, F(1, 2))
@@ -570,6 +571,50 @@ def test_a_shared_evaluator_matches_the_fraction_reference_across_queries(varian
                 got = new.win(remaining, i, j, a, b, value)
                 want = old.win_given_value(remaining, i, j, a, b, value)
             assert (got, new.nodes_expanded) == (want, old.nodes_expanded), (remaining, i, j, a, b, value)
+
+
+def _stored_verdicts(ev):
+    """Verdicts in an evaluator's memo rows; their negative keys hold watermarks."""
+    return sum(key >= 0 for table in ev._memo.values() for row in table.values() for key in row)
+
+
+QUERY_ORDERS = {
+    "descending": lambda ks: ks[::-1],
+    "ascending": lambda ks: ks,
+    "interleaved": lambda ks: [k for pair in zip(ks[::-1], ks) for k in pair][: len(ks)],  # top, bottom, ...
+}
+
+
+@pytest.mark.parametrize("order", list(QUERY_ORDERS))
+@pytest.mark.parametrize("variant", [AP_SET_THIRD, AP_FIXED_HALF], ids=variant_id)
+def test_every_residue_in_any_order_matches_the_fraction_reference(variant, order):
+    """P1 budgets of every residue mod d, queried within one row in one order.
+
+    A lost node stops its bid loop at its first losing concede child and
+    expands the rest of that child's residue only above the row's
+    watermark for that residue. Each query order fills the rows below in
+    another pattern; the counts must stay the full loop's, query by query.
+    """
+    d = variant.alpha.denominator
+    new, old = GridEvaluator(variant), FractionGridEvaluator(variant)
+    for remaining, i, j, b in ((6, 3, 3, 5), (5, 2, 3, 4), (7, 4, 4, 3)):
+        for k in QUERY_ORDERS[order](list(range(8 * d))):
+            a = F(k, d)
+            got, want = new.win(remaining, i, j, a, b), old.win(remaining, i, j, a, b)
+            assert (got, new.nodes_expanded) == (want, old.nodes_expanded), (remaining, i, j, a, b)
+    assert _stored_verdicts(new) == new.nodes_expanded
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+def test_a_search_stores_each_expanded_node_once(variant):
+    """The budget scan of ``min_winning_budget``: one stored verdict per counted node."""
+    ev = GridEvaluator(variant)
+    cd = CountdownPair.fresh(9)
+    k = 0
+    while not ev.win(9, cd.i, cd.j, k, 12):
+        k += 1
+    assert k == min_winning_budget(variant, 9, 12).b_star
+    assert _stored_verdicts(ev) == ev.nodes_expanded
 
 
 def test_the_memo_of_a_search_stays_small():

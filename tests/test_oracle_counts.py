@@ -8,7 +8,9 @@ The differential tests in ``test_oracle.py`` stop at T = 7; these cases go
 to T = 11, so a faster oracle must expand exactly the same nodes there too.
 
 The instances are the benchmark's search instances, copied here so the
-test does not depend on the benchmark, plus fp-set T=11 b2=24.
+test does not depend on the benchmark, plus fp-set T=11 b2=24, and
+ap-set@1/3 T=9 b2=12 and ap-fixed@1/2 T=11 b2=12 for deeper trees where
+P1's budget runs on a finer grid (d = 3 and 2) than the bids.
 
 Re-record (only for an intended change of the search) with
 ``PYTHONPATH=src python tests/test_oracle_counts.py > tests/oracle_counts.json``.
@@ -50,7 +52,7 @@ INSTANCES = [
     ("ap-fixed", 5, 12), ("ap-fixed", 7, 12), ("ap-fixed", 9, 12),
     ("ap-set@1/3", 5, 8), ("ap-set@1/3", 7, 6), ("ap-set@1/3", 3, 12),
     ("ap-fixed@1/2", 7, 16), ("ap-fixed@1/2", 9, 12), ("ap-fixed@1/2", 5, 16),
-    ("fp-set", 11, 24),
+    ("fp-set", 11, 24), ("ap-set@1/3", 9, 12), ("ap-fixed@1/2", 11, 12),
 ]
 
 

@@ -17,6 +17,7 @@ values and exact types, and check that ``_replace`` still validates.
 
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -362,6 +363,29 @@ AMOUNT_ENTRY_POINTS = {
 def test_amounts_that_are_not_finite_raise_domain_error(entry, bad):
     name, call = AMOUNT_ENTRY_POINTS[entry]
     with pytest.raises(DomainError, match=f"^{name} must be finite, got {bad!r}$"):
+        call(bad)
+
+
+NOT_AMOUNTS = ["1/2", Decimal("0.5"), None, True]
+
+# Each entry point that converts an amount through ``finite_fraction``. A
+# string or Decimal used to parse and a bool to count as 1 (None raised a
+# bare TypeError). GameState does its own check, so it is not listed.
+CONVERTING_ENTRY_POINTS = {
+    **{k: v for k, v in AMOUNT_ENTRY_POINTS.items() if not k.startswith("GameState")},
+    "AuctionVariant": ("alpha", lambda x: AuctionVariant.all_pay(ValueModel.SET01, x)),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    # OmnipotentAdversary takes grid_unit=None as "no grid".
+    [(e, x) for e in CONVERTING_ENTRY_POINTS for x in NOT_AMOUNTS if (e, x) != ("OmnipotentAdversary", None)],
+    ids=repr,
+)
+def test_amounts_that_are_not_numbers_raise_domain_error(entry, bad):
+    name, call = CONVERTING_ENTRY_POINTS[entry]
+    with pytest.raises(DomainError, match=f"^{re.escape(f'{name} must be an int, Fraction or float, got {bad!r}')}$"):
         call(bad)
 
 
