@@ -14,18 +14,27 @@ clinch the game, and symmetrically for P2. A countdown of zero means that
 player has already won (P1 checked first, consistent with the tie rules).
 
 Turn arithmetic runs on integer pairs. Budgets and bids are reduced
-``Fraction``s, and the helpers below read each one's pair once with
-``as_integer_ratio()`` (``numerator`` and ``denominator`` are a Python
-property each): ``affordable`` and ``at_least`` compare by
-cross-multiplying, and ``paid`` takes a payment n/d off a budget bn/bd
-as one ``Fraction(bn*d - n*bd, bd*d)``. A new ``Fraction`` is made only
-for a value that leaves a function: ``as_fraction`` wraps an int or a
-finite float once (a ``Fraction`` passes through; anything else is
-refused), ``paid`` makes each new budget, and the strategy makes its bid
-from the bid-fraction pair times the tracked budget; a zero bid or
-clamped budget is the shared ``ZERO``. ``Fraction`` operators dispatch through the ``numbers`` ABCs
-and re-normalise every result; at the sizes a game reaches, that costs
-more than the integer work.
+``Fraction``s, and the helpers below, which also take ints, read each
+one's pair once with ``as_integer_ratio()`` (``numerator`` and
+``denominator`` are a Python property each): ``affordable`` and
+``at_least`` compare by cross-multiplying, and ``paid`` takes a payment
+n/d off a budget bn/bd as the pair (bn*d - n*bd, bd*d). A new
+``Fraction`` is made only for a value that leaves a function:
+``as_fraction`` wraps an int or a finite float once (a ``Fraction``
+passes through; anything else is refused), ``paid`` makes each new
+budget, and the strategy makes its bid from the bid-fraction pair times
+the tracked budget; a zero bid or clamped budget is the shared ``ZERO``.
+Every ``Fraction`` the package makes from an integer pair, here and in
+the strategy, matrices and simulator, comes from ``_fraction``: one
+``gcd`` and the two slot writes, ``_numerator`` and ``_denominator``,
+skipping ``Fraction.__new__``'s type dispatch. It depends on CPython's
+``fractions.Fraction.__slots__`` (the same on 3.10-3.13; a test pins
+them), and no other module writes them. Reads of a value known to be a
+``Fraction`` (``GameState``'s sign check, the strategy's clamp,
+``GameTrace.to_json``'s amounts) take the slots directly too.
+``Fraction`` operators dispatch through the ``numbers`` ABCs and
+re-normalise every result; at the sizes a game reaches, that costs more
+than the integer work.
 
 The records a turn makes (``CountdownPair``, ``GameState``,
 ``TurnRecord``, and the strategy's ``StrategyState``) are
@@ -58,7 +67,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
-from math import isfinite
+from math import gcd, isfinite
 from typing import NamedTuple
 
 
@@ -169,6 +178,24 @@ def as_fraction(x: Numeric, name: str = "amount") -> Fraction:
 ZERO = Fraction(0)  # Fractions are immutable, so every zero bid can be this one
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` of ints n and d > 0, built on its two slots.
+
+    One ``gcd`` and two slot writes, without ``Fraction.__new__``'s type
+    dispatch and keyword-only ``_normalize``. ``_numerator`` and
+    ``_denominator`` are ``fractions.Fraction.__slots__`` on CPython
+    3.10-3.13 (a test pins them); this is the one place that writes them.
+    """
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
 def affordable(bid: Fraction, budget: Fraction) -> bool:
     """Whether ``0 <= bid <= budget``; both are Fractions or ints."""
     n, d = bid.as_integer_ratio()
@@ -191,7 +218,7 @@ def paid(budget: Fraction, amount: Fraction, an: int = 1, ad: int = 1) -> Fracti
         return budget
     d *= ad
     bn, bd = budget.as_integer_ratio()
-    return Fraction(bn * d - n * bd, bd * d)
+    return _fraction(bn * d - n * bd, bd * d)
 
 
 class Player(Enum):
@@ -340,8 +367,8 @@ class GameState(_GameState):
     def __new__(cls, budget_p1, budget_p2, score_p1, score_p2, turn_index, countdown):
         for b in (budget_p1, budget_p2):
             if type(b) is Fraction:
-                b = b.numerator
-            elif isinstance(b, float):
+                b = b._numerator
+            elif b.__class__ is not int:
                 b = finite_fraction(b, "budget")
             if b < 0:
                 raise DomainError("budgets must be nonnegative")
@@ -544,8 +571,10 @@ class GameTrace:
         indent: compact objects use ``", "`` and ``": "``, indented ones
         ``","`` and a newline. The turn layout is made once per call as a
         %-template; each amount goes in as ``%r`` of ``_float(x)``, which is
-        ``float.__repr__``, as ``json`` writes a float. An amount beyond
-        float range raises ``OverflowError``, as ``to_json_dict`` does.
+        ``float.__repr__``, as ``json`` writes a float. A turn's four
+        amounts are Fractions (``run_game`` records no other kind), so they
+        are divided from their slots. An amount beyond float range raises
+        ``OverflowError``, as ``to_json_dict`` does.
         """
         if indent is not None and not isinstance(indent, str):
             indent = " " * indent
@@ -564,11 +593,11 @@ class GameTrace:
             template % (
                 index,
                 value,
-                bid1.numerator / bid1.denominator,
-                bid2.numerator / bid2.denominator,
+                bid1._numerator / bid1._denominator,
+                bid2._numerator / bid2._denominator,
                 p1_text if winner is p1 else p2_text,
-                left1.numerator / left1.denominator,
-                left2.numerator / left2.denominator,
+                left1._numerator / left1._denominator,
+                left2._numerator / left2._denominator,
                 score1,
                 score2,
             )

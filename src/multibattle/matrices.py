@@ -65,6 +65,7 @@ from .core import (
     DomainError,
     Ratio,
     ResourceError,
+    _fraction,
     ceil_div,
     check_countdowns,
     check_turns,
@@ -112,7 +113,7 @@ class CountdownMatrix:
         if self.variant.is_triangular and i > j:
             return UNWINNABLE
         if self.exact:
-            return Fraction(row[0][j], row[1][j])
+            return _fraction(row[0][j], row[1][j])
         return row[j]
 
     def defined_entries(self):
@@ -345,7 +346,7 @@ def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) ->
     if variant.is_triangular and i > j:
         return UNWINNABLE
     num, den = closed_form_pair(variant, i, j)
-    return Fraction(num, den) if exact else num / den
+    return _fraction(num, den) if exact else num / den
 
 
 def obr(variant: AuctionVariant, turns: int, exact: bool = False) -> Ratio:
@@ -403,5 +404,5 @@ def verify_matrix(variant: AuctionVariant, n: int) -> MatrixVerifyReport:
             checked += 1
             dp, cf = (nums[j], dens[j]), closed_form_pair(variant, i, j)
             if dp != cf:
-                return MatrixVerifyReport(variant, n, False, checked, (i, j, Fraction(*dp), Fraction(*cf)))
+                return MatrixVerifyReport(variant, n, False, checked, (i, j, _fraction(*dp), _fraction(*cf)))
     return MatrixVerifyReport(variant, n, True, checked)

@@ -345,7 +345,7 @@ def min_winning_budget(
     g, b2, b_units = inst.grid_unit, inst.b2, inst._units(inst.b2)
     if b2 <= 0:
         raise DomainError("b2 must be positive")
-    cap_units = 4 * b_units if ceiling is None else Fraction(ceiling) // g  # Fraction // is an int floor
+    cap_units = 4 * b_units if ceiling is None else finite_fraction(ceiling, "ceiling") // g  # an int floor
     if cap_units < 0:
         raise DomainError(f"ceiling must be nonnegative, got {ceiling}")
     if method not in ("linear", "bisect"):

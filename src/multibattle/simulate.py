@@ -33,6 +33,7 @@ from .core import (
     TurnRecord,
     UnwinnableStateError,
     ZERO,
+    _fraction,
     _settle,
     affordable,
     as_fraction,
@@ -122,7 +123,7 @@ class MatchPlusEpsilonAdversary:
             return ZERO
         pn, pd = as_fraction(p1_bid).as_integer_ratio()
         en, ed = self.epsilon.as_integer_ratio()
-        raised = Fraction(pn * ed + en * pd, pd * ed)
+        raised = _fraction(pn * ed + en * pd, pd * ed)
         return raised if at_least(state.budget_p2, raised) else ZERO
 
 
@@ -149,7 +150,7 @@ class RandomSeededAdversary:
     def choose_bid(self, state: GameState, value: int, p1_bid: Fraction, rng) -> Fraction:
         d = self.bid_denominator
         bn, bd = as_fraction(state.budget_p2).as_integer_ratio()
-        return Fraction(rng.randint(0, d) * bn, d * bd)
+        return _fraction(rng.randint(0, d) * bn, d * bd)
 
 
 class OmnipotentAdversary:
@@ -319,7 +320,7 @@ def _least_above(p: Fraction, bound: int) -> Fraction:
         else:  # the mediant is above p: lower hi
             k = min((above - 1) // below if below else bound, (bound - hd) // ld)
             hn, hd = hn + k * ln, hd + k * ld
-    return Fraction(hn, hd)
+    return _fraction(hn, hd)
 
 
 def exhaustive_adversary_check(

@@ -35,6 +35,7 @@ from .core import (
     Numeric,
     UnwinnableStateError,
     ZERO,
+    _fraction,
     as_fraction,
     check_countdowns,
     check_turns,
@@ -70,7 +71,7 @@ def optimal_bid_fraction(variant: AuctionVariant, i: int, j: int) -> Fraction:
     if i.__class__ is not int or j.__class__ is not int:  # inline: solve's hot path
         check_countdowns(i, j)
     num, den = _bid_fraction_pair(variant, i, j)
-    return Fraction(num, den)
+    return _fraction(num, den)
 
 
 class StrategyState(NamedTuple):
@@ -109,7 +110,7 @@ def next_bid(state: StrategyState, turn_value: int) -> Fraction:
     if type(b) is not Fraction:
         b = as_fraction(b)
     bn, bd = b.as_integer_ratio()
-    return Fraction(num * bn, den * bd)
+    return _fraction(num * bn, den * bd)
 
 
 def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_won: bool) -> StrategyState:
@@ -138,6 +139,6 @@ def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_wo
         b = as_fraction(b)
     if not i_won:
         b = paid(b, as_fraction(my_bid, "my_bid"))
-        if b.numerator < 0:
+        if b._numerator < 0:
             b = ZERO
     return tuple.__new__(StrategyState, (variant, b, cd))

@@ -44,6 +44,7 @@ from multibattle import (
     ValueModel,
     countdown_for,
     initial_state,
+    min_winning_budget,
     next_bid,
     obr,
     observe_outcome,
@@ -355,6 +356,7 @@ AMOUNT_ENTRY_POINTS = {
     "observe_outcome": ("my_bid", lambda x: observe_outcome(StrategyState.fresh(FP_SET01, 3, 1), 1, x, False)),
     "MatchPlusEpsilonAdversary": ("epsilon", lambda x: MatchPlusEpsilonAdversary(x)),
     "OmnipotentAdversary": ("grid_unit", lambda x: OmnipotentAdversary(x)),
+    "min_winning_budget ceiling": ("ceiling", lambda x: min_winning_budget(FP_SET01, 3, 4, ceiling=x)),
 }
 
 
@@ -370,17 +372,19 @@ NOT_AMOUNTS = ["1/2", Decimal("0.5"), None, True]
 
 # Each entry point that converts an amount through ``finite_fraction``. A
 # string or Decimal used to parse and a bool to count as 1 (None raised a
-# bare TypeError). GameState does its own check, so it is not listed.
+# bare TypeError); GameState kept a Decimal or bool budget as given, and
+# the search ceiling parsed a string ('8' searched up to 8).
 CONVERTING_ENTRY_POINTS = {
-    **{k: v for k, v in AMOUNT_ENTRY_POINTS.items() if not k.startswith("GameState")},
+    **AMOUNT_ENTRY_POINTS,
     "AuctionVariant": ("alpha", lambda x: AuctionVariant.all_pay(ValueModel.SET01, x)),
 }
+# OmnipotentAdversary takes grid_unit=None as "no grid", min_winning_budget ceiling=None as 4 * b2.
+NONE_MEANS_DEFAULT = ("OmnipotentAdversary", "min_winning_budget ceiling")
 
 
 @pytest.mark.parametrize(
     "entry, bad",
-    # OmnipotentAdversary takes grid_unit=None as "no grid".
-    [(e, x) for e in CONVERTING_ENTRY_POINTS for x in NOT_AMOUNTS if (e, x) != ("OmnipotentAdversary", None)],
+    [(e, x) for e in CONVERTING_ENTRY_POINTS for x in NOT_AMOUNTS if x is not None or e not in NONE_MEANS_DEFAULT],
     ids=repr,
 )
 def test_amounts_that_are_not_numbers_raise_domain_error(entry, bad):
