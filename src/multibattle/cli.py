@@ -197,7 +197,7 @@ def _cmd_oracle(ns, variant: AuctionVariant) -> int:
         res = min_winning_budget(variant, ns.turns, ns.b2, grid_unit=grid)
         doc = {"b_star": res.b_star, "ratio": float(res.ratio)}
     else:
-        inst = OracleInstance(variant, ns.turns, Fraction(ns.b1), Fraction(ns.b2), grid)
+        inst = OracleInstance(variant, ns.turns, ns.b1, ns.b2, grid)
         res = evaluate(inst)
         doc = {"b1": ns.b1, "p1_can_win": res.can_win}
     doc["nodes_expanded"] = res.nodes_expanded

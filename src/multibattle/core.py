@@ -13,25 +13,24 @@ still achievable, player P1 needs ``ceil(T'/2) - score_p1`` more points to
 clinch the game, and symmetrically for P2. A countdown of zero means that
 player has already won (P1 checked first, consistent with the tie rules).
 
-Turn arithmetic runs on integer pairs. Budgets and bids are reduced
-``Fraction``s, and the helpers below, which also take ints, read each
-one's pair once with ``as_integer_ratio()`` (``numerator`` and
-``denominator`` are a Python property each): ``affordable`` and
+Turn arithmetic runs on integer pairs behind one amount boundary: an
+amount enters through ``finite_fraction``, the one converter (a
+``Fraction`` passes through, an int or a finite float is wrapped once,
+anything else is refused), records hold Fractions, and nothing past the
+boundary converts one again. The pair helpers below take Fractions only
+and read their slots, ``_numerator`` and ``_denominator`` (``numerator``
+and ``denominator`` are a Python property each): ``affordable`` and
 ``at_least`` compare by cross-multiplying, and ``paid`` takes a payment
 n/d off a budget bn/bd as the pair (bn*d - n*bd, bd*d). A new
-``Fraction`` is made only for a value that leaves a function:
-``as_fraction`` wraps an int or a finite float once (a ``Fraction``
-passes through; anything else is refused), ``paid`` makes each new
-budget, and the strategy makes its bid from the bid-fraction pair times
-the tracked budget; a zero bid or clamped budget is the shared ``ZERO``.
-Every ``Fraction`` the package makes from an integer pair, here and in
-the strategy, matrices and simulator, comes from ``_fraction``: one
-``gcd`` and the two slot writes, ``_numerator`` and ``_denominator``,
-skipping ``Fraction.__new__``'s type dispatch. It depends on CPython's
+``Fraction`` is made only for a value that leaves a function: ``paid``
+makes each new budget, and the strategy its bid from the bid-fraction
+pair times the tracked budget; a zero bid or clamped budget is the
+shared ``ZERO``. Every ``Fraction`` the package makes from an integer
+pair, here and in the strategy, matrices and simulator, comes from
+``_fraction``: one ``gcd`` and the two slot writes, skipping
+``Fraction.__new__``'s type dispatch. It depends on CPython's
 ``fractions.Fraction.__slots__`` (the same on 3.10-3.13; a test pins
-them), and no other module writes them. Reads of a value known to be a
-``Fraction`` (``GameState``'s sign check, the strategy's clamp,
-``GameTrace.to_json``'s amounts) take the slots directly too.
+them), and no other module writes them.
 ``Fraction`` operators dispatch through the ``numbers`` ABCs and
 re-normalise every result; at the sizes a game reaches, that costs more
 than the integer work.
@@ -156,23 +155,20 @@ def check_countdowns(i: int, j: int) -> None:
 
 
 def finite_fraction(x: Numeric, name: str) -> Fraction:
-    """``Fraction(x)`` of an int, a Fraction or a finite float.
+    """The one amount converter: ``x`` itself if exactly a Fraction, else ``Fraction(x)``.
 
     DomainError, naming ``name``, for a float nan or infinity, which no
-    Fraction holds, and for anything else: a bool, or a string or Decimal
-    that ``Fraction`` would parse.
+    Fraction holds, and for anything but an int, a Fraction or a float: a
+    bool, or a string or Decimal that ``Fraction`` would parse.
     """
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         if not isfinite(x):
             raise DomainError(f"{name} must be finite, got {x!r}")
     elif x.__class__ is bool or not isinstance(x, (int, Fraction)):
         raise DomainError(f"{name} must be an int, Fraction or float, got {x!r}")
     return Fraction(x)
-
-
-def as_fraction(x: Numeric, name: str = "amount") -> Fraction:
-    """``x`` itself when it is a Fraction, else ``finite_fraction(x, name)``."""
-    return x if type(x) is Fraction else finite_fraction(x, name)
 
 
 ZERO = Fraction(0)  # Fractions are immutable, so every zero bid can be this one
@@ -197,28 +193,23 @@ def _fraction(n: int, d: int) -> Fraction:
 
 
 def affordable(bid: Fraction, budget: Fraction) -> bool:
-    """Whether ``0 <= bid <= budget``; both are Fractions or ints."""
-    n, d = bid.as_integer_ratio()
-    bn, bd = budget.as_integer_ratio()
-    return n >= 0 and n * bd <= bn * d
+    """Whether ``0 <= bid <= budget``; both are Fractions."""
+    n = bid._numerator
+    return n >= 0 and n * budget._denominator <= budget._numerator * bid._denominator
 
 
 def at_least(a: Fraction, b: Fraction) -> bool:
-    """Whether ``a >= b``; both are Fractions or ints."""
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
-    return an * bd >= bn * ad
+    """Whether ``a >= b``; both are Fractions."""
+    return a._numerator * b._denominator >= b._numerator * a._denominator
 
 
 def paid(budget: Fraction, amount: Fraction, an: int = 1, ad: int = 1) -> Fraction:
     """``budget - (an/ad) * amount`` as one Fraction; ``budget`` itself when nothing is paid."""
-    n, d = amount.as_integer_ratio()
-    n *= an
+    n = amount._numerator * an
     if not n:
         return budget
-    d *= ad
-    bn, bd = budget.as_integer_ratio()
-    return _fraction(bn * d - n * bd, bd * d)
+    d, bd = amount._denominator * ad, budget._denominator
+    return _fraction(budget._numerator * d - n * bd, bd * d)
 
 
 class Player(Enum):
@@ -292,6 +283,12 @@ AP_SET01 = AuctionVariant.all_pay(ValueModel.SET01, 1)
 AP_FIXED1 = AuctionVariant.all_pay(ValueModel.FIXED1, 1)
 
 
+def check_variant(variant: AuctionVariant) -> None:
+    """Raise DomainError unless ``variant`` is an AuctionVariant."""
+    if not isinstance(variant, AuctionVariant):
+        raise DomainError(f"variant must be an AuctionVariant, got {variant!r}")
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Static parameters of one contest."""
@@ -302,8 +299,7 @@ class GameConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "budget_p2", finite_fraction(self.budget_p2, "budget_p2"))
-        if not isinstance(self.variant, AuctionVariant):
-            raise DomainError(f"variant must be an AuctionVariant, got {self.variant!r}")
+        check_variant(self.variant)
         check_turns(self.turns)
         if self.budget_p2 <= 0:
             raise DomainError("budget_p2 must be positive")
@@ -360,18 +356,15 @@ class _GameState(NamedTuple):
 
 
 class GameState(_GameState):
-    """Live contest state between turns."""
+    """Live contest state between turns; ``__new__`` makes both budgets Fractions."""
 
     __slots__ = ()
 
     def __new__(cls, budget_p1, budget_p2, score_p1, score_p2, turn_index, countdown):
-        for b in (budget_p1, budget_p2):
-            if type(b) is Fraction:
-                b = b._numerator
-            elif b.__class__ is not int:
-                b = finite_fraction(b, "budget")
-            if b < 0:
-                raise DomainError("budgets must be nonnegative")
+        budget_p1 = finite_fraction(budget_p1, "budget")
+        budget_p2 = finite_fraction(budget_p2, "budget")
+        if budget_p1._numerator < 0 or budget_p2._numerator < 0:
+            raise DomainError("budgets must be nonnegative")
         if score_p1 < 0 or score_p2 < 0:
             raise DomainError("scores must be nonnegative")
         return tuple.__new__(cls, (budget_p1, budget_p2, score_p1, score_p2, turn_index, countdown))
@@ -416,11 +409,11 @@ def settle_turn(
         raise DomainError("fixed-value contests only auction value-1 objects")
     if state.turn_index >= config.turns:
         raise GameDecidedError("all turns already played")
-    bid_p1 = as_fraction(bid_p1, "P1 bid")
-    bid_p2 = as_fraction(bid_p2, "P2 bid")
-    if not affordable(bid_p1, as_fraction(state.budget_p1)):
+    bid_p1 = finite_fraction(bid_p1, "P1 bid")
+    bid_p2 = finite_fraction(bid_p2, "P2 bid")
+    if not affordable(bid_p1, state.budget_p1):
         raise OverbidError(f"P1 bid {bid_p1} outside [0, {state.budget_p1}]")
-    if not affordable(bid_p2, as_fraction(state.budget_p2)):
+    if not affordable(bid_p2, state.budget_p2):
         raise OverbidError(f"P2 bid {bid_p2} outside [0, {state.budget_p2}]")
     return _settle(config, state, value, bid_p1, bid_p2, at_least(bid_p1, bid_p2))
 
@@ -443,10 +436,6 @@ def _settle(
     """
     an, ad = config.variant.alpha_pair
     b1, b2, s1, s2, idx, _ = state
-    if type(b1) is not Fraction:
-        b1 = as_fraction(b1)
-    if type(b2) is not Fraction:
-        b2 = as_fraction(b2)
     if p1_wins:
         b1, b2 = paid(b1, bid_p1), paid(b2, bid_p2, an, ad)
         s1 += value

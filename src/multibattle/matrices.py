@@ -69,6 +69,7 @@ from .core import (
     ceil_div,
     check_countdowns,
     check_turns,
+    check_variant,
 )
 
 # Largest matrix side a fill accepts. Exact entries at a fractional alpha
@@ -221,7 +222,8 @@ def _pair_rows(variant: AuctionVariant, n: int):
 
 
 def _rows(variant: AuctionVariant, n: int, exact: bool):
-    """The exact or float fill of rows 0..n; checks n's ceiling on the call, not on the first row."""
+    """The exact or float fill of rows 0..n; checks the variant and n's ceiling on the call, not on row 0."""
+    check_variant(variant)
     _check_side(n, exact)
     return _pair_rows(variant, n) if exact else _float_rows(variant, n)
 

@@ -46,6 +46,7 @@ from .core import (
     ResourceError,
     check_countdowns,
     check_turns,
+    check_variant,
     finite_fraction,
 )
 
@@ -92,6 +93,7 @@ class GridEvaluator:
     """
 
     def __init__(self, variant: AuctionVariant):
+        check_variant(variant)
         self.variant = variant
         self._an, self._d = variant.alpha_pair  # first-price variants carry alpha = 0: an = 0, d = 1
         self._set01 = variant.is_triangular
@@ -102,12 +104,8 @@ class GridEvaluator:
 
     def _scaled(self, a) -> int:
         """P1's budget ``a`` (grid units) as an integer count of 1/d units."""
-        if a.__class__ is bool:
-            raise DomainError(f"P1 budget must be a number of grid units, got {a!r}")
-        if isinstance(a, int):
+        if a.__class__ is int:
             return a * self._d
-        if not isinstance(a, (Fraction, float)):
-            raise DomainError(f"P1 budget must be a number of grid units, got {a!r}")
         scaled = finite_fraction(a, "P1 budget") * self._d
         if scaled.denominator != 1:
             raise DomainError(f"P1 budget {a} is not a multiple of 1/{self._d} grid unit")
@@ -245,6 +243,7 @@ class OracleInstance:
     grid_unit: Fraction = Fraction(1)
 
     def __post_init__(self):
+        check_variant(self.variant)
         for name in ("b1", "b2", "grid_unit"):
             object.__setattr__(self, name, finite_fraction(getattr(self, name), name))
         check_turns(self.turns)
@@ -256,7 +255,7 @@ class OracleInstance:
         self._units(self.b2)
 
     def _units(self, amount: Fraction) -> int:
-        q = Fraction(amount) / self.grid_unit
+        q = amount / self.grid_unit
         if q.denominator != 1:
             raise DomainError(f"{amount} is not a multiple of grid unit {self.grid_unit}")
         return q.numerator
@@ -285,7 +284,7 @@ def evaluate(
     remaining, (i, j) = inst.turns - state.turn_index, state.countdown
     # After a lost all-pay turn P1's budget may sit on the finer 1/d grid,
     # which the evaluator checks; P2's stays on the unit grid.
-    a, b = Fraction(state.budget_p1) / inst.grid_unit, inst._units(state.budget_p2)
+    a, b = state.budget_p1 / inst.grid_unit, inst._units(state.budget_p2)
     if pending_value is not None:
         if pending_value.__class__ is not int or pending_value not in (0, 1):
             raise DomainError(f"pending value must be 0 or 1, got {pending_value!r}")

@@ -36,7 +36,6 @@ from .core import (
     _fraction,
     _settle,
     affordable,
-    as_fraction,
     at_least,
     finite_fraction,
     initial_state,
@@ -67,7 +66,7 @@ def _policy_bid(s: StrategyState, value: int, budget: Fraction) -> Fraction:
     except (GameDecidedError, UnwinnableStateError):
         return ZERO
     if type(budget) is not Fraction:
-        budget = as_fraction(budget)
+        budget = finite_fraction(budget, "amount")
     return bid if at_least(budget, bid) else budget
 
 
@@ -121,9 +120,9 @@ class MatchPlusEpsilonAdversary:
     def choose_bid(self, state: GameState, value: int, p1_bid: Fraction, rng) -> Fraction:
         if value == 0:
             return ZERO
-        pn, pd = as_fraction(p1_bid).as_integer_ratio()
-        en, ed = self.epsilon.as_integer_ratio()
-        raised = _fraction(pn * ed + en * pd, pd * ed)
+        p, e = finite_fraction(p1_bid, "amount"), self.epsilon
+        pd, ed = p._denominator, e._denominator
+        raised = _fraction(p._numerator * ed + e._numerator * pd, pd * ed)
         return raised if at_least(state.budget_p2, raised) else ZERO
 
 
@@ -148,9 +147,8 @@ class RandomSeededAdversary:
         return rng.randrange(2)
 
     def choose_bid(self, state: GameState, value: int, p1_bid: Fraction, rng) -> Fraction:
-        d = self.bid_denominator
-        bn, bd = as_fraction(state.budget_p2).as_integer_ratio()
-        return _fraction(rng.randint(0, d) * bn, d * bd)
+        d, b = self.bid_denominator, state.budget_p2
+        return _fraction(rng.randint(0, d) * b._numerator, d * b._denominator)
 
 
 class OmnipotentAdversary:
@@ -200,7 +198,7 @@ class OmnipotentAdversary:
             return ZERO
         if not self._p1_wins(settle_turn(self._config, state, 1, p1_bid, ZERO)):
             return ZERO
-        q = self._grid * (self._grid_steps(as_fraction(p1_bid)) + 1)
+        q = self._grid * (self._grid_steps(finite_fraction(p1_bid, "amount")) + 1)
         if at_least(state.budget_p2, q) and not self._p1_wins(
             settle_turn(self._config, state, 1, p1_bid, q)
         ):
@@ -260,14 +258,14 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
                 raise DomainError(f"adversary chose invalid value {value!r}")
         p_bid = p1.bid(state, value)
         if type(p_bid) is not Fraction:
-            p_bid = as_fraction(p_bid, "P1 bid")
+            p_bid = finite_fraction(p_bid, "P1 bid")
         if not affordable(p_bid, state.budget_p1):
             fault = FaultRecord(state.turn_index, P1, p_bid, state.budget_p1)
             winner, reason = P2, "fault"
             break
         q_bid = p2.choose_bid(state, value, p_bid, rng)
         if type(q_bid) is not Fraction:
-            q_bid = as_fraction(q_bid, "P2 bid")
+            q_bid = finite_fraction(q_bid, "P2 bid")
         if not affordable(q_bid, state.budget_p2):
             fault = FaultRecord(state.turn_index, P2, q_bid, state.budget_p2)
             winner, reason = P1, "fault"
@@ -355,13 +353,16 @@ def exhaustive_adversary_check(
     ``max_states``; overruns raise ResourceError with progress counts. A
     game above ``MAX_SWEEP_TURNS`` turns raises ResourceError, and a
     ``denominator_bound`` that is neither an int nor a Fraction (a bool
-    included), or a ``denominator_bound * b2`` that is no positive
-    integer, DomainError, before any state is explored.
+    included), a ``max_states`` that is no int (a bool included) or below
+    1, or a ``denominator_bound * b2`` that is no positive integer,
+    DomainError, before any state is explored.
     """
     if config.turns > MAX_SWEEP_TURNS:
         raise ResourceError(f"sweep of {config.turns} turns exceeds the depth ceiling of {MAX_SWEEP_TURNS} turns")
     if denominator_bound.__class__ not in (int, Fraction):
         raise DomainError(f"denominator bound must be an int or a Fraction, got {denominator_bound!r}")
+    if max_states.__class__ is not int or max_states < 1:
+        raise DomainError(f"max_states must be an int >= 1, got {max_states!r}")
     bound_frac = denominator_bound * config.budget_p2
     if bound_frac.denominator != 1 or bound_frac < 1:
         raise DomainError(
@@ -385,8 +386,9 @@ def exhaustive_adversary_check(
         if decided is not None:
             return None if decided is Player.P1 else ()
         b1, b2, s1, s2, idx, _ = state
-        key = (*b1.as_integer_ratio(), *b2.as_integer_ratio(), s1, s2, idx,
-               *policy.tracked_opponent_budget.as_integer_ratio())
+        b = policy.tracked_opponent_budget
+        key = (b1._numerator, b1._denominator, b2._numerator, b2._denominator, s1, s2, idx,
+               b._numerator, b._denominator)
         hit = memo.get(key, MISS)
         if hit is not MISS:
             return hit

@@ -36,9 +36,9 @@ from .core import (
     UnwinnableStateError,
     ZERO,
     _fraction,
-    as_fraction,
     check_countdowns,
     check_turns,
+    check_variant,
     finite_fraction,
     paid,
 )
@@ -89,6 +89,7 @@ class StrategyState(NamedTuple):
     @classmethod
     def fresh(cls, variant: AuctionVariant, turns: int, opponent_budget: Numeric) -> "StrategyState":
         """Start-of-game state; reading entry (h, h) raises ResourceError above the exact ceiling."""
+        check_variant(variant)
         check_turns(turns)
         countdown = CountdownPair.fresh(turns)
         entry_pair(variant, countdown.i, countdown.j)
@@ -108,9 +109,8 @@ def next_bid(state: StrategyState, turn_value: int) -> Fraction:
     variant, b, (i, j) = state
     num, den = _bid_fraction_pair(variant, i, j)
     if type(b) is not Fraction:
-        b = as_fraction(b)
-    bn, bd = b.as_integer_ratio()
-    return _fraction(num * bn, den * bd)
+        b = finite_fraction(b, "amount")
+    return _fraction(num * b._numerator, den * b._denominator)
 
 
 def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_won: bool) -> StrategyState:
@@ -136,9 +136,9 @@ def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_wo
         i, j = cd
         cd = tuple.__new__(CountdownPair, (i - 1 if i > 0 else 0, j) if i_won else (i, j - 1 if j > 0 else 0))
     if type(b) is not Fraction:
-        b = as_fraction(b)
+        b = finite_fraction(b, "amount")
     if not i_won:
-        b = paid(b, as_fraction(my_bid, "my_bid"))
+        b = paid(b, finite_fraction(my_bid, "my_bid"))
         if b._numerator < 0:
             b = ZERO
     return tuple.__new__(StrategyState, (variant, b, cd))

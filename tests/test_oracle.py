@@ -264,8 +264,8 @@ def test_win_rejects_a_negative_budget_or_a_p2_budget_that_is_not_an_int(a, b):
     [(-1, 2, 2, 6, "turns left must be a nonnegative int"), (3.5, 2, 2, 6, "turns left must be a nonnegative int"),
      (True, 2, 2, 6, "turns left must be a nonnegative int"), (3, 2.0, 2, 6, "countdowns must be ints"),
      (3, True, 2, 6, "countdowns must be ints"), (3, 2, 2.0, 6, "countdowns must be ints"),
-     (3, 2, False, 6, "countdowns must be ints"), (3, 2, 2, True, "P1 budget must be a number of grid units"),
-     (3, 2, 2, False, "P1 budget must be a number of grid units")],
+     (3, 2, False, 6, "countdowns must be ints"), (3, 2, 2, True, "P1 budget must be an int, Fraction or float"),
+     (3, 2, 2, False, "P1 budget must be an int, Fraction or float")],
 )
 def test_win_rejects_turns_left_or_countdowns_that_are_no_ints_and_a_bool_budget(remaining, i, j, a, message):
     # (-1, 2, 2, 6) and (3.5, 2, 2, 6) used to answer True, and a = True read as a budget of 1.
@@ -279,7 +279,7 @@ def test_win_rejects_turns_left_or_countdowns_that_are_no_ints_and_a_bool_budget
 def test_win_rejects_a_p1_budget_that_is_not_a_number(a):
     # '6' used to parse as a budget and answer True, and '5' False.
     ev = GridEvaluator(FP_SET01)
-    with pytest.raises(DomainError, match="^P1 budget must be a number of grid units, got "):
+    with pytest.raises(DomainError, match="^P1 budget must be an int, Fraction or float, got "):
         ev.win(3, 2, 2, a, 4)
     assert ev.nodes_expanded == 0
     assert ev.win(3, 2, 2, 6.0, 4) and ev.win(3, 2, 2, F(6), 4) and not ev.win(3, 2, 2, 5.0, 4)

@@ -344,6 +344,17 @@ def test_the_sweep_rejects_a_bound_that_is_neither_an_int_nor_a_fraction(bound, 
         exhaustive_adversary_check(GameConfig(FP_SET01, turns=3), F(3, 2), bound)
 
 
+@pytest.mark.parametrize("max_states", [True, False, 0, -5, "x", 2.0, None])
+def test_the_sweep_rejects_a_max_states_that_is_no_int_of_at_least_one(max_states, monkeypatch):
+    # True used to report "exceeded True states", 0 and -5 a ResourceError, and "x" a bare TypeError.
+    def explored(*args):
+        raise AssertionError("a state was explored")
+
+    monkeypatch.setattr(simulate, "initial_state", explored)
+    with pytest.raises(DomainError, match=f"^max_states must be an int >= 1, got {max_states!r}$"):
+        exhaustive_adversary_check(GameConfig(FP_SET01, turns=3), F(3, 2), 8, max_states=max_states)
+
+
 @pytest.mark.parametrize("denominator", [2.5, 16.0, True, 0])
 def test_random_adversary_rejects_a_denominator_that_is_no_int_of_at_least_one(denominator):
     with pytest.raises(DomainError, match="^bid denominator must be an int >= 1, got "):
