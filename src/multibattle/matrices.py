@@ -67,8 +67,8 @@ from .core import (
     ResourceError,
     _fraction,
     ceil_div,
+    check_count,
     check_countdowns,
-    check_turns,
     check_variant,
 )
 
@@ -80,10 +80,7 @@ MAX_FLOAT_SIDE = 2048
 
 
 def _check_side(n: int, exact: bool) -> None:
-    if n.__class__ is not int:
-        raise DomainError(f"matrix size must be an int, got {n!r}")
-    if n < 1:
-        raise DomainError(f"matrix size must be >= 1, got {n}")
+    check_count(n, "matrix size")
     limit = MAX_EXACT_SIDE if exact else MAX_FLOAT_SIDE
     if n > limit:
         kind = "exact" if exact else "float"
@@ -364,11 +361,9 @@ def handicap_obr(variant: AuctionVariant, turns: int, k: int, exact: bool = Fals
     needs nothing, so the ratio is 0.
     """
     if turns.__class__ is not int or turns < 1:  # inline: this is solve's hot path
-        check_turns(turns)
-    if k.__class__ is not int:
-        raise DomainError(f"handicap must be an int, got {k!r}")
-    if k < 0:
-        raise DomainError(f"handicap must be nonnegative, got {k}")
+        check_count(turns, "turns")
+    if k.__class__ is not int or k < 0:  # inline, as above
+        check_count(k, "handicap", 0)
     i = ceil_div(turns - k, 2)
     j = ceil_div(turns + k, 2)
     if i <= 0:

@@ -44,8 +44,9 @@ from .core import (
     GameState,
     Numeric,
     ResourceError,
+    check_count,
     check_countdowns,
-    check_turns,
+    check_value,
     check_variant,
     finite_fraction,
 )
@@ -117,17 +118,18 @@ class GridEvaluator:
         ``a`` and ``b`` are the players' budgets in grid units, ``b`` an int;
         ``value``, if given, fixes this turn's value (an int, 0 or 1) before
         P1 bids. A negative budget or ``remaining``, a ``remaining``, ``i``,
-        ``j`` or ``b`` that is not an int (a bool included), a bool ``a`` or
-        any other value raises DomainError. More than ``MAX_TURNS``
-        remaining turns raise ResourceError.
+        ``j`` or ``b`` that is not an int (a bool included), a bool ``a``, any
+        other value or one with no turn left raises DomainError. More than
+        ``MAX_TURNS`` remaining turns raise ResourceError.
         """
-        if value is not None and (value.__class__ is not int or value not in (0, 1)):
-            raise DomainError(f"turn value must be 0 or 1, got {value!r}")
         if b.__class__ is not int:
             raise DomainError(f"P2 budget must be an int of grid units, got {b!r}")
-        if remaining.__class__ is not int or remaining < 0 or i.__class__ is not int or j.__class__ is not int:
-            check_countdowns(i, j)  # inline: a budget search asks once per budget
-            raise DomainError(f"turns left must be a nonnegative int, got {remaining!r}")
+        check_countdowns(i, j)
+        check_count(remaining, "turns left", 0)
+        if value is not None:
+            check_value(value)
+            if not remaining:
+                raise DomainError("no turn left to evaluate a pending value for")
         if remaining > MAX_TURNS:
             raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
         A = self._scaled(a)
@@ -246,7 +248,7 @@ class OracleInstance:
         check_variant(self.variant)
         for name in ("b1", "b2", "grid_unit"):
             object.__setattr__(self, name, finite_fraction(getattr(self, name), name))
-        check_turns(self.turns)
+        check_count(self.turns, "turns")
         if self.grid_unit <= 0:
             raise DomainError("grid_unit must be positive")
         if self.b1 < 0 or self.b2 < 0:
@@ -275,7 +277,8 @@ def evaluate(
     """Exact win/loss evaluation from the start or from a mid-game state.
 
     ``pending_value`` evaluates the position where this turn's value is
-    already fixed and P1 is about to bid: one ``GridEvaluator.win`` query.
+    already fixed and P1 is about to bid: one ``GridEvaluator.win`` query,
+    which needs a turn left. A fixed-value variant takes only a value of 1.
     """
     if state is None:
         state = GameState(inst.b1, inst.b2, 0, 0, 0, CountdownPair.fresh(inst.turns))
@@ -286,12 +289,7 @@ def evaluate(
     # which the evaluator checks; P2's stays on the unit grid.
     a, b = state.budget_p1 / inst.grid_unit, inst._units(state.budget_p2)
     if pending_value is not None:
-        if pending_value.__class__ is not int or pending_value not in (0, 1):
-            raise DomainError(f"pending value must be 0 or 1, got {pending_value!r}")
-        if pending_value != 1 and not inst.variant.is_triangular:
-            raise DomainError("fixed-value contests only auction value-1 objects")
-        if remaining < 1:
-            raise DomainError("no turn left to evaluate a pending value for")
+        check_value(pending_value, "pending value", inst.variant)
     ev = GridEvaluator(inst.variant)
     won = ev.win(remaining, i, j, a, b, pending_value)
     return OracleResult(won, ev.nodes_expanded)

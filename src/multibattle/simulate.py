@@ -37,6 +37,8 @@ from .core import (
     _settle,
     affordable,
     at_least,
+    check_count,
+    check_value,
     finite_fraction,
     initial_state,
     settle_turn,
@@ -136,8 +138,7 @@ class RandomSeededAdversary:
     """
 
     def __init__(self, bid_denominator: int = 16):
-        if bid_denominator.__class__ is not int or bid_denominator < 1:
-            raise DomainError(f"bid denominator must be an int >= 1, got {bid_denominator!r}")
+        check_count(bid_denominator, "bid denominator")
         self.bid_denominator = bid_denominator
 
     def begin(self, config: GameConfig, budget_p1: Fraction) -> None:
@@ -254,8 +255,7 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
             value = 1
         else:
             value = p2.choose_value(state, rng)
-            if value.__class__ is not int or value not in (0, 1):
-                raise DomainError(f"adversary chose invalid value {value!r}")
+            check_value(value, "adversary value")
         p_bid = p1.bid(state, value)
         if type(p_bid) is not Fraction:
             p_bid = finite_fraction(p_bid, "P1 bid")
@@ -361,8 +361,7 @@ def exhaustive_adversary_check(
         raise ResourceError(f"sweep of {config.turns} turns exceeds the depth ceiling of {MAX_SWEEP_TURNS} turns")
     if denominator_bound.__class__ not in (int, Fraction):
         raise DomainError(f"denominator bound must be an int or a Fraction, got {denominator_bound!r}")
-    if max_states.__class__ is not int or max_states < 1:
-        raise DomainError(f"max_states must be an int >= 1, got {max_states!r}")
+    check_count(max_states, "max_states")
     bound_frac = denominator_bound * config.budget_p2
     if bound_frac.denominator != 1 or bound_frac < 1:
         raise DomainError(

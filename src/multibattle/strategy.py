@@ -30,14 +30,14 @@ from typing import NamedTuple
 from .core import (
     AuctionVariant,
     CountdownPair,
-    DomainError,
     GameDecidedError,
     Numeric,
     UnwinnableStateError,
     ZERO,
     _fraction,
+    check_count,
     check_countdowns,
-    check_turns,
+    check_value,
     check_variant,
     finite_fraction,
     paid,
@@ -90,7 +90,7 @@ class StrategyState(NamedTuple):
     def fresh(cls, variant: AuctionVariant, turns: int, opponent_budget: Numeric) -> "StrategyState":
         """Start-of-game state; reading entry (h, h) raises ResourceError above the exact ceiling."""
         check_variant(variant)
-        check_turns(turns)
+        check_count(turns, "turns")
         countdown = CountdownPair.fresh(turns)
         entry_pair(variant, countdown.i, countdown.j)
         return cls(variant, finite_fraction(opponent_budget, "opponent_budget"), countdown)
@@ -102,8 +102,7 @@ def next_bid(state: StrategyState, turn_value: int) -> Fraction:
     Zero-value turns get a zero bid (the shared ``ZERO``); there is nothing
     at stake and spending would only erode the guarantee.
     """
-    if turn_value.__class__ is not int or turn_value not in (0, 1):
-        raise DomainError(f"turn value must be 0 or 1, got {turn_value!r}")
+    check_value(turn_value)
     if turn_value == 0:
         return ZERO
     variant, b, (i, j) = state
@@ -129,8 +128,7 @@ def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_wo
     The turn value is checked as in ``next_bid``. Both records skip
     ``__new__`` (see ``core``): the countdown dropped is clamped at zero.
     """
-    if turn_value.__class__ is not int or turn_value not in (0, 1):
-        raise DomainError(f"turn value must be 0 or 1, got {turn_value!r}")
+    check_value(turn_value)
     variant, b, cd = state
     if turn_value:
         i, j = cd

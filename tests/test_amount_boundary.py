@@ -30,6 +30,7 @@ from multibattle import (
     min_winning_budget,
     verify_matrix,
 )
+from multibattle import core
 from multibattle.core import CountdownPair, affordable, at_least, paid
 from multibattle.matrices import matrix_csv_lines, matrix_json_chunks
 
@@ -99,6 +100,52 @@ def test_only_core_and_cli_convert_amounts():
                 assert not node.keywords, (path.name, node.lineno)
                 for arg in node.args:
                     assert isinstance(arg, ast.Constant) and type(arg.value) is int, (path.name, node.lineno)
+
+
+# The messages of core's rule helpers: check_value's 0/1 and fixed-value rules, check_count's "at least" rule.
+RULE_MESSAGES = ("must be 0 or 1", "only auction value-1 objects", "must be >= ")
+DOMAIN_ERRORS = {name for name, obj in vars(core).items() if isinstance(obj, type) and issubclass(obj, DomainError)}
+
+
+def _rule_raises(source: str, filename: str) -> list:
+    """Lines that raise a DomainError (or subclass) whose message text holds a rule helper's message."""
+    lines = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        func = node.exc.func
+        if getattr(func, "id", getattr(func, "attr", None)) not in DOMAIN_ERRORS:
+            continue
+        texts = [n.value for arg in node.exc.args for n in ast.walk(arg)
+                 if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        if any(rule in text for text in texts for rule in RULE_MESSAGES):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_core_raises_the_rule_messages():
+    # settle_turn, next_bid, observe_outcome, win, evaluate and run_game each restated the 0/1 rule,
+    # settle_turn and evaluate the fixed-value rule, and _check_side, handicap_obr, RandomSeededAdversary
+    # and the sweep's max_states the count rule.
+    for path in sorted(SRC.glob("*.py")):
+        lines = _rule_raises(path.read_text(encoding="utf-8"), path.name)
+        assert len(lines) == (3 if path.name == "core.py" else 0), (path.name, lines)  # one raise per rule
+
+
+@pytest.mark.parametrize("source", [
+    'raise DomainError(f"turn value must be 0 or 1, got {value!r}")',
+    'raise core.DomainError("max_states must be >= 1")',
+    'raise OverbidError(f"{name} must be >= {least}, got {n}")',
+    'raise DomainError("fixed-value contests only auction value-1 objects")',
+    'if k < 0:\n    raise UnwinnableStateError(name + " must be >= 0")',
+])
+def test_the_rule_message_check_finds_a_copy(source):
+    assert _rule_raises(source, "copy.py")
+
+
+def test_the_rule_message_check_passes_other_messages():
+    source = 'raise DomainError("budgets must be nonnegative")\nraise ValueError("x must be >= 1")\nraise exc'
+    assert _rule_raises(source, "other.py") == []
 
 
 # Each entry point that takes a variant. Only GameConfig checked it: the

@@ -348,6 +348,18 @@ def test_turns_past_the_depth_and_playout_ceilings_exit_two(capsys):
         assert message in err, argv
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("obr --variant fp-set --turns 0", "turns must be >= 1, got 0"),
+    ("obr --variant fp-set --turns 5 --handicap -1", "handicap must be >= 0, got -1"),
+    ("matrix --variant fp-set --size 0", "matrix size must be >= 1, got 0"),
+    ("simulate --variant fp-set --turns 3 --ratio -1 --adversary allin", "budget_p1 must be nonnegative"),
+    ("obr --variant fp-set --turns 3 --alpha 1/2", "--alpha only applies to all-pay variants"),
+])
+def test_argument_errors_exit_one_with_their_one_stderr_line(argv, message, capsys):
+    # --handicap -1 used to read "handicap must be nonnegative, got -1"; the others are unchanged.
+    assert run(capsys, *argv.split()) == (1, "", f"error: {message}\n")
+
+
 def test_unknown_variant_exits_one(capsys):
     code, _, err = run(capsys, "obr", "--variant", "second-price", "--turns", "3")
     assert code == 1

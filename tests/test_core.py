@@ -37,6 +37,8 @@ from multibattle.core import (
     TurnRecord,
     Unwinnable,
     ceil_div,
+    check_count,
+    check_value,
 )
 
 F = Fraction
@@ -118,6 +120,33 @@ def test_game_config_rejects_a_game_that_cannot_exist(variant, turns, message):
     # The first three used to construct and fail later inside run_game.
     with pytest.raises(DomainError, match=message):
         GameConfig(variant, turns)
+
+
+@pytest.mark.parametrize("n, least, message", [
+    (3.0, 1, "count must be an int, got 3.0"),
+    (True, 0, "count must be an int, got True"),
+    ("3", 1, "count must be an int, got '3'"),
+    (0, 1, "count must be >= 1, got 0"),
+    (-1, 0, "count must be >= 0, got -1"),
+])
+def test_check_count_names_the_count_and_the_rule_it_breaks(n, least, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        check_count(n, "count", least)
+    check_count(least, "count", least)
+
+
+@pytest.mark.parametrize("value", [2, -1, True, False, 1.0, None, "1"], ids=repr)
+def test_check_value_refuses_all_but_the_ints_zero_and_one(value):
+    for name in ("turn value", "pending value"):
+        with pytest.raises(DomainError, match=f"^{re.escape(f'{name} must be 0 or 1, got {value!r}')}$"):
+            check_value(value, name)
+    for variant in (None, FP_SET01, AP_SET01, FP_FIXED1, AP_FIXED1):
+        check_value(1, "turn value", variant)
+        if variant is None or variant.is_triangular:
+            check_value(0, "turn value", variant)
+        else:
+            with pytest.raises(DomainError, match="^fixed-value contests only auction value-1 objects$"):
+                check_value(0, "turn value", variant)
 
 
 def test_settle_after_last_turn_is_an_error():

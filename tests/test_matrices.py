@@ -601,6 +601,14 @@ def test_handicap_obr_rejects_a_handicap_that_is_not_an_int(k):
                 handicap_obr(variant, 5, k, exact)
 
 
+def test_handicap_obr_rejects_a_negative_handicap():
+    # It used to read "handicap must be nonnegative, got -1", apart from every other count's message.
+    for variant in (FP_SET01, FRACTIONAL_VARIANTS[0]):
+        for exact in (False, True):
+            with pytest.raises(DomainError, match="^handicap must be >= 0, got -1$"):
+                handicap_obr(variant, 5, -1, exact)
+
+
 # -------------------------------------------------------------- verify report
 
 

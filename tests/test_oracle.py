@@ -238,6 +238,21 @@ def test_evaluate_rejects_a_pending_value_that_is_not_an_int(value):
         evaluate(OracleInstance(FP_SET01, 3, F(6), F(4)), pending_value=value)
 
 
+@pytest.mark.parametrize("variant", [FP_SET01, FP_FIXED1, AP_SET_HALF], ids=lambda v: f"{v.short_name}-{v.alpha}")
+@pytest.mark.parametrize("value", [0, 1])
+def test_win_refuses_a_value_with_no_turn_left(variant, value):
+    # win(0, 1, 1, 0, 0, value) used to answer True, scoring a turn that does not exist by the tie rule.
+    ev = GridEvaluator(variant)
+    with pytest.raises(DomainError, match="^no turn left to evaluate a pending value for$"):
+        ev.win(0, 1, 1, 0, 0, value)
+    assert ev.nodes_expanded == 0
+    assert ev.win(0, 1, 1, 0, 0) is True  # without a value, the tie rule settles the position
+    cfg = GameConfig(variant, 1)
+    last = settle_turn(cfg, initial_state(cfg, F(6)), 1, F(0), F(0))
+    with pytest.raises(DomainError, match="^no turn left to evaluate a pending value for$"):
+        evaluate(OracleInstance(variant, 1, 6, 4), last, pending_value=1)
+
+
 @pytest.mark.parametrize("value", [2, -1, True, False, 1.0])
 def test_win_rejects_a_value_outside_none_zero_and_one(value):
     ev = GridEvaluator(FP_FIXED1)
@@ -261,8 +276,8 @@ def test_win_rejects_a_negative_budget_or_a_p2_budget_that_is_not_an_int(a, b):
 
 @pytest.mark.parametrize(
     "remaining, i, j, a, message",
-    [(-1, 2, 2, 6, "turns left must be a nonnegative int"), (3.5, 2, 2, 6, "turns left must be a nonnegative int"),
-     (True, 2, 2, 6, "turns left must be a nonnegative int"), (3, 2.0, 2, 6, "countdowns must be ints"),
+    [(-1, 2, 2, 6, "turns left must be >= 0"), (3.5, 2, 2, 6, "turns left must be an int"),
+     (True, 2, 2, 6, "turns left must be an int"), (3, 2.0, 2, 6, "countdowns must be ints"),
      (3, True, 2, 6, "countdowns must be ints"), (3, 2, 2.0, 6, "countdowns must be ints"),
      (3, 2, False, 6, "countdowns must be ints"), (3, 2, 2, True, "P1 budget must be an int, Fraction or float"),
      (3, 2, 2, False, "P1 budget must be an int, Fraction or float")],

@@ -1,6 +1,7 @@
 """Playouts, adversaries, trace invariants, and the exhaustive sweep."""
 
 import itertools
+import re
 import time
 import tracemalloc
 from bisect import bisect_right
@@ -351,13 +352,15 @@ def test_the_sweep_rejects_a_max_states_that_is_no_int_of_at_least_one(max_state
         raise AssertionError("a state was explored")
 
     monkeypatch.setattr(simulate, "initial_state", explored)
-    with pytest.raises(DomainError, match=f"^max_states must be an int >= 1, got {max_states!r}$"):
+    rule = ">= 1" if max_states.__class__ is int else "an int"
+    with pytest.raises(DomainError, match=f"^{re.escape(f'max_states must be {rule}, got {max_states!r}')}$"):
         exhaustive_adversary_check(GameConfig(FP_SET01, turns=3), F(3, 2), 8, max_states=max_states)
 
 
 @pytest.mark.parametrize("denominator", [2.5, 16.0, True, 0])
 def test_random_adversary_rejects_a_denominator_that_is_no_int_of_at_least_one(denominator):
-    with pytest.raises(DomainError, match="^bid denominator must be an int >= 1, got "):
+    rule = ">= 1" if denominator.__class__ is int else "an int"
+    with pytest.raises(DomainError, match=f"^{re.escape(f'bid denominator must be {rule}, got {denominator!r}')}$"):
         RandomSeededAdversary(denominator)
 
 

@@ -109,7 +109,7 @@ def test_a_p2_fault_writes_its_fault_object(variant):
 
 
 def test_run_game_rejects_bool_turn_values():
-    with pytest.raises(DomainError, match="invalid value"):
+    with pytest.raises(DomainError, match="^adversary value must be 0 or 1, got True$"):
         run_game(GameConfig(AP_SET01, 21), F(3), StrategyPolicy(), _BoolValues(), seed=5)
 
 

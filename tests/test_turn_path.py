@@ -35,6 +35,7 @@ from multibattle import (
     DomainError,
     GameConfig,
     GameState,
+    GridEvaluator,
     MatchPlusEpsilonAdversary,
     OmnipotentAdversary,
     Player,
@@ -357,6 +358,7 @@ AMOUNT_ENTRY_POINTS = {
     "MatchPlusEpsilonAdversary": ("epsilon", lambda x: MatchPlusEpsilonAdversary(x)),
     "OmnipotentAdversary": ("grid_unit", lambda x: OmnipotentAdversary(x)),
     "min_winning_budget ceiling": ("ceiling", lambda x: min_winning_budget(FP_SET01, 3, 4, ceiling=x)),
+    "GridEvaluator.win": ("P1 budget", lambda x: GridEvaluator(FP_SET01).win(3, 2, 2, x, 4)),
 }
 
 
