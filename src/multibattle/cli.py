@@ -28,6 +28,7 @@ from .core import (
     GameConfig,
     Pricing,
     ResourceError,
+    amount,
 )
 from .matrices import handicap_obr, matrix_csv_lines, matrix_json_chunks, obr, verify_matrix
 
@@ -180,9 +181,7 @@ def _cmd_matrix(ns, variant: AuctionVariant) -> int:
 
 def _cmd_bid(ns, variant: AuctionVariant) -> int:
     fraction = optimal_bid_fraction(variant, ns.i, ns.j)
-    budget = _parse_fraction(ns.opponent_budget)
-    if budget < 0:
-        raise DomainError(f"opponent budget must be nonnegative, got {budget}")
+    budget = amount(_parse_fraction(ns.opponent_budget), "opponent budget")
     try:
         text = f"r* = {_fmt(fraction, ns.exact)}\nbid = {_fmt(fraction * budget, ns.exact)}"
     except OverflowError:

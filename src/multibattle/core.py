@@ -49,7 +49,9 @@ zero, and ``TurnRecord`` and ``StrategyState``, which check nothing.
 Each argument rule is one helper here with one message: ``check_value``
 (an int 0 or 1, never a bool; only 1 under a fixed-value variant),
 ``check_count`` (an int of at least ``least``), ``check_countdowns``,
-``check_variant`` and ``finite_fraction``. Only ``closed_form``,
+``check_variant``, ``finite_fraction`` and ``amount``, the sign rule
+("must be >= 0", or "must be > 0" if ``positive``, on
+``finite_fraction``'s result). Only ``closed_form``,
 ``optimal_bid_fraction`` and ``handicap_obr`` guard the call with an
 inline class test: they are solve's hot path, where plain calls cost
 ``obr`` a sixth of its time. Each turn is checked once: ``settle_turn``
@@ -184,6 +186,17 @@ def finite_fraction(x: Numeric, name: str) -> Fraction:
     return Fraction(x)
 
 
+def amount(x: Numeric, name: str, positive: bool = False) -> Fraction:
+    """``finite_fraction(x, name)``, with DomainError naming ``name`` unless it is >= 0 (> 0 if ``positive``)."""
+    f = x if type(x) is Fraction else finite_fraction(x, name)
+    if positive:
+        if f._numerator <= 0:
+            raise DomainError(f"{name} must be > 0, got {x}")
+    elif f._numerator < 0:
+        raise DomainError(f"{name} must be >= 0, got {x}")
+    return f
+
+
 ZERO = Fraction(0)  # Fractions are immutable, so every zero bid can be this one
 
 
@@ -311,11 +324,9 @@ class GameConfig:
     budget_p2: Fraction = Fraction(1)
 
     def __post_init__(self):
-        object.__setattr__(self, "budget_p2", finite_fraction(self.budget_p2, "budget_p2"))
+        object.__setattr__(self, "budget_p2", amount(self.budget_p2, "budget_p2", positive=True))
         check_variant(self.variant)
         check_count(self.turns, "turns")
-        if self.budget_p2 <= 0:
-            raise DomainError("budget_p2 must be positive")
 
 
 class _CountdownPair(NamedTuple):
@@ -329,10 +340,9 @@ class CountdownPair(_CountdownPair):
     __slots__ = ()
 
     def __new__(cls, i: int, j: int):
-        self = tuple.__new__(cls, (i, j))
-        if i < 0 or j < 0:
-            raise DomainError(f"countdown values must be nonnegative: {self}")
-        return self
+        check_count(i, "countdown i", 0)
+        check_count(j, "countdown j", 0)
+        return tuple.__new__(cls, (i, j))
 
     @classmethod
     def _make(cls, fields) -> "CountdownPair":
@@ -373,12 +383,11 @@ class GameState(_GameState):
     __slots__ = ()
 
     def __new__(cls, budget_p1, budget_p2, score_p1, score_p2, turn_index, countdown):
-        budget_p1 = finite_fraction(budget_p1, "budget")
-        budget_p2 = finite_fraction(budget_p2, "budget")
-        if budget_p1._numerator < 0 or budget_p2._numerator < 0:
-            raise DomainError("budgets must be nonnegative")
-        if score_p1 < 0 or score_p2 < 0:
-            raise DomainError("scores must be nonnegative")
+        budget_p1 = amount(budget_p1, "budget_p1")
+        budget_p2 = amount(budget_p2, "budget_p2")
+        check_count(score_p1, "score_p1", 0)
+        check_count(score_p2, "score_p2", 0)
+        check_count(turn_index, "turn_index", 0)
         return tuple.__new__(cls, (budget_p1, budget_p2, score_p1, score_p2, turn_index, countdown))
 
     @classmethod
@@ -388,11 +397,8 @@ class GameState(_GameState):
 
 
 def initial_state(config: GameConfig, budget_p1: Numeric) -> GameState:
-    b1 = finite_fraction(budget_p1, "budget_p1")
-    if b1 < 0:
-        raise DomainError("budget_p1 must be nonnegative")
     return GameState(
-        budget_p1=b1,
+        budget_p1=budget_p1,
         budget_p2=config.budget_p2,
         score_p1=0,
         score_p2=0,

@@ -44,11 +44,11 @@ from .core import (
     GameState,
     Numeric,
     ResourceError,
+    amount,
     check_count,
     check_countdowns,
     check_value,
     check_variant,
-    finite_fraction,
 )
 
 
@@ -106,8 +106,9 @@ class GridEvaluator:
     def _scaled(self, a) -> int:
         """P1's budget ``a`` (grid units) as an integer count of 1/d units."""
         if a.__class__ is int:
+            check_count(a, "P1 budget", 0)
             return a * self._d
-        scaled = finite_fraction(a, "P1 budget") * self._d
+        scaled = amount(a, "P1 budget") * self._d
         if scaled.denominator != 1:
             raise DomainError(f"P1 budget {a} is not a multiple of 1/{self._d} grid unit")
         return scaled.numerator
@@ -122,8 +123,7 @@ class GridEvaluator:
         other value or one with no turn left raises DomainError. More than
         ``MAX_TURNS`` remaining turns raise ResourceError.
         """
-        if b.__class__ is not int:
-            raise DomainError(f"P2 budget must be an int of grid units, got {b!r}")
+        check_count(b, "P2 budget", 0)
         check_countdowns(i, j)
         check_count(remaining, "turns left", 0)
         if value is not None:
@@ -133,8 +133,6 @@ class GridEvaluator:
         if remaining > MAX_TURNS:
             raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
         A = self._scaled(a)
-        if A < 0 or b < 0:
-            raise DomainError("budgets must be nonnegative")
         self._query = (remaining, b)
         if value is None or i <= 0 or j <= 0:
             return self._win(remaining, i, j, A, b)
@@ -246,13 +244,9 @@ class OracleInstance:
 
     def __post_init__(self):
         check_variant(self.variant)
-        for name in ("b1", "b2", "grid_unit"):
-            object.__setattr__(self, name, finite_fraction(getattr(self, name), name))
+        for name, positive in (("b1", False), ("b2", False), ("grid_unit", True)):
+            object.__setattr__(self, name, amount(getattr(self, name), name, positive))
         check_count(self.turns, "turns")
-        if self.grid_unit <= 0:
-            raise DomainError("grid_unit must be positive")
-        if self.b1 < 0 or self.b2 < 0:
-            raise DomainError("budgets must be nonnegative")
         self._units(self.b1)
         self._units(self.b2)
 
@@ -338,13 +332,10 @@ def min_winning_budget(
     on fp-set and ap-set and 0.22 s on ap-set at alpha = 1/3 (fixed-value
     variants stay under 0.02 s). Cost grows quickly with both.
     """
+    b2 = amount(b2, "b2", positive=True)
     inst = OracleInstance(variant, turns, 0, b2, grid_unit)
-    g, b2, b_units = inst.grid_unit, inst.b2, inst._units(inst.b2)
-    if b2 <= 0:
-        raise DomainError("b2 must be positive")
-    cap_units = 4 * b_units if ceiling is None else finite_fraction(ceiling, "ceiling") // g  # an int floor
-    if cap_units < 0:
-        raise DomainError(f"ceiling must be nonnegative, got {ceiling}")
+    g, b_units = inst.grid_unit, inst._units(b2)
+    cap_units = 4 * b_units if ceiling is None else amount(ceiling, "ceiling") // g  # an int floor
     if method not in ("linear", "bisect"):
         raise DomainError(f"unknown search method {method!r}")
 

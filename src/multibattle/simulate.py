@@ -36,6 +36,7 @@ from .core import (
     _fraction,
     _settle,
     affordable,
+    amount,
     at_least,
     check_count,
     check_value,
@@ -109,9 +110,7 @@ class MatchPlusEpsilonAdversary:
     """Outbids P1 by a fixed epsilon whenever it can afford to."""
 
     def __init__(self, epsilon: Numeric = Fraction(1, 100)):
-        self.epsilon = finite_fraction(epsilon, "epsilon")
-        if self.epsilon <= 0:
-            raise DomainError("epsilon must be positive")
+        self.epsilon = amount(epsilon, "epsilon", positive=True)
 
     def begin(self, config: GameConfig, budget_p1: Fraction) -> None:
         pass
@@ -164,9 +163,7 @@ class OmnipotentAdversary:
     """
 
     def __init__(self, grid_unit: Numeric | None = None):
-        self.grid_unit = None if grid_unit is None else finite_fraction(grid_unit, "grid_unit")
-        if self.grid_unit is not None and self.grid_unit <= 0:
-            raise DomainError("grid_unit must be positive")
+        self.grid_unit = None if grid_unit is None else amount(grid_unit, "grid_unit", positive=True)
         self._ev: GridEvaluator | None = None
         self._config: GameConfig | None = None
         self._grid: Fraction | None = None
@@ -236,9 +233,9 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
     """
     if config.turns > MAX_GAME_TURNS:
         raise ResourceError(f"game of {config.turns} turns exceeds the playout ceiling of {MAX_GAME_TURNS} turns")
-    b1 = finite_fraction(budget_p1, "budget_p1")
+    state = initial_state(config, budget_p1)
+    b1 = state.budget_p1
     rng = random.Random(seed)
-    state = initial_state(config, b1)
     p1.begin(config, b1)
     p2.begin(config, b1)
     fixed_value = not config.variant.is_triangular

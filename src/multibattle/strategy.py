@@ -35,6 +35,7 @@ from .core import (
     UnwinnableStateError,
     ZERO,
     _fraction,
+    amount,
     check_count,
     check_countdowns,
     check_value,
@@ -93,7 +94,7 @@ class StrategyState(NamedTuple):
         check_count(turns, "turns")
         countdown = CountdownPair.fresh(turns)
         entry_pair(variant, countdown.i, countdown.j)
-        return cls(variant, finite_fraction(opponent_budget, "opponent_budget"), countdown)
+        return cls(variant, amount(opponent_budget, "opponent_budget"), countdown)
 
 
 def next_bid(state: StrategyState, turn_value: int) -> Fraction:

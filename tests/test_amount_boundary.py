@@ -7,7 +7,8 @@ operands' slots without taking ints. These tests hold the records to
 exact Fraction budgets, the helpers to ``Fraction`` operators, and the
 modules past the boundary to making no conversion of their own. Every
 entry point that takes a variant refuses a non-variant with
-``DomainError``.
+``DomainError``, and every one that takes an amount with a sign rule
+refuses one below it through ``core.amount``, with one message.
 """
 
 import ast
@@ -20,17 +21,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multibattle import (
+    FP_SET01,
+    AllInAdversary,
     DomainError,
     GameConfig,
     GameState,
     GridEvaluator,
+    MatchPlusEpsilonAdversary,
+    OmnipotentAdversary,
     OracleInstance,
+    StrategyPolicy,
     StrategyState,
     build_matrix,
+    initial_state,
     min_winning_budget,
+    run_game,
     verify_matrix,
 )
-from multibattle import core
+from multibattle import cli, core
 from multibattle.core import CountdownPair, affordable, at_least, paid
 from multibattle.matrices import matrix_csv_lines, matrix_json_chunks
 
@@ -102,8 +110,10 @@ def test_only_core_and_cli_convert_amounts():
                     assert isinstance(arg, ast.Constant) and type(arg.value) is int, (path.name, node.lineno)
 
 
-# The messages of core's rule helpers: check_value's 0/1 and fixed-value rules, check_count's "at least" rule.
-RULE_MESSAGES = ("must be 0 or 1", "only auction value-1 objects", "must be >= ")
+# The messages of core's rule helpers: check_value's 0/1 and fixed-value rules, check_count's "at least"
+# rule and amount's two sign rules, and the sign rule's old wordings, which no raise may use.
+RULE_MESSAGES = ("must be 0 or 1", "only auction value-1 objects", "must be >= ", "must be > ",
+                 "nonnegative", "must be positive")
 DOMAIN_ERRORS = {name for name, obj in vars(core).items() if isinstance(obj, type) and issubclass(obj, DomainError)}
 
 
@@ -126,10 +136,11 @@ def _rule_raises(source: str, filename: str) -> list:
 def test_only_core_raises_the_rule_messages():
     # settle_turn, next_bid, observe_outcome, win, evaluate and run_game each restated the 0/1 rule,
     # settle_turn and evaluate the fixed-value rule, and _check_side, handicap_obr, RandomSeededAdversary
-    # and the sweep's max_states the count rule.
+    # and the sweep's max_states the count rule; GameState, OracleInstance, win, min_winning_budget, the
+    # epsilon and omnipotent adversaries and the CLI's bid the sign rule, in four wordings.
     for path in sorted(SRC.glob("*.py")):
         lines = _rule_raises(path.read_text(encoding="utf-8"), path.name)
-        assert len(lines) == (3 if path.name == "core.py" else 0), (path.name, lines)  # one raise per rule
+        assert len(lines) == (5 if path.name == "core.py" else 0), (path.name, lines)  # one raise per rule
 
 
 @pytest.mark.parametrize("source", [
@@ -137,6 +148,9 @@ def test_only_core_raises_the_rule_messages():
     'raise core.DomainError("max_states must be >= 1")',
     'raise OverbidError(f"{name} must be >= {least}, got {n}")',
     'raise DomainError("fixed-value contests only auction value-1 objects")',
+    'raise DomainError(f"epsilon must be > 0, got {x}")',
+    'raise DomainError("budgets must be nonnegative")',
+    'raise DomainError("grid_unit must be positive")',
     'if k < 0:\n    raise UnwinnableStateError(name + " must be >= 0")',
 ])
 def test_the_rule_message_check_finds_a_copy(source):
@@ -144,7 +158,7 @@ def test_the_rule_message_check_finds_a_copy(source):
 
 
 def test_the_rule_message_check_passes_other_messages():
-    source = 'raise DomainError("budgets must be nonnegative")\nraise ValueError("x must be >= 1")\nraise exc'
+    source = 'raise DomainError("alpha must lie in [0, 1]")\nraise ValueError("x must be >= 1")\nraise exc'
     assert _rule_raises(source, "other.py") == []
 
 
@@ -169,3 +183,45 @@ VARIANT_ENTRY_POINTS = {
 def test_a_variant_that_is_no_auction_variant_raises_domain_error(entry, bad):
     with pytest.raises(DomainError, match=f"^{re.escape(f'variant must be an AuctionVariant, got {bad!r}')}$"):
         VARIANT_ENTRY_POINTS[entry](bad)
+
+
+def _bid(opponent_budget):
+    ns = cli._parser().parse_args(["bid", "--variant", "fp-set", "--i", "2", "--j", "3",
+                                   "--opponent-budget", str(opponent_budget)])
+    return cli._cmd_bid(ns, FP_SET01)
+
+
+# Each entry point that takes an amount with a sign rule: (name, positive, call). Each restated the rule
+# in its own words, and StrategyState.fresh had none: it took -1, and next_bid then bid -1.
+SIGN_ENTRY_POINTS = {
+    "GameConfig": ("budget_p2", True, lambda x: GameConfig(FP_SET01, 3, budget_p2=x)),
+    "GameState p1": ("budget_p1", False, lambda x: GameState(x, 1, 0, 0, 0, CountdownPair(2, 2))),
+    "GameState p2": ("budget_p2", False, lambda x: GameState(1, x, 0, 0, 0, CountdownPair(2, 2))),
+    "initial_state": ("budget_p1", False, lambda x: initial_state(GameConfig(FP_SET01, 3), x)),
+    "run_game": ("budget_p1", False, lambda x: run_game(GameConfig(FP_SET01, 3), x, StrategyPolicy(),
+                                                         AllInAdversary())),
+    "OracleInstance b1": ("b1", False, lambda x: OracleInstance(FP_SET01, 3, x, 4)),
+    "OracleInstance b2": ("b2", False, lambda x: OracleInstance(FP_SET01, 3, 6, x)),
+    "OracleInstance grid_unit": ("grid_unit", True, lambda x: OracleInstance(FP_SET01, 3, 6, 4, x)),
+    "min_winning_budget b2": ("b2", True, lambda x: min_winning_budget(FP_SET01, 3, x)),
+    "min_winning_budget ceiling": ("ceiling", False, lambda x: min_winning_budget(FP_SET01, 3, 4, ceiling=x)),
+    "win P1 budget": ("P1 budget", False, lambda x: GridEvaluator(FP_SET01).win(3, 2, 2, x, 4)),
+    "win P1 budget Fraction": ("P1 budget", False, lambda x: GridEvaluator(FP_SET01).win(3, 2, 2, F(x), 4)),
+    "win P2 budget": ("P2 budget", False, lambda x: GridEvaluator(FP_SET01).win(3, 2, 2, 6, x)),
+    "MatchPlusEpsilonAdversary": ("epsilon", True, lambda x: MatchPlusEpsilonAdversary(x)),
+    "OmnipotentAdversary": ("grid_unit", True, lambda x: OmnipotentAdversary(x)),
+    "StrategyState.fresh": ("opponent_budget", False, lambda x: StrategyState.fresh(FP_SET01, 3, x)),
+    "cli bid": ("opponent budget", False, _bid),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [(e, x) for e, (_, positive, _) in SIGN_ENTRY_POINTS.items() for x in ((-1, 0) if positive else (-1,))],
+    ids=repr,
+)
+def test_an_amount_below_its_sign_rule_raises_one_message(entry, bad):
+    name, positive, call = SIGN_ENTRY_POINTS[entry]
+    message = f"{name} must be {'>' if positive else '>='} 0, got {bad}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call(bad)

@@ -352,11 +352,14 @@ def test_turns_past_the_depth_and_playout_ceilings_exit_two(capsys):
     ("obr --variant fp-set --turns 0", "turns must be >= 1, got 0"),
     ("obr --variant fp-set --turns 5 --handicap -1", "handicap must be >= 0, got -1"),
     ("matrix --variant fp-set --size 0", "matrix size must be >= 1, got 0"),
-    ("simulate --variant fp-set --turns 3 --ratio -1 --adversary allin", "budget_p1 must be nonnegative"),
+    ("simulate --variant fp-set --turns 3 --ratio -1 --adversary allin", "budget_p1 must be >= 0, got -1"),
+    ("oracle --variant fp-set --turns 3 --b2 0", "b2 must be > 0, got 0"),
+    ("oracle --variant fp-set --turns 3 --b2 4 --grid-unit 0", "grid_unit must be > 0, got 0"),
     ("obr --variant fp-set --turns 3 --alpha 1/2", "--alpha only applies to all-pay variants"),
 ])
 def test_argument_errors_exit_one_with_their_one_stderr_line(argv, message, capsys):
-    # --handicap -1 used to read "handicap must be nonnegative, got -1"; the others are unchanged.
+    # --handicap -1 used to read "handicap must be nonnegative, got -1", --ratio -1 "budget_p1 must be
+    # nonnegative", --b2 0 "b2 must be positive" and --grid-unit 0 "grid_unit must be positive".
     assert run(capsys, *argv.split()) == (1, "", f"error: {message}\n")
 
 
@@ -389,13 +392,13 @@ def test_negative_budget_exits_one(capsys):
     )
     assert code == 1
     assert out == ""
-    assert "budget_p1 must be nonnegative" in err
+    assert "budget_p1 must be >= 0, got -1" in err
 
 
 def test_negative_opponent_budget_exits_one(capsys):
     code, out, err = run(capsys, "bid", "--variant", "fp-set", "--i", "2", "--j", "3", "--opponent-budget", "-1")
     assert (code, out) == (1, "")
-    assert err == "error: opponent budget must be nonnegative, got -1\n"
+    assert err == "error: opponent budget must be >= 0, got -1\n"
     code, out, _ = run(capsys, "bid", "--variant", "fp-set", "--i", "2", "--j", "3", "--opponent-budget", "0")
     assert (code, out) == (0, "r* = 0.4666666666666667\nbid = 0\n")
 

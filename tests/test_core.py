@@ -404,15 +404,32 @@ def test_records_are_immutable_hashable_and_print_as_before(index):
 
 def test_records_reject_negative_values_with_the_same_messages():
     cd = CountdownPair(1, 1)
-    message = r"^countdown values must be nonnegative: CountdownPair\(i=-1, j=0\)$"
+    message = r"^countdown i must be >= 0, got -1$"
     with pytest.raises(DomainError, match=message):
         CountdownPair(-1, 0)
-    with pytest.raises(DomainError, match="^budgets must be nonnegative$"):
+    with pytest.raises(DomainError, match="^budget_p2 must be >= 0, got -1/2$"):
         GameState(F(1), F(-1, 2), 0, 0, 0, cd)
-    with pytest.raises(DomainError, match="^budgets must be nonnegative$"):
+    with pytest.raises(DomainError, match="^budget_p1 must be >= 0, got -1$"):
         GameState(-1, 1, 0, 0, 0, cd)
-    with pytest.raises(DomainError, match="^scores must be nonnegative$"):
+    with pytest.raises(DomainError, match="^score_p2 must be >= 0, got -1$"):
         GameState(F(1), F(1), 0, -1, 0, cd)
+
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("turn_index", -4, "turn_index must be >= 0, got -4"),
+    ("turn_index", 1.0, "turn_index must be an int, got 1.0"),
+    ("score_p1", True, "score_p1 must be an int, got True"),
+    ("score_p2", 1.0, "score_p2 must be an int, got 1.0"),
+])
+def test_game_state_checks_its_counts(field, bad, message):
+    # A turn index of -4 made evaluate search a 7-turn game of 3, and settle_turn
+    # at turn index -7 returned countdown (4, 5); a bool or float score was kept.
+    fields = dict(budget_p1=5, budget_p2=4, score_p1=0, score_p2=0, turn_index=0, countdown=CountdownPair(2, 2))
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        GameState(**{**fields, field: bad})
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        GameState(**fields)._replace(**{field: bad})
 
 
 def test_replacing_a_field_keeps_the_checks():

@@ -268,7 +268,7 @@ def test_win_rejects_a_value_outside_none_zero_and_one(value):
 def test_win_rejects_a_negative_budget_or_a_p2_budget_that_is_not_an_int(a, b):
     # (6, -4) used to answer True and (-6, 4) False.
     ev = GridEvaluator(AP_SET_HALF)
-    message = "^(budgets must be nonnegative|P2 budget must be an int of grid units, got .*)$"
+    message = "^(P[12] budget must be >= 0, got -.*|P2 budget must be an int, got .*)$"
     with pytest.raises(DomainError, match=message):
         ev.win(3, 2, 2, a, b)
     assert ev.nodes_expanded == 0
@@ -335,7 +335,7 @@ def test_oracle_instance_rejects_amounts_that_are_not_finite(field, bad):
 def test_search_rejects_a_negative_ceiling():
     # A negative ceiling used to raise ResourceError ("raise the ceiling"), the exit-2 class.
     for ceiling in (-1, F(-1, 2)):
-        with pytest.raises(DomainError, match="^ceiling must be nonnegative, got "):
+        with pytest.raises(DomainError, match="^ceiling must be >= 0, got "):
             min_winning_budget(FP_SET01, 3, 4, ceiling=ceiling)
     with pytest.raises(ResourceError):
         min_winning_budget(FP_SET01, 3, 4, ceiling=0)
@@ -385,7 +385,7 @@ def test_search_input_validation():
         min_winning_budget(FP_SET01, 3, F(3, 2), grid_unit=1)
     with pytest.raises(DomainError):
         min_winning_budget(FP_SET01, 3, 4, grid_unit=0)
-    with pytest.raises(DomainError, match="^budgets must be nonnegative$"):
+    with pytest.raises(DomainError, match="^b2 must be > 0, got -2$"):
         min_winning_budget(FP_SET01, 3, -2)
 
 

@@ -327,14 +327,14 @@ def test_replace_on_fast_built_records_still_checks():
     state = settle_turn(cfg, initial_state(cfg, 2), 1, F(1, 2), F(1, 3))
     plan = observe_outcome(StrategyState.fresh(AP_SET01, 5, 1), 1, F(1, 3), True)
     for cd in (countdown_for(5, 1, 1, 0), state.countdown, plan.countdown):
-        with pytest.raises(DomainError, match="^countdown values must be nonnegative"):
+        with pytest.raises(DomainError, match="^countdown i must be >= 0"):
             cd._replace(i=-1)
-        with pytest.raises(DomainError, match="^countdown values must be nonnegative"):
+        with pytest.raises(DomainError, match="^countdown j must be >= 0"):
             cd._replace(j=-1)
     for field in ("budget_p1", "budget_p2"):
-        with pytest.raises(DomainError, match="^budgets must be nonnegative$"):
+        with pytest.raises(DomainError, match=f"^{field} must be >= 0, got -1/3$"):
             state._replace(**{field: F(-1, 3)})
-    with pytest.raises(DomainError, match="^scores must be nonnegative$"):
+    with pytest.raises(DomainError, match="^score_p2 must be >= 0, got -1$"):
         state._replace(score_p2=-1)
 
 
@@ -351,8 +351,8 @@ AMOUNT_ENTRY_POINTS = {
     "run_game": ("budget_p1", lambda x: run_game(GAME, x, StrategyPolicy(), AllInAdversary())),
     "run_game P2 bid": ("P2 bid", lambda x: run_game(GAME, 2, StrategyPolicy(), _ScriptedAdversary([(1, x)]))),
     "GameConfig": ("budget_p2", lambda x: GameConfig(FP_SET01, 3, budget_p2=x)),
-    "GameState p1": ("budget", lambda x: GameState(x, 1, 0, 0, 0, CountdownPair(2, 2))),
-    "GameState p2": ("budget", lambda x: GameState(1, x, 0, 0, 0, CountdownPair(2, 2))),
+    "GameState p1": ("budget_p1", lambda x: GameState(x, 1, 0, 0, 0, CountdownPair(2, 2))),
+    "GameState p2": ("budget_p2", lambda x: GameState(1, x, 0, 0, 0, CountdownPair(2, 2))),
     "StrategyState.fresh": ("opponent_budget", lambda x: StrategyState.fresh(FP_SET01, 3, x)),
     "observe_outcome": ("my_bid", lambda x: observe_outcome(StrategyState.fresh(FP_SET01, 3, 1), 1, x, False)),
     "MatchPlusEpsilonAdversary": ("epsilon", lambda x: MatchPlusEpsilonAdversary(x)),
