@@ -40,11 +40,15 @@ The records a turn makes (``CountdownPair``, ``GameState``,
 ``typing.NamedTuple``s: immutable, hashable, and cheaper to build than
 frozen dataclasses, whose ``__init__`` sets each field through
 ``object.__setattr__``. Being tuples, they also compare equal to plain
-tuples of the same fields. The two validating ones check their fields
-in ``__new__`` on a thin subclass (``_replace`` included). Where that
-check cannot fail, a record is built with ``tuple.__new__``: the
-countdown pairs of ``countdown_for`` and ``observe_outcome``, clamped at
-zero, and ``TurnRecord`` and ``StrategyState``, which check nothing.
+tuples of the same fields. A ``GameState`` holds no countdown pair:
+readers derive it with ``countdown_for`` from the turn count, the turn
+index and the scores, so the two cannot disagree. The two validating
+records check their fields in ``__new__`` on a thin subclass
+(``_replace`` included). Where that check cannot fail, a record is
+built with ``tuple.__new__``: ``_settle``'s ``GameState`` (budgets stay
+>= 0 after checked bids, and counts only grow), the countdown pairs of
+``countdown_for`` and ``observe_outcome`` (clamped at zero), and
+``TurnRecord`` and ``StrategyState``, which check nothing.
 
 Each argument rule is one helper here with one message: ``check_value``
 (an int 0 or 1, never a bool; only 1 under a fixed-value variant),
@@ -56,7 +60,7 @@ Each argument rule is one helper here with one message: ``check_value``
 inline class test: they are solve's hot path, where plain calls cost
 ``obr`` a sixth of its time. Each turn is checked once: ``settle_turn``
 checks the value, the turn count and both bids, then calls ``_settle``,
-the one step of payments, scores and countdowns; ``run_game`` makes the
+the one step of payments and scores; ``run_game`` makes the
 same checks and calls ``_settle`` directly, as does the sweep.
 
 ``GameTrace.to_json(indent)`` writes the same bytes as
@@ -374,21 +378,20 @@ class _GameState(NamedTuple):
     score_p1: int
     score_p2: int
     turn_index: int
-    countdown: CountdownPair
 
 
 class GameState(_GameState):
-    """Live contest state between turns; ``__new__`` makes both budgets Fractions."""
+    """Live contest state between turns, countdown not stored; ``__new__`` makes both budgets Fractions."""
 
     __slots__ = ()
 
-    def __new__(cls, budget_p1, budget_p2, score_p1, score_p2, turn_index, countdown):
+    def __new__(cls, budget_p1, budget_p2, score_p1, score_p2, turn_index):
         budget_p1 = amount(budget_p1, "budget_p1")
         budget_p2 = amount(budget_p2, "budget_p2")
         check_count(score_p1, "score_p1", 0)
         check_count(score_p2, "score_p2", 0)
         check_count(turn_index, "turn_index", 0)
-        return tuple.__new__(cls, (budget_p1, budget_p2, score_p1, score_p2, turn_index, countdown))
+        return tuple.__new__(cls, (budget_p1, budget_p2, score_p1, score_p2, turn_index))
 
     @classmethod
     def _make(cls, fields) -> "GameState":
@@ -397,14 +400,7 @@ class GameState(_GameState):
 
 
 def initial_state(config: GameConfig, budget_p1: Numeric) -> GameState:
-    return GameState(
-        budget_p1=budget_p1,
-        budget_p2=config.budget_p2,
-        score_p1=0,
-        score_p2=0,
-        turn_index=0,
-        countdown=CountdownPair.fresh(config.turns),
-    )
+    return GameState(budget_p1, config.budget_p2, 0, 0, 0)
 
 
 def settle_turn(
@@ -443,29 +439,30 @@ def _settle(
 ) -> GameState:
     """The successor state of a turn whose value and bids are already checked.
 
-    The one copy of the payment, score and countdown step. ``p1_wins``
-    must be ``at_least(bid_p1, bid_p2)``. ``settle_turn`` and ``run_game``
-    call it after making ``settle_turn``'s checks; the exhaustive sweep
-    builds its moves legal (legal values, decided states return first,
-    bids capped at P1's budget or checked against P2's).
+    The one copy of the payment and score step. ``p1_wins`` must be
+    ``at_least(bid_p1, bid_p2)``. ``settle_turn`` and ``run_game`` call it
+    after making ``settle_turn``'s checks; the exhaustive sweep builds its
+    moves legal (legal values, decided states return first, bids capped at
+    P1's budget or checked against P2's). So budgets stay >= 0 and counts
+    only grow: the successor skips ``GameState.__new__``'s checks.
     """
     an, ad = config.variant.alpha_pair
-    b1, b2, s1, s2, idx, _ = state
+    b1, b2, s1, s2, idx = state
     if p1_wins:
         b1, b2 = paid(b1, bid_p1), paid(b2, bid_p2, an, ad)
         s1 += value
     else:
         b1, b2 = paid(b1, bid_p1, an, ad), paid(b2, bid_p2)
         s2 += value
-    idx += 1
-    return GameState(b1, b2, s1, s2, idx, countdown_for(config.turns, idx, s1, s2))
+    return tuple.__new__(GameState, (b1, b2, s1, s2, idx + 1))
 
 
 def winner_if_decided(config: GameConfig, state: GameState) -> Player | None:
     """The winner if the game is already decided, else None.
 
-    P1's countdown is checked first, so a double zero (an exact split of
-    the achievable score) goes to the dealer, matching the tie rule.
+    P1's countdown (derived by ``countdown_for``) is checked first, so a
+    double zero (an exact split of the achievable score) goes to the
+    dealer, matching the tie rule; once the turns run out, one is zero.
 
     Reaching a countdown of zero is decisive by convention, everywhere.
     For value-set contests this is also exact: an adversary at her
@@ -475,14 +472,10 @@ def winner_if_decided(config: GameConfig, state: GameState) -> Player | None:
     countdown model still scores that game for P2. All win guarantees in
     this package are with respect to this (conservative for P1) rule.
     """
-    if state.countdown.i == 0:
+    i, j = countdown_for(config.turns, state.turn_index, state.score_p1, state.score_p2)
+    if i == 0:
         return Player.P1
-    if state.countdown.j == 0:
-        return Player.P2
-    if state.turn_index >= config.turns:
-        # Unreachable given the countdown checks above, kept as a backstop.
-        return Player.P1 if state.score_p1 >= state.score_p2 else Player.P2
-    return None
+    return Player.P2 if j == 0 else None
 
 
 class TurnRecord(NamedTuple):

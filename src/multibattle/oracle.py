@@ -49,6 +49,7 @@ from .core import (
     check_countdowns,
     check_value,
     check_variant,
+    countdown_for,
 )
 
 
@@ -275,10 +276,11 @@ def evaluate(
     which needs a turn left. A fixed-value variant takes only a value of 1.
     """
     if state is None:
-        state = GameState(inst.b1, inst.b2, 0, 0, 0, CountdownPair.fresh(inst.turns))
+        state = GameState(inst.b1, inst.b2, 0, 0, 0)
     if state.turn_index > inst.turns:
         raise DomainError("state has more turns than the instance")
-    remaining, (i, j) = inst.turns - state.turn_index, state.countdown
+    remaining = inst.turns - state.turn_index
+    i, j = countdown_for(inst.turns, state.turn_index, state.score_p1, state.score_p2)
     # After a lost all-pay turn P1's budget may sit on the finer 1/d grid,
     # which the evaluator checks; P2's stays on the unit grid.
     a, b = state.budget_p1 / inst.grid_unit, inst._units(state.budget_p2)

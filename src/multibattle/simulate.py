@@ -40,6 +40,7 @@ from .core import (
     at_least,
     check_count,
     check_value,
+    countdown_for,
     finite_fraction,
     initial_state,
     settle_turn,
@@ -181,9 +182,9 @@ class OmnipotentAdversary:
 
     def _p1_wins(self, state: GameState, value: int | None = None) -> bool:
         """The oracle's verdict on ``state``, with this turn's value fixed if given."""
-        cd, steps = state.countdown, self._grid_steps
-        return self._ev.win(self._config.turns - state.turn_index, cd.i, cd.j,
-                            steps(state.budget_p1), steps(state.budget_p2), value)
+        turns, idx, steps = self._config.turns, state.turn_index, self._grid_steps
+        i, j = countdown_for(turns, idx, state.score_p1, state.score_p2)
+        return self._ev.win(turns - idx, i, j, steps(state.budget_p1), steps(state.budget_p2), value)
 
     def choose_value(self, state: GameState, rng: random.Random) -> int:
         for value in (1, 0):
@@ -272,7 +273,7 @@ def run_game(config: GameConfig, budget_p1: Numeric, p1, p2, seed: int = 0) -> G
         # TurnRecord checks nothing, so it is built without its __new__.
         p1_wins = at_least(p_bid, q_bid)
         new_state = _settle(config, state, value, p_bid, q_bid, p1_wins)
-        left1, left2, score1, score2, _, _ = new_state
+        left1, left2, score1, score2, _ = new_state
         records.append(tuple.__new__(TurnRecord, (
             state.turn_index, value, p_bid, q_bid, P1 if p1_wins else P2, left1, left2, score1, score2,
         )))
@@ -374,14 +375,13 @@ def exhaustive_adversary_check(
     def explore(state, policy):
         """None when P1 wins every line below ``state``; else the losing line.
 
-        The memo key holds the state's budgets and P1's tracked budget as
-        integer pairs, plus the scores and turn index. Both countdowns
-        follow from the scores and turn index, so they are left out.
+        The memo key is the whole game state, its budgets as integer pairs,
+        and P1's tracked budget as one more pair.
         """
         decided = winner_if_decided(config, state)
         if decided is not None:
             return None if decided is Player.P1 else ()
-        b1, b2, s1, s2, idx, _ = state
+        b1, b2, s1, s2, idx = state
         b = policy.tracked_opponent_budget
         key = (b1._numerator, b1._denominator, b2._numerator, b2._denominator, s1, s2, idx,
                b._numerator, b._denominator)

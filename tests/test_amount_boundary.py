@@ -39,7 +39,7 @@ from multibattle import (
     verify_matrix,
 )
 from multibattle import cli, core
-from multibattle.core import CountdownPair, affordable, at_least, paid
+from multibattle.core import affordable, at_least, paid
 from multibattle.matrices import matrix_csv_lines, matrix_json_chunks
 
 F = Fraction
@@ -53,9 +53,8 @@ class SubFraction(Fraction):
 @pytest.mark.parametrize("budget", [0, 3, 2.5, F(7, 3), SubFraction(7, 3)], ids=repr)
 def test_game_state_holds_budgets_that_are_exactly_fractions(budget):
     # An int or float budget used to be kept as given, and a subclass as its own type.
-    cd = CountdownPair(2, 2)
-    built = GameState(budget, budget, 0, 0, 0, cd)
-    replaced = GameState(F(1), F(1), 0, 0, 0, cd)._replace(budget_p1=budget, budget_p2=budget)
+    built = GameState(budget, budget, 0, 0, 0)
+    replaced = GameState(F(1), F(1), 0, 0, 0)._replace(budget_p1=budget, budget_p2=budget)
     for state in (built, replaced, built._replace(score_p1=1)):
         assert type(state.budget_p1) is Fraction and type(state.budget_p2) is Fraction
         assert state.budget_p1 == budget and state.budget_p2 == budget
@@ -195,8 +194,8 @@ def _bid(opponent_budget):
 # in its own words, and StrategyState.fresh had none: it took -1, and next_bid then bid -1.
 SIGN_ENTRY_POINTS = {
     "GameConfig": ("budget_p2", True, lambda x: GameConfig(FP_SET01, 3, budget_p2=x)),
-    "GameState p1": ("budget_p1", False, lambda x: GameState(x, 1, 0, 0, 0, CountdownPair(2, 2))),
-    "GameState p2": ("budget_p2", False, lambda x: GameState(1, x, 0, 0, 0, CountdownPair(2, 2))),
+    "GameState p1": ("budget_p1", False, lambda x: GameState(x, 1, 0, 0, 0)),
+    "GameState p2": ("budget_p2", False, lambda x: GameState(1, x, 0, 0, 0)),
     "initial_state": ("budget_p1", False, lambda x: initial_state(GameConfig(FP_SET01, 3), x)),
     "run_game": ("budget_p1", False, lambda x: run_game(GameConfig(FP_SET01, 3), x, StrategyPolicy(),
                                                          AllInAdversary())),

@@ -51,7 +51,6 @@ def state(config, b1, b2, s1=0, s2=0, idx=0):
         score_p1=s1,
         score_p2=s2,
         turn_index=idx,
-        countdown=countdown_for(config.turns, idx, s1, s2),
     )
 
 
@@ -158,11 +157,11 @@ def test_settle_after_last_turn_is_an_error():
 
 def test_winner_from_countdowns():
     cfg = GameConfig(FP_SET01, turns=5)
-    won = GameState(F(1), F(1), 3, 0, 3, CountdownPair(0, 2))
+    won = GameState(F(1), F(1), 3, 0, 3)
     assert winner_if_decided(cfg, won) is Player.P1
-    lost = GameState(F(1), F(1), 0, 3, 3, CountdownPair(2, 0))
+    lost = GameState(F(1), F(1), 0, 3, 3)
     assert winner_if_decided(cfg, lost) is Player.P2
-    open_game = GameState(F(1), F(1), 2, 2, 4, CountdownPair(1, 1))
+    open_game = GameState(F(1), F(1), 2, 2, 4)
     assert winner_if_decided(cfg, open_game) is None
 
 
@@ -171,8 +170,25 @@ def test_exhausted_score_tie_goes_to_dealer():
     s = state(cfg, 1, 1, s1=1, s2=1, idx=2)
     # The tie is already encoded in the countdown: nobody can score again,
     # so the dealer's need is rounded down to zero first.
-    assert s.countdown == CountdownPair(0, 0)
+    assert countdown_for(cfg.turns, s.turn_index, s.score_p1, s.score_p2) == CountdownPair(0, 0)
     assert winner_if_decided(cfg, s) is Player.P1
+
+
+def test_a_finished_game_is_always_decided_by_its_scores():
+    # The countdown is derived, so once the turns run out one of its two needs is zero.
+    for turns in range(1, 41):
+        cfg = GameConfig(FP_SET01, turns)
+        for s1 in range(turns + 1):
+            for s2 in range(turns + 1 - s1):
+                winner = winner_if_decided(cfg, GameState(1, 1, s1, s2, turns))
+                assert winner is (Player.P1 if s1 >= s2 else Player.P2), (turns, s1, s2)
+
+
+def test_a_state_takes_no_countdown():
+    # A stored countdown could disagree with the scores, or not be a CountdownPair at all.
+    with pytest.raises(TypeError):
+        GameState(5, 4, 0, 0, 0, CountdownPair(9, 9))
+    assert winner_if_decided(GameConfig(FP_SET01, 3), GameState(5, 4, 0, 0, 0)) is None
 
 
 def test_fresh_countdown_is_half_the_turns_rounded_up():
@@ -283,7 +299,7 @@ def test_random_walk_keeps_state_consistent(turns, plays):
     """Drive settle_turn with arbitrary legal bids and check the bookkeeping.
 
     Budgets never go negative, scores never exceed the turn count, and
-    the stored countdown always equals a recomputation from scratch.
+    each successor, built without ``GameState.__new__``, passes its checks.
     """
     cfg = GameConfig(FP_SET01, turns=turns, budget_p2=4)
     s = initial_state(cfg, 4)
@@ -295,7 +311,7 @@ def test_random_walk_keeps_state_consistent(turns, plays):
         s = settle_turn(cfg, s, value, bid_p1, bid_p2)
         assert s.budget_p1 >= 0 and s.budget_p2 >= 0
         assert s.score_p1 + s.score_p2 <= s.turn_index <= turns
-        assert s.countdown == countdown_for(turns, s.turn_index, s.score_p1, s.score_p2)
+        assert GameState(*s) == s
 
 
 @given(
@@ -370,9 +386,9 @@ def _records():
     return [
         (cd, "CountdownPair(i=1, j=2)"),
         (
-            GameState(F(1, 2), F(1), 1, 0, 1, cd),
+            GameState(F(1, 2), F(1), 1, 0, 1),
             "GameState(budget_p1=Fraction(1, 2), budget_p2=Fraction(1, 1), score_p1=1, "
-            "score_p2=0, turn_index=1, countdown=CountdownPair(i=1, j=2))",
+            "score_p2=0, turn_index=1)",
         ),
         (
             TurnRecord(0, 1, F(1, 2), F(1, 4), Player.P1, F(1, 2), F(1), 1, 0),
@@ -403,16 +419,15 @@ def test_records_are_immutable_hashable_and_print_as_before(index):
 
 
 def test_records_reject_negative_values_with_the_same_messages():
-    cd = CountdownPair(1, 1)
     message = r"^countdown i must be >= 0, got -1$"
     with pytest.raises(DomainError, match=message):
         CountdownPair(-1, 0)
     with pytest.raises(DomainError, match="^budget_p2 must be >= 0, got -1/2$"):
-        GameState(F(1), F(-1, 2), 0, 0, 0, cd)
+        GameState(F(1), F(-1, 2), 0, 0, 0)
     with pytest.raises(DomainError, match="^budget_p1 must be >= 0, got -1$"):
-        GameState(-1, 1, 0, 0, 0, cd)
+        GameState(-1, 1, 0, 0, 0)
     with pytest.raises(DomainError, match="^score_p2 must be >= 0, got -1$"):
-        GameState(F(1), F(1), 0, -1, 0, cd)
+        GameState(F(1), F(1), 0, -1, 0)
 
 
 
@@ -425,7 +440,7 @@ def test_records_reject_negative_values_with_the_same_messages():
 def test_game_state_checks_its_counts(field, bad, message):
     # A turn index of -4 made evaluate search a 7-turn game of 3, and settle_turn
     # at turn index -7 returned countdown (4, 5); a bool or float score was kept.
-    fields = dict(budget_p1=5, budget_p2=4, score_p1=0, score_p2=0, turn_index=0, countdown=CountdownPair(2, 2))
+    fields = dict(budget_p1=5, budget_p2=4, score_p1=0, score_p2=0, turn_index=0)
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         GameState(**{**fields, field: bad})
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
@@ -437,7 +452,7 @@ def test_replacing_a_field_keeps_the_checks():
     assert cd._replace(j=0) == CountdownPair(1, 0)
     with pytest.raises(DomainError):
         cd._replace(i=-1)
-    state = GameState(F(1), F(1), 0, 0, 0, cd)
+    state = GameState(F(1), F(1), 0, 0, 0)
     assert state._replace(score_p1=1).score_p1 == 1
     with pytest.raises(DomainError):
         state._replace(budget_p2=F(-1))

@@ -2,13 +2,16 @@
 
 It writes ``fractions.Fraction``'s two slots itself, so these tests hold
 it to ``Fraction(n, d)`` on every value it can be given, pin the slot
-names it relies on, and check that every amount a game or a sweep makes
-through it is a reduced ``Fraction`` with a positive denominator.
+names it relies on, check that no other module writes those slots, and
+check that every amount a game or a sweep makes through it is a reduced
+``Fraction`` with a positive denominator.
 """
 
+import ast
 import pickle
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -44,6 +47,50 @@ positive = st.one_of(st.integers(min_value=1), st.integers(1, 2**260))
 def test_fraction_slots_are_the_two_the_constructor_writes():
     # A CPython whose Fraction keeps its value elsewhere must fail here, not build broken amounts.
     assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "multibattle"
+SLOTS = ("_numerator", "_denominator")
+
+
+def _slot_writes(source, filename):
+    """Lines that assign or delete a Fraction slot, name one as a string, or call ``object.__new__(Fraction)``."""
+    lines = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Attribute) and node.attr in SLOTS and not isinstance(node.ctx, ast.Load):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Constant) and node.value in SLOTS:
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__"
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+              and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "Fraction"):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_core_writes_fraction_slots():
+    # core._fraction is the one writer; a slot write elsewhere skips its gcd and the pinned slot names.
+    for path in sorted(SRC.glob("*.py")):
+        lines = _slot_writes(path.read_text(encoding="utf-8"), path.name)
+        assert bool(lines) is (path.name == "core.py"), (path.name, lines)
+
+
+@pytest.mark.parametrize("source", [
+    "f._numerator = n",
+    "f._denominator //= g",
+    "a, f._denominator = 1, d",
+    'setattr(f, "_numerator", n)',
+    "object.__setattr__(f, '_denominator', d)",
+    "f = object.__new__(Fraction)",
+    "del f._numerator",
+])
+def test_the_slot_write_check_finds_a_write(source):
+    assert _slot_writes(source, "copy.py")
+
+
+def test_the_slot_write_check_passes_slot_reads():
+    source = "n = f._numerator * g._denominator\nok = f._numerator == 0\ng = object.__new__(Other)"
+    assert _slot_writes(source, "reads.py") == []
 
 
 @given(n=integers, d=positive, common=st.integers(1, 2**70))

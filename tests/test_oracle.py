@@ -26,6 +26,7 @@ from multibattle import (
     AuctionVariant,
     DomainError,
     GameConfig,
+    GameState,
     GridEvaluator,
     OracleInstance,
     ResourceError,
@@ -37,7 +38,7 @@ from multibattle import (
     p1_can_win,
     settle_turn,
 )
-from multibattle.core import CountdownPair
+from multibattle.core import CountdownPair, countdown_for
 
 F = Fraction
 AP_SET_HALF = AuctionVariant.all_pay(ValueModel.SET01, F(1, 2))
@@ -195,14 +196,22 @@ def test_evaluate_from_mid_game_state():
     # adversary is broke and the rest of the game is free.
     s = initial_state(cfg, F(6))
     s = settle_turn(cfg, s, 1, F(4), F(4))
-    assert (s.countdown.i, s.countdown.j) == (1, 2)
+    assert countdown_for(3, s.turn_index, s.score_p1, s.score_p2) == (1, 2)
     assert p1_can_win(inst, state=s)
     # Losing any value-1 turn of a three-turn game is fatal no matter how
     # much budget remains: the adversary zeroes the last two turns.
     t = initial_state(cfg, F(6))
     t = settle_turn(cfg, t, 1, F(0), F(1))
-    assert (t.countdown.i, t.countdown.j) == (2, 1)
+    assert countdown_for(3, t.turn_index, t.score_p1, t.score_p2) == (2, 1)
     assert not p1_can_win(inst, state=t)
+
+
+def test_evaluate_from_a_fresh_state_is_evaluate_from_the_start():
+    # A stored countdown of (9, 9) made this search a game three turns cannot have.
+    inst = OracleInstance(FP_SET01, 3, 5, 4)
+    res = evaluate(inst, GameState(5, 4, 0, 0, 0))
+    assert res == evaluate(inst)
+    assert (res.can_win, res.nodes_expanded) == (False, 25)
 
 
 def test_evaluate_takes_p1_budgets_on_the_alpha_grid():
@@ -210,7 +219,8 @@ def test_evaluate_takes_p1_budgets_on_the_alpha_grid():
     cfg = GameConfig(AP_SET_THIRD, turns=5, budget_p2=4)
     inst = OracleInstance(AP_SET_THIRD, 5, F(8), F(4))
     s = settle_turn(cfg, initial_state(cfg, F(8)), 1, F(1), F(2))
-    assert (s.budget_p1, s.budget_p2, s.countdown) == (F(23, 3), F(2), (3, 2))
+    assert (s.budget_p1, s.budget_p2) == (F(23, 3), F(2))
+    assert countdown_for(5, s.turn_index, s.score_p1, s.score_p2) == (3, 2)
     res = evaluate(inst, state=s)
     assert (res.can_win, res.nodes_expanded) == (False, 51)
     assert not GridEvaluator(AP_SET_THIRD).win(4, 3, 2, F(23, 3), 2)
@@ -537,7 +547,8 @@ def test_mid_game_evaluation_matches_the_fraction_reference(variant, with_refere
         inst = OracleInstance(variant, 7, b1, 6)
         state = initial_state(cfg, b1)
         for _ in range(rng.randint(1, 3)):
-            if state.countdown.i <= 0 or state.countdown.j <= 0:
+            i, j = countdown_for(7, state.turn_index, state.score_p1, state.score_p2)
+            if i <= 0 or j <= 0:
                 break
             value = 1 if variant.values is ValueModel.FIXED1 else rng.randint(0, 1)
             bid1 = rng.randint(0, int(state.budget_p1)) if value else 0

@@ -96,7 +96,6 @@ def ref_settle_turn(config, state, value, bid_p1, bid_p2):
         score_p1=s1,
         score_p2=s2,
         turn_index=idx,
-        countdown=countdown_for(config.turns, idx, s1, s2),
     )
 
 
@@ -172,7 +171,7 @@ def test_settle_turn_matches_the_fraction_reference(variant, turns, data):
     s2 = data.draw(st.integers(0, turns))
     idx = data.draw(st.integers(0, turns + 1))
     b1, b2 = data.draw(budgets), data.draw(budgets)
-    state = GameState(b1, b2, s1, s2, idx, countdown_for(turns, idx, s1, s2))
+    state = GameState(b1, b2, s1, s2, idx)
     value = data.draw(st.sampled_from([0, 1, 1, 2, True]))
     p = bid_near(data, b1)
     q = bid_near(data, b2, p)
@@ -268,7 +267,7 @@ def test_adversary_bids_match_the_fraction_reference(
 ):
     if raise_to_budget and b2 >= epsilon:
         p1_bid = b2 - epsilon  # the match adversary's raise lands exactly on her budget
-    state = GameState(b1, b2, 0, 0, 0, CountdownPair(1, 1))
+    state = GameState(b1, b2, 0, 0, 0)
     match = MatchPlusEpsilonAdversary(epsilon)
     new = match.choose_bid(state, value, p1_bid, None)
     ref = ref_match_bid(match, state, value, p1_bid)
@@ -317,7 +316,7 @@ def test_run_game_records_have_exactly_their_types(variant):
             assert trace.turns and len(policy.seen) == len(trace.turns)
             assert all(type(rec) is TurnRecord for rec in trace.turns)
             for state, plan in policy.seen:
-                assert type(state) is GameState and type(state.countdown) is CountdownPair
+                assert type(state) is GameState
                 assert type(plan) is StrategyState and type(plan.countdown) is CountdownPair
                 assert type(state.budget_p1) is Fraction and type(plan.tracked_opponent_budget) is Fraction
 
@@ -326,7 +325,7 @@ def test_replace_on_fast_built_records_still_checks():
     cfg = GameConfig(AP_SET01, 5)
     state = settle_turn(cfg, initial_state(cfg, 2), 1, F(1, 2), F(1, 3))
     plan = observe_outcome(StrategyState.fresh(AP_SET01, 5, 1), 1, F(1, 3), True)
-    for cd in (countdown_for(5, 1, 1, 0), state.countdown, plan.countdown):
+    for cd in (countdown_for(5, 1, 1, 0), plan.countdown):
         with pytest.raises(DomainError, match="^countdown i must be >= 0"):
             cd._replace(i=-1)
         with pytest.raises(DomainError, match="^countdown j must be >= 0"):
@@ -351,8 +350,8 @@ AMOUNT_ENTRY_POINTS = {
     "run_game": ("budget_p1", lambda x: run_game(GAME, x, StrategyPolicy(), AllInAdversary())),
     "run_game P2 bid": ("P2 bid", lambda x: run_game(GAME, 2, StrategyPolicy(), _ScriptedAdversary([(1, x)]))),
     "GameConfig": ("budget_p2", lambda x: GameConfig(FP_SET01, 3, budget_p2=x)),
-    "GameState p1": ("budget_p1", lambda x: GameState(x, 1, 0, 0, 0, CountdownPair(2, 2))),
-    "GameState p2": ("budget_p2", lambda x: GameState(1, x, 0, 0, 0, CountdownPair(2, 2))),
+    "GameState p1": ("budget_p1", lambda x: GameState(x, 1, 0, 0, 0)),
+    "GameState p2": ("budget_p2", lambda x: GameState(1, x, 0, 0, 0)),
     "StrategyState.fresh": ("opponent_budget", lambda x: StrategyState.fresh(FP_SET01, 3, x)),
     "observe_outcome": ("my_bid", lambda x: observe_outcome(StrategyState.fresh(FP_SET01, 3, 1), 1, x, False)),
     "MatchPlusEpsilonAdversary": ("epsilon", lambda x: MatchPlusEpsilonAdversary(x)),
