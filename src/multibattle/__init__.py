@@ -55,7 +55,6 @@ from .oracle import (
     OracleInstance,
     evaluate,
     min_winning_budget,
-    p1_can_win,
 )
 from .simulate import (
     AdversarySweepVerdict,

@@ -46,7 +46,8 @@ index and the scores, so the two cannot disagree. The two validating
 records check their fields in ``__new__`` on a thin subclass
 (``_replace`` included). Where that check cannot fail, a record is
 built with ``tuple.__new__``: ``_settle``'s ``GameState`` (budgets stay
->= 0 after checked bids, and counts only grow), the countdown pairs of
+>= 0 after checked bids, counts only grow, and a turn adds at most one
+to the score sum and one to the index), the countdown pairs of
 ``countdown_for`` and ``observe_outcome`` (clamped at zero), and
 ``TurnRecord`` and ``StrategyState``, which check nothing.
 
@@ -111,35 +112,16 @@ class UnwinnableStateError(DomainError):
 class Unwinnable:
     """Sentinel for matrix entries where no P1 budget suffices.
 
-    Compares greater than every finite number and equal only to itself.
-    Deliberately not convertible to float so it can never leak into
-    numeric output as an accidental infinity.
+    ``UNWINNABLE`` is its one instance, and readers test an entry with
+    ``is``. It defines no ordering and no conversion to float, so it can
+    never leak into a comparison or into numeric output as an accidental
+    infinity.
     """
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    __slots__ = ()
 
     def __repr__(self):
         return "UNWINNABLE"
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("multibattle.UNWINNABLE")
 
 
 UNWINNABLE = Unwinnable()
@@ -246,9 +228,6 @@ class Player(Enum):
     P1 = "P1"
     P2 = "P2"
 
-    def other(self) -> "Player":
-        return Player.P2 if self is Player.P1 else Player.P1
-
 
 class Pricing(Enum):
     FIRST_PRICE = "first-price"
@@ -353,10 +332,6 @@ class CountdownPair(_CountdownPair):
         # NamedTuple's _make, which _replace calls, skips __new__.
         return cls(*fields)
 
-    @classmethod
-    def fresh(cls, turns: int) -> "CountdownPair":
-        return countdown_for(turns, 0, 0, 0)
-
 
 def countdown_for(turns: int, turn_index: int, score_p1: int, score_p2: int) -> CountdownPair:
     """Countdown pair for the given scores with ``turns - turn_index`` turns left.
@@ -391,6 +366,8 @@ class GameState(_GameState):
         check_count(score_p1, "score_p1", 0)
         check_count(score_p2, "score_p2", 0)
         check_count(turn_index, "turn_index", 0)
+        if score_p1 + score_p2 > turn_index:  # no game reaches it: a turn scores at most one point
+            raise DomainError(f"scores must sum to at most turn_index {turn_index}, got {score_p1} + {score_p2}")
         return tuple.__new__(cls, (budget_p1, budget_p2, score_p1, score_p2, turn_index))
 
     @classmethod
@@ -443,8 +420,9 @@ def _settle(
     ``at_least(bid_p1, bid_p2)``. ``settle_turn`` and ``run_game`` call it
     after making ``settle_turn``'s checks; the exhaustive sweep builds its
     moves legal (legal values, decided states return first, bids capped at
-    P1's budget or checked against P2's). So budgets stay >= 0 and counts
-    only grow: the successor skips ``GameState.__new__``'s checks.
+    P1's budget or checked against P2's). So budgets stay >= 0, counts only
+    grow, and the score sum, which gains at most one, stays within the
+    index, which gains one: the successor skips ``GameState.__new__``'s checks.
     """
     an, ad = config.variant.alpha_pair
     b1, b2, s1, s2, idx = state

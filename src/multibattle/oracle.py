@@ -39,7 +39,6 @@ from fractions import Fraction
 
 from .core import (
     AuctionVariant,
-    CountdownPair,
     DomainError,
     GameState,
     Numeric,
@@ -59,6 +58,9 @@ MAX_NODES = 2_000_000
 # The search recurses up to two frames per remaining turn; this leaves its
 # callers room under CPython's default limit of 1000 frames.
 MAX_TURNS = 400
+# min_winning_budget scans P1's budget up to this many times b2, above every
+# variant's limiting ratio.
+MAX_RATIO = 4
 
 
 class GridEvaluator:
@@ -291,14 +293,6 @@ def evaluate(
     return OracleResult(won, ev.nodes_expanded)
 
 
-def p1_can_win(
-    inst: OracleInstance,
-    state: GameState | None = None,
-    pending_value: int | None = None,
-) -> bool:
-    return evaluate(inst, state, pending_value).can_win
-
-
 @dataclass(frozen=True)
 class MinBudgetResult:
     """Smallest winning P1 budget, in grid units and as a ratio to b2."""
@@ -314,7 +308,6 @@ def min_winning_budget(
     turns: int,
     b2: Numeric,
     grid_unit: Numeric = 1,
-    ceiling: Numeric | None = None,
     method: str = "linear",
 ) -> MinBudgetResult:
     """Search the smallest P1 budget (in grid units) that wins.
@@ -322,11 +315,9 @@ def min_winning_budget(
     The scan starts at zero: against weak enough opponents even an
     all-zero-bids P1 can win on ties, so the corner is real. Winnability is
     monotone in P1's budget, so the first win is the least winning budget,
-    and the queries share one evaluator's memo. The scan is capped at
-    ``ceiling`` (budget amount, default 4 * b2, above every variant's
-    limiting ratio); running past it raises ResourceError, and a negative
-    ceiling raises DomainError before any search. ``method`` is
-    validated: both ``"linear"`` and ``"bisect"`` run this scan.
+    and the queries share one evaluator's memo. The scan stops at
+    ``MAX_RATIO * b2``; running past it raises ResourceError. ``method``
+    is validated: both ``"linear"`` and ``"bisect"`` run this scan.
 
     Practical sizing guidance, at grid unit 1 on a 2-vCPU x86 host under
     CPython 3.11 (best of 2): turns <= 9 with b2 <= 30 takes at most
@@ -337,16 +328,13 @@ def min_winning_budget(
     b2 = amount(b2, "b2", positive=True)
     inst = OracleInstance(variant, turns, 0, b2, grid_unit)
     g, b_units = inst.grid_unit, inst._units(b2)
-    cap_units = 4 * b_units if ceiling is None else amount(ceiling, "ceiling") // g  # an int floor
+    cap_units = MAX_RATIO * b_units
     if method not in ("linear", "bisect"):
         raise DomainError(f"unknown search method {method!r}")
 
-    cd = CountdownPair.fresh(turns)
+    i, j = countdown_for(turns, 0, 0, 0)
     ev = GridEvaluator(variant)
     for k in range(cap_units + 1):
-        if ev.win(turns, cd.i, cd.j, k, b_units):
+        if ev.win(turns, i, j, k, b_units):
             return MinBudgetResult(k, k * g, k * g / b2, ev.nodes_expanded)
-    raise ResourceError(
-        f"no winning budget up to {cap_units} grid units "
-        f"({cap_units * g} at unit {g}); raise the ceiling"
-    )
+    raise ResourceError(f"no winning budget up to {cap_units} grid units ({cap_units * g} at unit {g})")

@@ -57,6 +57,8 @@ MAX_GAME_TURNS = 100_000
 # The sweep recurses one frame per turn; this leaves its callers room under
 # CPython's default limit of 1000 frames.
 MAX_SWEEP_TURNS = 800
+# The sweep's memo holds at most this many states, about 250 bytes each.
+MAX_SWEEP_STATES = 500_000
 
 
 def _policy_bid(s: StrategyState, value: int, budget: Fraction) -> Fraction:
@@ -69,8 +71,6 @@ def _policy_bid(s: StrategyState, value: int, budget: Fraction) -> Fraction:
         bid = next_bid(s, value)
     except (GameDecidedError, UnwinnableStateError):
         return ZERO
-    if type(budget) is not Fraction:
-        budget = finite_fraction(budget, "amount")
     return bid if at_least(budget, bid) else budget
 
 
@@ -323,7 +323,6 @@ def exhaustive_adversary_check(
     config: GameConfig,
     budget_p1: Numeric,
     denominator_bound: int,
-    max_states: int = 2_000_000,
 ) -> AdversarySweepVerdict:
     """Check the strategy policy against every adversary line on a bid grid.
 
@@ -348,18 +347,16 @@ def exhaustive_adversary_check(
     ap-set, ap-fixed, ap-set alpha=1/3 and ap-fixed alpha=1/2 (2-vCPU
     Xeon, CPython 3.11): at most 232 states at T = 9, 807 at T = 11 and
     3.0k at T = 13, each under 0.3 s. The memo is capped at
-    ``max_states``; overruns raise ResourceError with progress counts. A
-    game above ``MAX_SWEEP_TURNS`` turns raises ResourceError, and a
-    ``denominator_bound`` that is neither an int nor a Fraction (a bool
-    included), a ``max_states`` that is no int (a bool included) or below
-    1, or a ``denominator_bound * b2`` that is no positive integer,
-    DomainError, before any state is explored.
+    ``MAX_SWEEP_STATES``; overruns raise ResourceError with progress
+    counts. A game above ``MAX_SWEEP_TURNS`` turns raises ResourceError,
+    and a ``denominator_bound`` that is neither an int nor a Fraction (a
+    bool included), or a ``denominator_bound * b2`` that is no positive
+    integer, DomainError, before any state is explored.
     """
     if config.turns > MAX_SWEEP_TURNS:
         raise ResourceError(f"sweep of {config.turns} turns exceeds the depth ceiling of {MAX_SWEEP_TURNS} turns")
     if denominator_bound.__class__ not in (int, Fraction):
         raise DomainError(f"denominator bound must be an int or a Fraction, got {denominator_bound!r}")
-    check_count(max_states, "max_states")
     bound_frac = denominator_bound * config.budget_p2
     if bound_frac.denominator != 1 or bound_frac < 1:
         raise DomainError(
@@ -376,7 +373,10 @@ def exhaustive_adversary_check(
         """None when P1 wins every line below ``state``; else the losing line.
 
         The memo key is the whole game state, its budgets as integer pairs,
-        and P1's tracked budget as one more pair.
+        and P1's tracked budget as one more pair. P1's tracked countdown is
+        left out because the scores fix it: a value-1 turn drops its winner's
+        count as it scores her a point, and a value-0 turn does neither, so
+        the countdown is (h - s1, h - s2) clamped at zero, h = ceil(T/2).
         """
         decided = winner_if_decided(config, state)
         if decided is not None:
@@ -388,9 +388,9 @@ def exhaustive_adversary_check(
         hit = memo.get(key, MISS)
         if hit is not MISS:
             return hit
-        if len(memo) >= max_states:
+        if len(memo) >= MAX_SWEEP_STATES:
             raise ResourceError(
-                f"exhaustive sweep exceeded {max_states} states "
+                f"exhaustive sweep exceeded {MAX_SWEEP_STATES} states "
                 f"(remaining={config.turns - idx}, scores {s1}-{s2})"
             )
         # Settled by _settle, as in run_game, not re-checked by settle_turn: each

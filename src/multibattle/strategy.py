@@ -40,6 +40,7 @@ from .core import (
     check_countdowns,
     check_value,
     check_variant,
+    countdown_for,
     finite_fraction,
     paid,
 )
@@ -92,7 +93,7 @@ class StrategyState(NamedTuple):
         """Start-of-game state; reading entry (h, h) raises ResourceError above the exact ceiling."""
         check_variant(variant)
         check_count(turns, "turns")
-        countdown = CountdownPair.fresh(turns)
+        countdown = countdown_for(turns, 0, 0, 0)
         entry_pair(variant, countdown.i, countdown.j)
         return cls(variant, amount(opponent_budget, "opponent_budget"), countdown)
 

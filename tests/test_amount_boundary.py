@@ -55,7 +55,7 @@ def test_game_state_holds_budgets_that_are_exactly_fractions(budget):
     # An int or float budget used to be kept as given, and a subclass as its own type.
     built = GameState(budget, budget, 0, 0, 0)
     replaced = GameState(F(1), F(1), 0, 0, 0)._replace(budget_p1=budget, budget_p2=budget)
-    for state in (built, replaced, built._replace(score_p1=1)):
+    for state in (built, replaced, built._replace(score_p1=1, turn_index=1)):
         assert type(state.budget_p1) is Fraction and type(state.budget_p2) is Fraction
         assert state.budget_p1 == budget and state.budget_p2 == budget
 
@@ -203,7 +203,6 @@ SIGN_ENTRY_POINTS = {
     "OracleInstance b2": ("b2", False, lambda x: OracleInstance(FP_SET01, 3, 6, x)),
     "OracleInstance grid_unit": ("grid_unit", True, lambda x: OracleInstance(FP_SET01, 3, 6, 4, x)),
     "min_winning_budget b2": ("b2", True, lambda x: min_winning_budget(FP_SET01, 3, x)),
-    "min_winning_budget ceiling": ("ceiling", False, lambda x: min_winning_budget(FP_SET01, 3, 4, ceiling=x)),
     "win P1 budget": ("P1 budget", False, lambda x: GridEvaluator(FP_SET01).win(3, 2, 2, x, 4)),
     "win P1 budget Fraction": ("P1 budget", False, lambda x: GridEvaluator(FP_SET01).win(3, 2, 2, F(x), 4)),
     "win P2 budget": ("P2 budget", False, lambda x: GridEvaluator(FP_SET01).win(3, 2, 2, 6, x)),

@@ -191,10 +191,22 @@ def test_a_state_takes_no_countdown():
     assert winner_if_decided(GameConfig(FP_SET01, 3), GameState(5, 4, 0, 0, 0)) is None
 
 
+def test_a_state_refuses_scores_that_sum_past_its_turn_index():
+    # GameState(5, 4, 0, 5, 0) was decided for P2 in a 3-turn game, settle_turn settled a turn from
+    # GameState(5, 4, 2, 2, 1), and evaluate answered can_win=True there after 2 nodes.
+    for s1, s2, idx in ((0, 5, 0), (2, 2, 1), (1, 1, 1)):
+        message = f"^{re.escape(f'scores must sum to at most turn_index {idx}, got {s1} + {s2}')}$"
+        with pytest.raises(DomainError, match=message):
+            GameState(5, 4, s1, s2, idx)
+        with pytest.raises(DomainError, match=message):
+            GameState(5, 4, 0, 0, idx)._replace(score_p1=s1, score_p2=s2)
+    assert GameState(5, 4, 1, 1, 2) == (5, 4, 1, 1, 2)
+
+
 def test_fresh_countdown_is_half_the_turns_rounded_up():
-    assert CountdownPair.fresh(1) == CountdownPair(1, 1)
-    assert CountdownPair.fresh(3) == CountdownPair(2, 2)
-    assert CountdownPair.fresh(1000) == CountdownPair(500, 500)
+    assert countdown_for(1, 0, 0, 0) == CountdownPair(1, 1)
+    assert countdown_for(3, 0, 0, 0) == CountdownPair(2, 2)
+    assert countdown_for(1000, 0, 0, 0) == CountdownPair(500, 500)
 
 
 def test_countdown_pair_rejects_negative_values():
@@ -276,13 +288,11 @@ def test_derived_attributes_follow_the_fields_through_every_copy(variant):
     assert copies[2] != variant and copies[2].is_triangular is not variant.is_triangular
 
 
-def test_unwinnable_orders_above_everything():
-    assert UNWINNABLE > 10**12
-    assert UNWINNABLE > F(10**9)
-    assert not UNWINNABLE < F(1, 2)
-    assert UNWINNABLE >= UNWINNABLE
-    assert not UNWINNABLE > UNWINNABLE
-    assert Unwinnable() is UNWINNABLE
+def test_unwinnable_is_one_sentinel_that_neither_orders_nor_converts():
+    assert repr(UNWINNABLE) == "UNWINNABLE" and type(UNWINNABLE) is Unwinnable
+    for read in (lambda: UNWINNABLE < 1, lambda: UNWINNABLE >= F(1, 2), lambda: float(UNWINNABLE)):
+        with pytest.raises(TypeError):
+            read()
 
 
 def test_ceil_div():
@@ -453,6 +463,6 @@ def test_replacing_a_field_keeps_the_checks():
     with pytest.raises(DomainError):
         cd._replace(i=-1)
     state = GameState(F(1), F(1), 0, 0, 0)
-    assert state._replace(score_p1=1).score_p1 == 1
+    assert state._replace(score_p1=1, turn_index=1).score_p1 == 1
     with pytest.raises(DomainError):
         state._replace(budget_p2=F(-1))

@@ -485,7 +485,7 @@ def test_float_obr_rounds_the_exact_one(variant):
             assert handicap_obr(variant, turns, k).hex() == want.hex(), (turns, k)
 
 
-@pytest.mark.parametrize("alpha", [F(1, 3), F(0.3)], ids=["third", "float-0.3"])
+@pytest.mark.parametrize("alpha", [F(1, 3), F(0.3), F(12345, 65536)], ids=["third", "float-0.3", "12345/65536"])
 def test_float_closed_form_answers_at_the_float_ceiling(alpha):
     for values in (ValueModel.SET01, ValueModel.FIXED1):
         variant = AuctionVariant.all_pay(values, alpha)

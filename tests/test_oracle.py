@@ -35,10 +35,9 @@ from multibattle import (
     initial_state,
     min_winning_budget,
     obr,
-    p1_can_win,
     settle_turn,
 )
-from multibattle.core import CountdownPair, countdown_for
+from multibattle.core import countdown_for
 
 F = Fraction
 AP_SET_HALF = AuctionVariant.all_pay(ValueModel.SET01, F(1, 2))
@@ -140,9 +139,9 @@ def test_ratios_approach_the_continuous_answer():
 
 
 def test_spot_evaluations():
-    assert p1_can_win(OracleInstance(FP_SET01, 1, F(1), F(1)))
-    assert not p1_can_win(OracleInstance(FP_SET01, 3, F(5), F(4)))
-    assert p1_can_win(OracleInstance(FP_SET01, 3, F(6), F(4)))
+    assert evaluate(OracleInstance(FP_SET01, 1, F(1), F(1))).can_win
+    assert not evaluate(OracleInstance(FP_SET01, 3, F(5), F(4))).can_win
+    assert evaluate(OracleInstance(FP_SET01, 3, F(6), F(4))).can_win
 
 
 def test_evaluation_agrees_with_reference_everywhere_small():
@@ -163,7 +162,7 @@ def test_evaluation_agrees_with_reference_everywhere_small():
     for variant, lengths in sweeps:
         for turns, b1, b2 in itertools.product(lengths, range(5), range(1, 4)):
             inst = OracleInstance(variant, turns, F(b1), F(b2))
-            assert p1_can_win(inst) == naive_solve(variant, turns, b1, b2), (
+            assert evaluate(inst).can_win == naive_solve(variant, turns, b1, b2), (
                 variant.short_name,
                 turns,
                 b1,
@@ -174,17 +173,17 @@ def test_evaluation_agrees_with_reference_everywhere_small():
 def test_even_length_fixed_games_use_the_countdown_convention():
     # Two fixed-value turns, no P1 budget: raw score-counting would let
     # P1 tie 1-1 on free turns, but the adversary clinches at one point.
-    assert not p1_can_win(OracleInstance(FP_FIXED1, 2, F(0), F(1)))
+    assert not evaluate(OracleInstance(FP_FIXED1, 2, F(0), F(1))).can_win
     assert naive_solve(FP_FIXED1, 2, 0, 1)  # the raw-score model disagrees
     # With the budget to deny her every turn, P1 still wins outright.
-    assert p1_can_win(OracleInstance(FP_FIXED1, 2, F(1), F(1)))
+    assert evaluate(OracleInstance(FP_FIXED1, 2, F(1), F(1))).can_win
 
 
 def test_winnability_is_monotone_in_budget():
     for variant in (FP_SET01, AP_FIXED1):
         prior = False
         for b1 in range(13):
-            now = p1_can_win(OracleInstance(variant, 3, F(b1), F(3)))
+            now = evaluate(OracleInstance(variant, 3, F(b1), F(3))).can_win
             assert now or not prior
             prior = now
 
@@ -197,13 +196,13 @@ def test_evaluate_from_mid_game_state():
     s = initial_state(cfg, F(6))
     s = settle_turn(cfg, s, 1, F(4), F(4))
     assert countdown_for(3, s.turn_index, s.score_p1, s.score_p2) == (1, 2)
-    assert p1_can_win(inst, state=s)
+    assert evaluate(inst, state=s).can_win
     # Losing any value-1 turn of a three-turn game is fatal no matter how
     # much budget remains: the adversary zeroes the last two turns.
     t = initial_state(cfg, F(6))
     t = settle_turn(cfg, t, 1, F(0), F(1))
     assert countdown_for(3, t.turn_index, t.score_p1, t.score_p2) == (2, 1)
-    assert not p1_can_win(inst, state=t)
+    assert not evaluate(inst, state=t).can_win
 
 
 def test_evaluate_from_a_fresh_state_is_evaluate_from_the_start():
@@ -230,11 +229,11 @@ def test_evaluate_takes_p1_budgets_on_the_alpha_grid():
 
 def test_evaluate_with_pending_value():
     inst = OracleInstance(FP_SET01, 3, F(6), F(4))
-    assert p1_can_win(inst, pending_value=1)
-    assert p1_can_win(inst, pending_value=0)
+    assert evaluate(inst, pending_value=1).can_win
+    assert evaluate(inst, pending_value=0).can_win
     losing = OracleInstance(FP_SET01, 3, F(5), F(4))
     assert not (
-        p1_can_win(losing, pending_value=1) and p1_can_win(losing, pending_value=0)
+        evaluate(losing, pending_value=1).can_win and evaluate(losing, pending_value=0).can_win
     )
     with pytest.raises(DomainError):
         evaluate(OracleInstance(FP_FIXED1, 3, F(4), F(4)), pending_value=0)
@@ -342,15 +341,6 @@ def test_oracle_instance_rejects_amounts_that_are_not_finite(field, bad):
         OracleInstance(FP_SET01, 3, **amounts)
 
 
-def test_search_rejects_a_negative_ceiling():
-    # A negative ceiling used to raise ResourceError ("raise the ceiling"), the exit-2 class.
-    for ceiling in (-1, F(-1, 2)):
-        with pytest.raises(DomainError, match="^ceiling must be >= 0, got "):
-            min_winning_budget(FP_SET01, 3, 4, ceiling=ceiling)
-    with pytest.raises(ResourceError):
-        min_winning_budget(FP_SET01, 3, 4, ceiling=0)
-
-
 def test_instance_validation():
     with pytest.raises(DomainError):
         OracleInstance(FP_SET01, 0, F(1), F(1))
@@ -379,11 +369,15 @@ def test_linear_and_bisect_methods_agree():
         min_winning_budget(FP_SET01, 3, 4, method="newton")
 
 
-def test_search_ceiling_raises_resource_error():
-    with pytest.raises(ResourceError):
-        min_winning_budget(FP_SET01, 3, 4, ceiling=5)
-    with pytest.raises(ResourceError):
-        min_winning_budget(FP_SET01, 3, 4, ceiling=5, method="bisect")
+def test_search_ceiling_raises_resource_error(monkeypatch):
+    # b* = 6 at b2 = 4 lies past a scan capped at 1 * b2; at 0 * b2 only the budget 0 is tried.
+    for ratio, cap in ((1, 4), (0, 0)):
+        monkeypatch.setattr(oracle_module, "MAX_RATIO", ratio)
+        message = f"^no winning budget up to {cap} grid units \\({cap} at unit 1\\)$"
+        with pytest.raises(ResourceError, match=message):
+            min_winning_budget(FP_SET01, 3, 4)
+        with pytest.raises(ResourceError, match=message):
+            min_winning_budget(FP_SET01, 3, 4, method="bisect")
 
 
 def test_search_input_validation():
@@ -423,11 +417,13 @@ def test_evaluator_memo_persists_across_queries():
     assert ev.nodes_expanded == first
 
 
-def test_bisect_tries_the_ceiling_past_the_last_power_of_two():
-    # b* = 6 lies between 4 and the ceiling 7, and at the ceiling 6: the scan reaches it.
-    assert min_winning_budget(FP_SET01, 3, 4, ceiling=7).b_star == 6
-    assert min_winning_budget(FP_SET01, 3, 4, ceiling=7, method="bisect").b_star == 6
-    assert min_winning_budget(FP_SET01, 3, 4, ceiling=6, method="bisect").b_star == 6
+def test_bisect_tries_the_ceiling_past_the_last_power_of_two(monkeypatch):
+    # b* = 6 lies between 4 and the cap 2 * 4 = 8, and b* = 3 at one turn is the cap 1 * 3: the scan reaches both.
+    monkeypatch.setattr(oracle_module, "MAX_RATIO", 2)
+    assert min_winning_budget(FP_SET01, 3, 4).b_star == 6
+    assert min_winning_budget(FP_SET01, 3, 4, method="bisect").b_star == 6
+    monkeypatch.setattr(oracle_module, "MAX_RATIO", 1)
+    assert min_winning_budget(FP_SET01, 1, 3, method="bisect").b_star == 3
 
 
 def test_bisect_finds_b_star_between_64_and_the_default_ceiling():
@@ -635,9 +631,9 @@ def test_every_residue_in_any_order_matches_the_fraction_reference(variant, orde
 def test_a_search_stores_each_expanded_node_once(variant):
     """The budget scan of ``min_winning_budget``: one stored verdict per counted node."""
     ev = GridEvaluator(variant)
-    cd = CountdownPair.fresh(9)
+    i, j = countdown_for(9, 0, 0, 0)
     k = 0
-    while not ev.win(9, cd.i, cd.j, k, 12):
+    while not ev.win(9, i, j, k, 12):
         k += 1
     assert k == min_winning_budget(variant, 9, 12).b_star
     assert _stored_verdicts(ev) == ev.nodes_expanded

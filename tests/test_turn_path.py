@@ -45,7 +45,6 @@ from multibattle import (
     ValueModel,
     countdown_for,
     initial_state,
-    min_winning_budget,
     next_bid,
     obr,
     observe_outcome,
@@ -167,10 +166,12 @@ def bid_near(data, budget, other=None):
 @given(variant=st.sampled_from(VARIANTS), turns=st.integers(1, 15), data=st.data())
 def test_settle_turn_matches_the_fraction_reference(variant, turns, data):
     cfg = GameConfig(variant, turns)
-    s1 = data.draw(st.integers(0, turns))
-    s2 = data.draw(st.integers(0, turns))
     idx = data.draw(st.integers(0, turns + 1))
+    s1 = data.draw(st.integers(0, idx))
+    s2 = data.draw(st.integers(0, idx - s1))
     b1, b2 = data.draw(budgets), data.draw(budgets)
+    with pytest.raises(DomainError, match=f"^scores must sum to at most turn_index {idx}, got {s1} \\+ "):
+        GameState(b1, b2, s1, idx + 1 - s1, idx)  # one point more than the turns played
     state = GameState(b1, b2, s1, s2, idx)
     value = data.draw(st.sampled_from([0, 1, 1, 2, True]))
     p = bid_near(data, b1)
@@ -200,7 +201,8 @@ def test_policy_matches_the_fraction_reference(variant, turns, opponent_budget, 
         assert type(new.tracked_opponent_budget) is Fraction
     value = data.draw(st.sampled_from([0, 1, 1, 2, True]))
     assert outcome(next_bid, new, value) == outcome(ref_next_bid, ref, value)
-    budget = data.draw(st.one_of(budgets, st.floats(0, 6, allow_nan=False, allow_infinity=False)))
+    # run_game and the sweep pass P1's GameState budget, always a Fraction.
+    budget = F(data.draw(st.one_of(budgets, st.floats(0, 6, allow_nan=False, allow_infinity=False))))
     assert outcome(_policy_bid, new, value, budget) == outcome(ref_policy_bid, ref, value, budget)
 
 
@@ -321,6 +323,21 @@ def test_run_game_records_have_exactly_their_types(variant):
                 assert type(state.budget_p1) is Fraction and type(plan.tracked_opponent_budget) is Fraction
 
 
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: f"{v.short_name}@{v.alpha}")
+def test_the_scores_fix_the_tracked_countdown(variant):
+    """The sweep's memo key leaves P1's tracked countdown out: before every bid it is (h - s1, h - s2)."""
+    for turns in (1, 2, 5, 8, 21):
+        h = ceil_div(turns, 2)
+        for adversary in REPLAY_ADVERSARIES:
+            for seed, scale in enumerate((1, F(1, 2), F(3, 2))):
+                policy = RecordingPolicy()
+                run_game(GameConfig(variant, turns), obr(variant, turns, exact=True) * scale,
+                         policy, adversary(), seed=seed)
+                for state, plan in policy.seen:
+                    s1, s2 = state.score_p1, state.score_p2
+                    assert plan.countdown == (max(h - s1, 0), max(h - s2, 0)), (turns, state, plan)
+
+
 def test_replace_on_fast_built_records_still_checks():
     cfg = GameConfig(AP_SET01, 5)
     state = settle_turn(cfg, initial_state(cfg, 2), 1, F(1, 2), F(1, 3))
@@ -356,7 +373,6 @@ AMOUNT_ENTRY_POINTS = {
     "observe_outcome": ("my_bid", lambda x: observe_outcome(StrategyState.fresh(FP_SET01, 3, 1), 1, x, False)),
     "MatchPlusEpsilonAdversary": ("epsilon", lambda x: MatchPlusEpsilonAdversary(x)),
     "OmnipotentAdversary": ("grid_unit", lambda x: OmnipotentAdversary(x)),
-    "min_winning_budget ceiling": ("ceiling", lambda x: min_winning_budget(FP_SET01, 3, 4, ceiling=x)),
     "GridEvaluator.win": ("P1 budget", lambda x: GridEvaluator(FP_SET01).win(3, 2, 2, x, 4)),
 }
 
@@ -373,14 +389,13 @@ NOT_AMOUNTS = ["1/2", Decimal("0.5"), None, True]
 
 # Each entry point that converts an amount through ``finite_fraction``. A
 # string or Decimal used to parse and a bool to count as 1 (None raised a
-# bare TypeError); GameState kept a Decimal or bool budget as given, and
-# the search ceiling parsed a string ('8' searched up to 8).
+# bare TypeError); GameState kept a Decimal or bool budget as given.
 CONVERTING_ENTRY_POINTS = {
     **AMOUNT_ENTRY_POINTS,
     "AuctionVariant": ("alpha", lambda x: AuctionVariant.all_pay(ValueModel.SET01, x)),
 }
-# OmnipotentAdversary takes grid_unit=None as "no grid", min_winning_budget ceiling=None as 4 * b2.
-NONE_MEANS_DEFAULT = ("OmnipotentAdversary", "min_winning_budget ceiling")
+# OmnipotentAdversary takes grid_unit=None as "no grid".
+NONE_MEANS_DEFAULT = ("OmnipotentAdversary",)
 
 
 @pytest.mark.parametrize(
