@@ -203,6 +203,7 @@ SIGN_ENTRY_POINTS = {
     "OracleInstance b2": ("b2", False, lambda x: OracleInstance(FP_SET01, 3, 6, x)),
     "OracleInstance grid_unit": ("grid_unit", True, lambda x: OracleInstance(FP_SET01, 3, 6, 4, x)),
     "min_winning_budget b2": ("b2", True, lambda x: min_winning_budget(FP_SET01, 3, x)),
+    "min_winning_budget grid_unit": ("grid_unit", True, lambda x: min_winning_budget(FP_SET01, 3, 4, x)),
     "win P1 budget": ("P1 budget", False, lambda x: GridEvaluator(FP_SET01).win(3, 2, 2, x, 4)),
     "win P1 budget Fraction": ("P1 budget", False, lambda x: GridEvaluator(FP_SET01).win(3, 2, 2, F(x), 4)),
     "win P2 budget": ("P2 budget", False, lambda x: GridEvaluator(FP_SET01).win(3, 2, 2, 6, x)),

@@ -45,6 +45,7 @@ from multibattle import (
     ValueModel,
     countdown_for,
     initial_state,
+    min_winning_budget,
     next_bid,
     obr,
     observe_outcome,
@@ -374,6 +375,8 @@ AMOUNT_ENTRY_POINTS = {
     "MatchPlusEpsilonAdversary": ("epsilon", lambda x: MatchPlusEpsilonAdversary(x)),
     "OmnipotentAdversary": ("grid_unit", lambda x: OmnipotentAdversary(x)),
     "GridEvaluator.win": ("P1 budget", lambda x: GridEvaluator(FP_SET01).win(3, 2, 2, x, 4)),
+    "min_winning_budget b2": ("b2", lambda x: min_winning_budget(FP_SET01, 3, x)),
+    "min_winning_budget grid_unit": ("grid_unit", lambda x: min_winning_budget(FP_SET01, 3, 4, x)),
 }
 
 
