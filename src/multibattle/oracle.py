@@ -9,9 +9,9 @@ The search memoizes on (remaining turns, countdown pair, budgets): scores
 influence the rest of the game only through the countdown pair, so these
 decide a position. The memo is nested in that order, first by remaining
 turns and countdown pair, then by P2's and P1's budgets as integers (see
-GridEvaluator), so the inner loop over P1's bids looks budgets up in rows
-it fetched once and hands to the children it expands, which store into
-them. Two reductions keep the tree small without giving up exactness:
+GridEvaluator); a row holds its successor rows, fetched once, and the
+bid loop looks budgets up in them and hands them to the children it
+expands. Two reductions keep the tree small without giving up exactness:
 
 * Zero-value turns are settled without bids. Winning one changes no score
   and the countdown shift does not depend on the winner, so any nonzero
@@ -33,6 +33,7 @@ adversary.
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,12 +56,18 @@ from .core import (
 # An evaluator raises ResourceError when its expanded (stored) nodes reach
 # this: about 100 MB of memo at ~50 bytes a node.
 MAX_NODES = 2_000_000
-# The search recurses up to two frames per remaining turn; this leaves its
-# callers room under CPython's default limit of 1000 frames.
+# The search recurses one frame per remaining turn; this leaves its callers
+# room under CPython's default limit of 1000 frames.
 MAX_TURNS = 400
 # min_winning_budget scans P1's budget up to this many times b2, above every
 # variant's limiting ratio.
 MAX_RATIO = 4
+
+
+class _Row(dict):
+    """A memo row, P1's scaled budget -> verdict, that holds the successors its positions share."""
+
+    __slots__ = ("concede", "beat", "zero")
 
 
 class GridEvaluator:
@@ -77,12 +84,14 @@ class GridEvaluator:
     The memo is nested: ``(remaining, i, j)`` maps to P2's budget ``b``,
     which maps to a row, a dict from ``A`` to the verdict. Scores enter a
     position only through the countdown pair, so these five integers
-    decide it, and no key tuple is kept per position. An expanded node
-    fetches, or makes, its concede row ``(remaining - 1, i - 1, j)[b]``
-    and its beat table ``(remaining - 1, i, j - 1)`` once; each bid then
-    costs integer-keyed lookups, with no key tuple built per bid, and a
-    child it expands is handed its row and stores its verdict there. A
-    child with no turns left is settled by the tie rule and never stored.
+    decide it, and no key tuple is kept per position. The positions of a
+    row share their successors, which the row fetches (or makes) at its
+    first expansion and holds: with r = remaining - 1, the concede row
+    ``(r, i - 1, j)[b]``, the beat table ``(r, i, j - 1)`` and, on
+    value-set variants, the zero-value row ``(r, i - s, j - s)[b]`` for
+    the countdown shift s, or its verdict if settled. So each bid costs
+    integer-keyed lookups, and a child is handed its row and stores its
+    verdict there. A child with no turns left is settled by the tie rule.
 
     The concede children of a node's bids run down one residue of ``A``
     mod d: ``A``, ``A - d``, ... A node is lost once one of them loses,
@@ -99,12 +108,101 @@ class GridEvaluator:
     def __init__(self, variant: AuctionVariant):
         check_variant(variant)
         self.variant = variant
-        self._an, self._d = variant.alpha_pair  # first-price variants carry alpha = 0: an = 0, d = 1
-        self._set01 = variant.is_triangular
+        an, d = variant.alpha_pair  # first-price variants carry alpha = 0: an = 0, d = 1
+        self._d, set01 = d, variant.is_triangular
         # (remaining, i, j) -> b -> row; a lookup makes a missing table or row.
-        self._memo: defaultdict = defaultdict(lambda: defaultdict(dict))
-        self._query = (0, 0)  # (remaining, b) of the current win call, for the node-ceiling message
-        self.nodes_expanded = 0
+        memo = self._memo = defaultdict(lambda: defaultdict(_Row))
+        query = self._query = [0, 0]  # (remaining, b) of the current win call, for the node-ceiling message
+        count = 0
+
+        # The search: closures over the evaluator's constants, not over the evaluator.
+        def successors(r: int, i: int, j: int, b: int) -> tuple:
+            """The concede row, beat table and zero-value successor of the row ``(r + 1, i, j)[b]``."""
+            # No child to query: a concede at i = 1 hands P1 the game, a beat at j = 1 P2.
+            concede = memo[r, i - 1, j][b] if r and i > 1 else None
+            beat = memo[r, i, j - 1] if r and j > 1 else None
+            if set01:  # the zero-value turn's countdown shift does not depend on who takes it
+                i0, j0 = (i - 1, j - 1) if i + j == r + 2 else (i, j)
+                # Its row, or its verdict if decided (i0 <= 0: won, j0 <= 0: lost) or left to the tie rule.
+                zero = True if i0 <= 0 else False if j0 <= 0 else memo[r, i0, j0][b] if r else i0 <= j0
+                return concede, beat, zero
+            return concede, beat, None
+
+        def node(remaining: int, i: int, j: int, A: int, b: int, row: _Row | None) -> bool:
+            """Solve, count and store in its memo row ``row`` a position with i, j >= 1 not in it."""
+            nonlocal count
+            # The hot loop: children are queried concede, then beat, with P1's bid p ascending.
+            r = remaining - 1
+            if row is None:  # a turn whose value is already 1: solved, neither counted nor stored
+                concede, beat, zero = successors(r, i, j, b)
+            else:
+                try:
+                    concede, beat, zero = row.concede, row.beat, row.zero
+                except AttributeError:
+                    concede, beat, zero = row.concede, row.beat, row.zero = successors(r, i, j, b)
+            top = A // d  # P1's largest bid
+            if r <= 0:
+                # Every child is settled by the tie rule: P1 wins a conceded
+                # turn iff i - 1 <= j and a beaten one iff i <= j - 1.
+                won = i <= j + 1 and (top >= b or i < j)
+            else:
+                won = False
+                for p in range(top + 1):
+                    if concede is not None:
+                        # P2 concedes: P1 pays its bid, P2 pays nothing.
+                        a1 = A - p * d
+                        child = concede.get(a1)
+                        if child is None:
+                            child = node(r, i - 1, j, a1, b, concede)
+                        if not child:
+                            # Lost: every dearer bid's concede child has less budget, so it
+                            # loses too. The full loop would still expand those children, so
+                            # expand, in its order, the ones the row lacks: a1 - d, a1 - 2d, ...
+                            # down to the row's watermark for this residue of A mod d, kept under
+                            # key -1 - (A mod d). Only this walk adds to the row: their subtrees lie below r.
+                            mark = -1 - a1 % d
+                            low = concede.get(mark, -1)
+                            for a2 in range(a1 - d, low, -d):
+                                if a2 not in concede:
+                                    node(r, i - 1, j, a2, b, concede)
+                            if A > low:  # bids 0..p stored A down to a1, the walk the rest
+                                concede[mark] = A
+                            break
+                    if p < b:
+                        # P2 beats the bid by one unit.
+                        if beat is None:
+                            continue
+                        a1, b1 = A - an * p, b - p - 1
+                        child_row = beat[b1]
+                        child = child_row.get(a1)
+                        if child is None:
+                            child = node(r, i, j - 1, a1, b1, child_row)
+                        if not child:
+                            continue
+                    won = True
+                    break
+            if row is None:
+                return won
+            count += 1
+            if count >= MAX_NODES:
+                raise ResourceError("grid oracle reached its ceiling of %d expanded nodes at turns=%d, b2=%d grid "
+                                    "units; use fewer turns or a smaller b2" % (MAX_NODES, *query))
+            if won and zero is not None:  # the zero-value turn, without bids
+                won = zero if zero.__class__ is bool else zero.get(A)
+                if won is None:
+                    s = 1 if i + j == remaining + 1 else 0
+                    won = node(r, i - s, j - s, A, b, zero)
+            row[A] = won
+            return won
+
+        def release():  # node calls itself through its closure, a cycle: break it, freeing the memo
+            nonlocal node
+            node = None
+
+        self._node, self._count = node, lambda: count
+        weakref.finalize(self, release)
+
+    nodes_expanded = property(lambda self: self._count(), doc="Positions solved and stored, over all queries.")
 
     def _scaled(self, a) -> int:
         """P1's budget ``a`` (grid units) as an integer count of 1/d units."""
@@ -136,103 +234,19 @@ class GridEvaluator:
         if remaining > MAX_TURNS:
             raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
         A = self._scaled(a)
-        self._query = (remaining, b)
-        if value is None or i <= 0 or j <= 0:
-            return self._win(remaining, i, j, A, b)
-        if value == 0:
+        self._query[:] = remaining, b
+        if value == 0 and i > 0 and j > 0:
             shift = 1 if i + j == remaining + 1 else 0
-            return self._win(remaining - 1, i - shift, j - shift, A, b)
-        return self._expand(remaining, i, j, A, b, None)
-
-    def _win(self, remaining: int, i: int, j: int, A: int, b: int) -> bool:
-        if i <= 0:
-            return True
-        if j <= 0:
-            return False
-        if remaining <= 0:
-            # Unreachable from consistent states; fall back to the score
-            # tie rules (i <= j means P1 is not behind).
-            return i <= j
+            remaining, i, j, value = remaining - 1, i - shift, j - shift, None
+        if i <= 0 or j <= 0 or remaining <= 0:
+            # Decided, or (unreachable from consistent states) no turn left:
+            # the score tie rules (i <= j means P1 is not behind).
+            return i <= 0 or i <= j
+        if value:
+            return self._node(remaining, i, j, A, b, None)
         row = self._memo[remaining, i, j][b]
         won = row.get(A)
-        if won is None:
-            won = self._expand(remaining, i, j, A, b, row)
-        return won
-
-    def _expand(self, remaining: int, i: int, j: int, A: int, b: int, row: dict | None) -> bool:
-        """Solve, count and store in ``row`` a position with i, j >= 1 not in it.
-
-        ``row`` is the position's memo row ``(remaining, i, j)[b]``, made by
-        the caller. ``row=None`` solves only a turn whose value is already
-        1, uncounted and unstored (for ``win`` with ``value=1``).
-        """
-        # The hot loop. Children are queried in the order concede, beat,
-        # with P1's bid p ascending. Every concede child lives in the row
-        # (r, i - 1, j)[b] and every beat child in the table (r, i, j - 1),
-        # so both are fetched (or made) once and handed to the children,
-        # which store into them.
-        top = A // self._d  # P1's largest bid
-        r = remaining - 1
-        if r <= 0:
-            # Every child is settled by the tie rule: P1 wins a conceded
-            # turn iff i - 1 <= j and a beaten one iff i <= j - 1.
-            won = i <= j + 1 and (top >= b or i < j)
-        else:
-            won = False
-            memo, expand, d, an = self._memo, self._expand, self._d, self._an
-            i1, j1 = i - 1, j - 1
-            # No child to query: a concede at i = 1 hands P1 the game, a beat at j = 1 P2.
-            concede = memo[r, i1, j][b] if i1 else None
-            beat = memo[r, i, j1] if j1 else None
-            for p in range(top + 1):
-                if concede is not None:
-                    # P2 concedes: P1 pays its bid, P2 pays nothing.
-                    a1 = A - p * d
-                    child = concede.get(a1)
-                    if child is None:
-                        child = expand(r, i1, j, a1, b, concede)
-                    if not child:
-                        # Lost: every dearer bid's concede child has less
-                        # budget, so it loses too. The full loop would still
-                        # expand those children, so expand, in its order, the
-                        # ones the row lacks: a1 - d, a1 - 2d, ... down to the
-                        # row's watermark for this residue of A mod d, kept
-                        # under key -1 - (A mod d). Their subtrees lie below
-                        # remaining r, so only this walk adds to the row.
-                        mark = -1 - a1 % d
-                        low = concede.get(mark, -1)
-                        for a2 in range(a1 - d, low, -d):
-                            if a2 not in concede:
-                                expand(r, i1, j, a2, b, concede)
-                        if A > low:  # bids 0..p stored A down to a1, the walk the rest
-                            concede[mark] = A
-                        break
-                if p < b:
-                    # P2 beats the bid by one unit.
-                    if beat is None:
-                        continue
-                    a1, b1 = A - an * p, b - p - 1
-                    child_row = beat[b1]
-                    child = child_row.get(a1)
-                    if child is None:
-                        child = expand(r, i, j1, a1, b1, child_row)
-                    if not child:
-                        continue
-                won = True
-                break
-        if row is None:
-            return won
-        self.nodes_expanded += 1
-        if self.nodes_expanded >= MAX_NODES:
-            raise ResourceError("grid oracle reached its ceiling of %d expanded nodes at turns=%d, b2=%d grid "
-                                "units; use fewer turns or a smaller b2" % (MAX_NODES, *self._query))
-        if won and self._set01:
-            # The zero-value turn: no bids, and the countdown shift does
-            # not depend on who takes it.
-            shift = 1 if i + j == remaining + 1 else 0
-            won = self._win(r, i - shift, j - shift, A, b)
-        row[A] = won
-        return won
+        return self._node(remaining, i, j, A, b, row) if won is None else won
 
 
 @dataclass(frozen=True)
@@ -321,8 +335,8 @@ def min_winning_budget(
 
     Practical sizing guidance, at grid unit 1 on a 2-vCPU x86 host under
     CPython 3.11 (best of 2): turns <= 9 with b2 <= 30 takes at most
-    ~0.06 s on every variant; turns = 11 with b2 = 40 takes 0.10-0.12 s
-    on fp-set and ap-set and 0.22 s on ap-set at alpha = 1/3 (fixed-value
+    ~0.05 s on every variant; turns = 11 with b2 = 40 takes about 0.10 s
+    on fp-set and ap-set and 0.20 s on ap-set at alpha = 1/3 (fixed-value
     variants stay under 0.02 s). Cost grows quickly with both.
     """
     b2 = amount(b2, "b2", positive=True)

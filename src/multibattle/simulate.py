@@ -122,7 +122,7 @@ class MatchPlusEpsilonAdversary:
     def choose_bid(self, state: GameState, value: int, p1_bid: Fraction, rng) -> Fraction:
         if value == 0:
             return ZERO
-        p, e = finite_fraction(p1_bid, "amount"), self.epsilon
+        p, e = p1_bid, self.epsilon
         pd, ed = p._denominator, e._denominator
         raised = _fraction(p._numerator * ed + e._numerator * pd, pd * ed)
         return raised if at_least(state.budget_p2, raised) else ZERO
@@ -197,7 +197,7 @@ class OmnipotentAdversary:
             return ZERO
         if not self._p1_wins(settle_turn(self._config, state, 1, p1_bid, ZERO)):
             return ZERO
-        q = self._grid * (self._grid_steps(finite_fraction(p1_bid, "amount")) + 1)
+        q = self._grid * (self._grid_steps(p1_bid) + 1)
         if at_least(state.budget_p2, q) and not self._p1_wins(
             settle_turn(self._config, state, 1, p1_bid, q)
         ):

@@ -7,9 +7,12 @@ decides the winner from final scores only. The fast oracle must agree
 with it everywhere the reference can reach.
 """
 
+import gc
 import itertools
 import random
+import sys
 import tracemalloc
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 
@@ -642,7 +645,7 @@ def test_a_search_stores_each_expanded_node_once(variant):
 def test_the_memo_of_a_search_stays_small():
     """The memo is nested by countdown pair, then budgets: no key tuple per position.
 
-    Measured at ~250 KB; a flat memo keyed by 5-tuples peaks at ~860 KB.
+    Measured at ~265 KB; a flat memo keyed by 5-tuples peaks at ~860 KB.
     """
     min_winning_budget(FP_SET01, 3, 4)  # first-call allocations, outside the traced region
     tracemalloc.start()
@@ -703,7 +706,74 @@ def test_depth_ceiling_raises_before_any_work():
         with pytest.raises(ResourceError, match=f"depth ceiling is {oracle_module.MAX_TURNS} turns"):
             query(over, 0, 1, 0, 0)  # P1 needs nothing, yet the depth is checked first
     assert ev.nodes_expanded == 0
-    # At the ceiling the deepest recursion, two frames a turn on a value-set
+    # At the ceiling the deepest recursion, one frame a turn on a value-set
     # variant, still fits under the default limit.
     h = oracle_module.MAX_TURNS // 2
     assert not ev.win(oracle_module.MAX_TURNS, h, h, 0, 1)
+
+
+def _frame_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_the_search_recurses_one_frame_per_remaining_turn():
+    """MAX_TURNS frames and a small slack hold the deepest query at the ceiling.
+
+    The slack covers ``win`` and, under the last node, its successors'
+    fetch and the memo's row factory: the query needs 3 of the 10. A
+    zero-value step that took a second frame, as through a lookup helper,
+    needs about MAX_TURNS more.
+    """
+    h, slack = oracle_module.MAX_TURNS // 2, 10
+    ev = GridEvaluator(FP_SET01)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + oracle_module.MAX_TURNS + slack)
+    try:
+        won = ev.win(oracle_module.MAX_TURNS, h, h, 0, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not won
+
+
+def test_a_dropped_evaluator_and_its_memo_are_freed_at_once():
+    """No cycle keeps a dropped evaluator or its memo for the collector.
+
+    The search's closures hold the evaluator's constants, not the
+    evaluator, and the node closure's reference to itself goes with it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ev = GridEvaluator(AP_SET_THIRD)
+        ev.win(6, 3, 3, F(25, 3), 5)
+        held = tracemalloc.get_traced_memory()[0] - before
+        ref = weakref.ref(ev)
+        del ev
+        assert ref() is None
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert held > 20_000 and left < held // 10, (held, left)
+
+
+def test_rows_hold_their_successors_and_a_given_value_stores_none():
+    """A row holds its concede row, beat table and shifted zero-value row, fetched at its first expansion.
+
+    A query with its value given solves its turn without a row: nothing
+    is stored at its own position, neither a verdict nor successors.
+    """
+    ev = GridEvaluator(FP_SET01)
+    ev.win(5, 3, 3, 7, 5, 1)
+    assert (5, 3, 3) not in ev._memo
+    ev.win(5, 3, 3, 7, 5)
+    memo = ev._memo
+    row = memo[5, 3, 3][5]
+    # i + j = remaining + 1: the zero-value turn shifts the countdown pair to (2, 2).
+    assert row.concede is memo[4, 2, 3][5] and row.beat is memo[4, 3, 2] and row.zero is memo[4, 2, 2][5]

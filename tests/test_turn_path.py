@@ -54,7 +54,7 @@ from multibattle import (
     settle_turn,
     winner_if_decided,
 )
-from multibattle.core import CountdownPair, GameDecidedError, OverbidError, TurnRecord, ceil_div
+from multibattle.core import CountdownPair, GameDecidedError, OverbidError, TurnRecord, ceil_div, finite_fraction
 from multibattle.simulate import _policy_bid, _ScriptedAdversary
 
 F = Fraction
@@ -270,6 +270,7 @@ def test_adversary_bids_match_the_fraction_reference(
 ):
     if raise_to_budget and b2 >= epsilon:
         p1_bid = b2 - epsilon  # the match adversary's raise lands exactly on her budget
+    p1_bid = finite_fraction(p1_bid, "P1 bid")  # as run_game hands it to the adversary
     state = GameState(b1, b2, 0, 0, 0)
     match = MatchPlusEpsilonAdversary(epsilon)
     new = match.choose_bid(state, value, p1_bid, None)
