@@ -42,33 +42,37 @@ frozen dataclasses, whose ``__init__`` sets each field through
 ``object.__setattr__``. Being tuples, they also compare equal to plain
 tuples of the same fields. A ``GameState`` holds no countdown pair:
 readers derive it with ``countdown_for`` from the turn count, the turn
-index and the scores, so the two cannot disagree. The two validating
-records check their fields in ``__new__`` on a thin subclass
-(``_replace`` included). Where that check cannot fail, a record is
-built with ``tuple.__new__``: ``_settle``'s ``GameState`` (budgets stay
->= 0 after checked bids, counts only grow, and a turn adds at most one
-to the score sum and one to the index), the countdown pairs of
-``countdown_for`` and ``observe_outcome`` (clamped at zero), and
-``TurnRecord`` and ``StrategyState``, which check nothing.
+index and the scores, so the two cannot disagree. The three validating
+records (``CountdownPair``, ``GameState`` and ``StrategyState``) check
+their fields in ``__new__`` on a thin subclass (``_replace`` included).
+Where that check cannot fail, a record is built with ``tuple.__new__``:
+``_settle``'s ``GameState`` (budgets stay >= 0 after checked bids,
+counts only grow, and a turn adds at most one to the score sum and one
+to the index), the countdown pairs of ``countdown_for`` and
+``observe_outcome`` and its ``StrategyState`` (clamped at zero), and
+``TurnRecord``, which checks nothing.
 
 Each argument rule is one helper here with one message: ``check_value``
 (an int 0 or 1, never a bool; only 1 under a fixed-value variant),
 ``check_count`` (an int of at least ``least``), ``check_countdowns``,
 ``check_variant``, ``finite_fraction`` and ``amount``, the sign rule
 ("must be >= 0", or "must be > 0" if ``positive``, on
-``finite_fraction``'s result). Only ``closed_form``,
+``finite_fraction``'s result). ``closed_form``,
 ``optimal_bid_fraction`` and ``handicap_obr`` guard the call with an
 inline class test: they are solve's hot path, where plain calls cost
-``obr`` a sixth of its time. Each turn is checked once: ``settle_turn``
-checks the value, the turn count and both bids, then calls ``_settle``,
-the one step of payments and scores; ``run_game`` makes the
-same checks and calls ``_settle`` directly, as does the sweep.
+``obr`` a sixth of its time. ``next_bid`` and ``observe_outcome`` do the
+same with the turn value, on every playout and sweep turn. Each turn is
+checked once: ``settle_turn`` checks the value, the turn count and both
+bids, then calls ``_settle``, the one step of payments and scores;
+``run_game`` makes the same checks and calls ``_settle`` directly, as
+does the sweep.
 
 ``GameTrace.to_json(indent)`` writes the same bytes as
 ``json.dumps(trace.to_json_dict(), indent=indent)`` without building the
 dict or running the generic encoder (whose indented form is pure
 Python): it lays out the turn object once per call as a %-template and
-fills it per turn. ``to_json_dict`` stays as the dict form and as the
+fills it per turn, writing a budget the turn left unchanged from the
+previous turn's text. ``to_json_dict`` stays as the dict form and as the
 reference the tests compare against.
 """
 
@@ -545,11 +549,13 @@ class GameTrace:
         The same bytes for ``indent=None`` and for every int (or string)
         indent: compact objects use ``", "`` and ``": "``, indented ones
         ``","`` and a newline. The turn layout is made once per call as a
-        %-template; each amount goes in as ``%r`` of ``_float(x)``, which is
-        ``float.__repr__``, as ``json`` writes a float. A turn's four
-        amounts are Fractions (``run_game`` records no other kind), so they
-        are divided from their slots. An amount beyond float range raises
-        ``OverflowError``, as ``to_json_dict`` does.
+        %-template; each amount goes in as ``float.__repr__`` of
+        ``_float(x)``, as ``json`` writes a float. A turn's four amounts are
+        Fractions (``run_game`` records no other kind), so they are divided
+        from their slots. ``paid`` returns the budget itself when nothing is
+        paid, so a turn's budget that ``is`` the previous turn's reuses that
+        turn's text instead of dividing and formatting again. An amount
+        beyond float range raises ``OverflowError``, as ``to_json_dict`` does.
         """
         if indent is not None and not isinstance(indent, str):
             indent = " " * indent
@@ -564,20 +570,25 @@ class GameTrace:
         ], 1, indent)
         template = _json_layout("{", "}", _TURN_FIELDS, 2, indent)
         p1, p1_text, p2_text = Player.P1, _json_str(Player.P1.value), _json_str(Player.P2.value)
-        turns = _json_layout("[", "]", [
-            template % (
+        rows = []
+        last1 = last2 = text1 = text2 = None
+        for index, value, bid1, bid2, winner, left1, left2, score1, score2 in self.turns:
+            if left1 is not last1:
+                last1, text1 = left1, repr(left1._numerator / left1._denominator)
+            if left2 is not last2:
+                last2, text2 = left2, repr(left2._numerator / left2._denominator)
+            rows.append(template % (
                 index,
                 value,
                 bid1._numerator / bid1._denominator,
                 bid2._numerator / bid2._denominator,
                 p1_text if winner is p1 else p2_text,
-                left1._numerator / left1._denominator,
-                left2._numerator / left2._denominator,
+                text1,
+                text2,
                 score1,
                 score2,
-            )
-            for index, value, bid1, bid2, winner, left1, left2, score1, score2 in self.turns
-        ], 1, indent)
+            ))
+        turns = _json_layout("[", "]", rows, 1, indent)
         members = [
             '"config": ' + config,
             '"turns": ' + turns,
@@ -594,10 +605,11 @@ class GameTrace:
         return _json_layout("{", "}", members, 0, indent)
 
 
-# TurnRecord's fields as JSON members, in order: amounts are %r of a float, the winner is JSON text.
+# TurnRecord's fields as JSON members, in order: bids are %r of a float; the
+# winner, and budgets as float.__repr__ text, go in as %s.
 _TURN_FIELDS = [
     '"index": %d', '"value": %d', '"bid_p1": %r', '"bid_p2": %r', '"winner": %s',
-    '"budget_p1": %r', '"budget_p2": %r', '"score_p1": %d', '"score_p2": %d',
+    '"budget_p1": %s', '"budget_p2": %s', '"score_p1": %d', '"score_p2": %d',
 ]
 
 

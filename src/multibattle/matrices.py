@@ -33,8 +33,10 @@ alpha = an/ad, one entry is
 divided by their gcd. A value becomes a ``Fraction`` only where it
 leaves this module; CSV and JSON format each row as it is filled.
 
-``entry_pair`` is the strategy's one reader of x: the O(1) closed form,
-else the binomial sums behind a memo of at most 16384 entries.
+``entry_pair`` is the strategy's reader of x at alpha not in {0, 1}: the
+binomial sums behind a memo of at most 16384 entries (the O(1) closed
+form at alpha in {0, 1}, where the strategy reads its bid fraction from
+a closed form of its own instead).
 
 A fill is O(n^2) entries, so ``build_matrix``, the CSV and JSON streams
 and ``verify_matrix`` refuse a side above ``MAX_EXACT_SIDE`` (exact) or

@@ -18,8 +18,24 @@ The boundary rules x[i][i] = 1 + x[i-1][i] and x[i][1] = i make r* = 1
 on triangular diagonals and fixed-value column 1: P1 bids the whole
 tracked budget there.
 
-Every entry of x comes from ``matrices.entry_pair``: a closed form at
-every alpha, memoized where it costs O(j) terms, shared by every game.
+At alpha in {0, 1} r* has its own O(1) closed form, the difference of
+two of ``matrices.closed_form``'s. With k = j - i + 1:
+
+    value-set, alpha = 0:  (2i + k(k+3)) / (k(k+1)(j+2))
+    value-set, alpha = 1:  1 at i = 1, else (2i - 2 + k(k+3)) / (k(k+1)(j+1))
+    fixed-value, alpha = 0:  1/j
+    fixed-value, alpha = 1:  1 at i = 1, else 1/j
+
+On value-set variants x[i][j] = i(k+2) / (k(j+2)) at alpha = 0 and
+1 + (i-1)(k+2) / (k(j+1)) at alpha = 1, and row i - 1 has k + 1 in place
+of k; over the common denominator k(k+1)(j+2) (or (j+1)) the numerators
+differ by i(k+2)(k+1) - (i-1)(k+3)k = 2i + k(k+3), with i - 1 in place
+of i at alpha = 1. On fixed-value ones x[i][j] = i/j and (i+j-1)/j, one
+1/j per row. Row 0 is the virtual all-zero row, not a formula at i = 0,
+which is why alpha = 1 treats i = 1 apart: there r* is all of x[1][j] = 1.
+
+At every other alpha both entries of x come from ``matrices.entry_pair``:
+binomial closed forms of O(j) terms, memoized and shared by every game.
 """
 
 from __future__ import annotations
@@ -47,7 +63,7 @@ from .core import (
 from .matrices import entry_pair
 
 # perfbench/tracing.py wraps build_matrix and closed_form under this
-# module's name, so they stay imported although the policy reads entry_pair.
+# module's name, so they stay imported although the policy calls neither.
 from .matrices import build_matrix, closed_form  # noqa: F401
 
 
@@ -57,6 +73,14 @@ def _bid_fraction_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, in
         raise GameDecidedError(f"countdown ({i}, {j}) already decides the game")
     if variant.is_triangular and i > j:
         raise UnwinnableStateError(f"state ({i}, {j}) cannot be won under {variant.short_name}")
+    if variant.has_closed_form:  # the module docstring's four forms; a is alpha, 0 or 1
+        a = variant.alpha_pair[0]
+        if a and i == 1:
+            return 1, 1
+        if not variant.is_triangular:
+            return 1, j
+        k = j - i + 1
+        return 2 * (i - a) + k * (k + 3), k * (k + 1) * (j + 2 - a)
     xn, xd = entry_pair(variant, i, j)
     wn, wd = entry_pair(variant, i - 1, j)
     return xn * wd - wn * xd, xd * wd
@@ -65,10 +89,12 @@ def _bid_fraction_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, in
 def optimal_bid_fraction(variant: AuctionVariant, i: int, j: int) -> Fraction:
     """Exact fraction r* = x[i][j] - x[i-1][j] of the tracked opponent budget at countdown (i, j).
 
-    Both entries are integer pairs from ``matrices.entry_pair``; the one
-    Fraction made is the result. Raises DomainError when a countdown is not
-    an int (a bool included), GameDecidedError when either countdown is
-    zero and UnwinnableStateError for triangular i > j.
+    At alpha in {0, 1} one O(1) closed form (see the module docstring)
+    gives the unreduced pair; at other alphas it is the difference of two
+    integer pairs from ``matrices.entry_pair``. The one Fraction made is
+    the result, reduced by ``_fraction``. Raises DomainError when a
+    countdown is not an int (a bool included), GameDecidedError when
+    either countdown is zero and UnwinnableStateError for triangular i > j.
     """
     if i.__class__ is not int or j.__class__ is not int:  # inline: solve's hot path
         check_countdowns(i, j)
@@ -76,17 +102,31 @@ def optimal_bid_fraction(variant: AuctionVariant, i: int, j: int) -> Fraction:
     return _fraction(num, den)
 
 
-class StrategyState(NamedTuple):
-    """What the policy knows between turns.
-
-    ``tracked_opponent_budget`` starts at P2's true budget and only ever
-    decreases; pessimistic updates keep it an upper bound on the truth,
-    which is the safe side for every bid computed from it.
-    """
-
+class _StrategyState(NamedTuple):
     variant: AuctionVariant
     tracked_opponent_budget: Fraction
     countdown: CountdownPair
+
+
+class StrategyState(_StrategyState):
+    """What the policy knows between turns; ``__new__`` makes the tracked budget a Fraction.
+
+    ``tracked_opponent_budget`` starts at P2's true budget and only ever
+    decreases; pessimistic updates keep it an upper bound on the truth,
+    which is the safe side for every bid computed from it. An int or float
+    budget is stored as its ``Fraction``, and a negative one raises
+    DomainError ("opponent_budget must be >= 0, got …").
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, variant, tracked_opponent_budget, countdown):
+        return tuple.__new__(cls, (variant, amount(tracked_opponent_budget, "opponent_budget"), countdown))
+
+    @classmethod
+    def _make(cls, fields) -> "StrategyState":
+        # NamedTuple's _make, which _replace calls, skips __new__.
+        return cls(*fields)
 
     @classmethod
     def fresh(cls, variant: AuctionVariant, turns: int, opponent_budget: Numeric) -> "StrategyState":
@@ -95,7 +135,7 @@ class StrategyState(NamedTuple):
         check_count(turns, "turns")
         countdown = countdown_for(turns, 0, 0, 0)
         entry_pair(variant, countdown.i, countdown.j)
-        return cls(variant, amount(opponent_budget, "opponent_budget"), countdown)
+        return cls(variant, opponent_budget, countdown)
 
 
 def next_bid(state: StrategyState, turn_value: int) -> Fraction:
@@ -104,13 +144,12 @@ def next_bid(state: StrategyState, turn_value: int) -> Fraction:
     Zero-value turns get a zero bid (the shared ``ZERO``); there is nothing
     at stake and spending would only erode the guarantee.
     """
-    check_value(turn_value)
+    if turn_value.__class__ is not int or turn_value not in (0, 1):  # inline: the turn's hot path
+        check_value(turn_value)
     if turn_value == 0:
         return ZERO
     variant, b, (i, j) = state
     num, den = _bid_fraction_pair(variant, i, j)
-    if type(b) is not Fraction:
-        b = finite_fraction(b, "amount")
     return _fraction(num * b._numerator, den * b._denominator)
 
 
@@ -128,15 +167,15 @@ def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_wo
     by it, clamped at zero, whatever P2 actually bid.
 
     The turn value is checked as in ``next_bid``. Both records skip
-    ``__new__`` (see ``core``): the countdown dropped is clamped at zero.
+    ``__new__`` (see ``core``): the countdown dropped is clamped at zero,
+    and the tracked budget, a Fraction already, is clamped at zero too.
     """
-    check_value(turn_value)
+    if turn_value.__class__ is not int or turn_value not in (0, 1):  # inline: the turn's hot path
+        check_value(turn_value)
     variant, b, cd = state
     if turn_value:
         i, j = cd
         cd = tuple.__new__(CountdownPair, (i - 1 if i > 0 else 0, j) if i_won else (i, j - 1 if j > 0 else 0))
-    if type(b) is not Fraction:
-        b = finite_fraction(b, "amount")
     if not i_won:
         b = paid(b, finite_fraction(my_bid, "my_bid"))
         if b._numerator < 0:

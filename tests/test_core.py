@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import pickle
 import re
 from fractions import Fraction
@@ -24,10 +25,13 @@ from multibattle import (
     GameTrace,
     Player,
     Pricing,
+    StrategyPolicy,
     StrategyState,
     ValueModel,
     countdown_for,
     initial_state,
+    obr,
+    run_game,
     settle_turn,
     winner_if_decided,
 )
@@ -36,10 +40,12 @@ from multibattle.core import (
     OverbidError,
     TurnRecord,
     Unwinnable,
+    ZERO,
     ceil_div,
     check_count,
     check_value,
 )
+from multibattle.simulate import _ScriptedAdversary
 
 F = Fraction
 
@@ -438,6 +444,8 @@ def test_records_reject_negative_values_with_the_same_messages():
         GameState(-1, 1, 0, 0, 0)
     with pytest.raises(DomainError, match="^score_p2 must be >= 0, got -1$"):
         GameState(F(1), F(1), 0, -1, 0)
+    with pytest.raises(DomainError, match="^opponent_budget must be >= 0, got -1/2$"):
+        StrategyState(FP_SET01, F(-1, 2), CountdownPair(1, 2))
 
 
 
@@ -466,3 +474,32 @@ def test_replacing_a_field_keeps_the_checks():
     assert state._replace(score_p1=1, turn_index=1).score_p1 == 1
     with pytest.raises(DomainError):
         state._replace(budget_p2=F(-1))
+    plan = StrategyState(FP_SET01, F(1), cd)
+    assert type(plan._replace(tracked_opponent_budget=3).tracked_opponent_budget) is Fraction
+    with pytest.raises(DomainError, match="^opponent_budget must be >= 0, got -1$"):
+        plan._replace(tracked_opponent_budget=-1)
+
+
+@pytest.mark.parametrize("budget", [2, 2.5, F(5, 2)])
+def test_a_strategy_state_holds_its_tracked_budget_as_a_fraction(budget):
+    # An int or float budget was stored as given, and next_bid and
+    # observe_outcome converted it on every turn.
+    plan = StrategyState(FP_SET01, budget, CountdownPair(2, 3))
+    assert type(plan.tracked_opponent_budget) is Fraction and plan.tracked_opponent_budget == budget
+    assert plan == StrategyState(FP_SET01, F(budget), CountdownPair(2, 3))
+
+
+@pytest.mark.parametrize("variant", [FP_SET01, AP_SET01, AuctionVariant.all_pay(ValueModel.SET01, F(1, 3))],
+                         ids=["fp-set", "ap-set", "ap-set@1/3"])
+def test_to_json_writes_an_unchanged_budget_as_json_dumps_does(variant):
+    """Zero-value turns leave both budgets the same objects over runs of turns; value-1 turns change them."""
+    moves = [(0, ZERO)] * 3 + [(1, ZERO)] + [(0, ZERO)] * 2 + [(1, F(1, 2))] + [(0, ZERO)] * 3 + [(1, F(1, 4))]
+    moves += [(0, ZERO)] * 2 + [(1, ZERO)]
+    trace = run_game(GameConfig(variant, 15), obr(variant, 15, exact=True), StrategyPolicy(),
+                     _ScriptedAdversary(moves))
+    pairs = list(zip(trace.turns, trace.turns[1:]))
+    for side in ("budget_p1", "budget_p2"):
+        kept = [getattr(a, side) is getattr(b, side) for a, b in pairs]
+        assert kept.count(True) >= 6 and False in kept, (side, kept)
+    for indent in (None, 2):
+        assert trace.to_json(indent) == json.dumps(trace.to_json_dict(), indent=indent), indent

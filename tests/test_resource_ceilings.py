@@ -1,8 +1,8 @@
-"""The memory ceilings of the largest playout and the largest float fill, measured in a fresh process.
+"""The memory ceilings of the largest playout, the largest float fill and the sweep's state ceiling.
 
 Each check runs in a fresh Python and reads ``ru_maxrss`` there (KB on
-Linux), as the "Longest game" and "Float ceiling memory" steps of the CI
-workflow do. A process keeps its ``ru_maxrss`` across ``exec``, and a
+Linux), as the "Longest game", "Float ceiling memory" and "Sweep state
+ceiling" steps of the CI workflow do. A process keeps its ``ru_maxrss`` across ``exec``, and a
 child forked from the test session starts at the session's resident
 size, so the check is started by a small launcher process instead.
 """
@@ -14,6 +14,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 PEAK_KB = 80 * 1024
+# The sweep's memo at its 500,000-state ceiling, about 250 bytes a state.
+SWEEP_PEAK_KB = 160 * 1024
 # Runs argv[1] in a child of this small process, whose resident size is all that child starts from.
 LAUNCHER = "import subprocess, sys; sys.exit(subprocess.call([sys.executable, '-c', sys.argv[1]]))"
 
@@ -55,3 +57,20 @@ build_matrix(FP_FIXED1, 2048)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """)
     assert int(peak_kb) < PEAK_KB, peak_kb
+
+
+def test_the_sweep_stops_at_its_state_ceiling_under_its_memory_ceiling():
+    # At T = 41 and a grid bound of 64 the sweep would explore far more than
+    # MAX_SWEEP_STATES states; it raises at the ceiling instead.
+    peak_kb, *message = run_child("""
+import resource
+from multibattle import FP_SET01, GameConfig, ResourceError, exhaustive_adversary_check, obr
+try:
+    exhaustive_adversary_check(GameConfig(FP_SET01, 41), obr(FP_SET01, 41, exact=True), 64)
+    message = "the sweep ran past its state ceiling"
+except ResourceError as exc:
+    message = str(exc)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, message)
+""")
+    assert " ".join(message).startswith("exhaustive sweep exceeded 500000 states "), message
+    assert int(peak_kb) < SWEEP_PEAK_KB, peak_kb

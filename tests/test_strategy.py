@@ -31,7 +31,8 @@ from multibattle import (
 )
 from multibattle import matrices
 from multibattle.core import GameDecidedError, UnwinnableStateError
-from multibattle.matrices import MAX_EXACT_SIDE
+from multibattle.matrices import MAX_EXACT_SIDE, entry_pair
+from multibattle.strategy import _bid_fraction_pair
 
 F = Fraction
 
@@ -69,6 +70,28 @@ def test_bid_fraction_rejects_countdowns_that_are_not_ints(variant, i, j):
     # 2.0 used to raise a TypeError from gcd or from a list index; True read as 1.
     with pytest.raises(DomainError, match=r"^countdowns must be ints, got \("):
         optimal_bid_fraction(variant, i, j)
+
+
+def _defined_cells(variant, n):
+    """Every cell (i, j), 1 <= i, j <= n, that the policy bids at: i <= j on value-set variants."""
+    return [(i, j) for i in range(1, n + 1) for j in range(i if variant.is_triangular else 1, n + 1)]
+
+
+def _edge_cells(variant, n):
+    """Rows 1 and 2, the diagonal and (fixed-value) column 1 out to side n."""
+    rows = [(i, j) for i in (1, 2) for j in range(i if variant.is_triangular else 1, n + 1)]
+    column = [] if variant.is_triangular else [(i, 1) for i in range(1, n + 1)]
+    return rows + [(i, i) for i in range(1, n + 1)] + column
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.short_name)
+def test_bid_fraction_closed_form_is_the_difference_of_two_entries(variant):
+    """At alpha in {0, 1} r* has its own closed form; it equals x[i][j] - x[i-1][j] read from entry_pair."""
+    for i, j in _defined_cells(variant, 120) + _edge_cells(variant, MAX_EXACT_SIDE):
+        num, den = _bid_fraction_pair(variant, i, j)
+        xn, xd = entry_pair(variant, i, j)
+        wn, wd = entry_pair(variant, i - 1, j)
+        assert den > 0 and num * xd * wd == (xn * wd - wn * xd) * den, (i, j, num, den)
 
 
 def test_bid_fraction_general_alpha_needs_a_matrix():
