@@ -131,12 +131,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="exact grid-bid search")
     _add_variant_arg(p)
     p.add_argument("--turns", type=int, required=True, help=_TURNS_HELP)
-    p.add_argument("--b2", type=int, required=True, help="P2 budget: an amount, a multiple of --grid-unit")
+    p.add_argument("--b2", type=int, required=True, help="P2 budget: an integer amount, a multiple of --grid-unit")
     p.add_argument(
         "--b1",
         type=int,
         default=None,
-        help="evaluate this P1 budget (an amount, a multiple of --grid-unit) instead of searching",
+        help="evaluate this P1 budget (an integer amount, a multiple of --grid-unit) instead of searching",
     )
     p.add_argument("--grid-unit", default="1", help="bid grid unit (rational); b_star counts these units")
 

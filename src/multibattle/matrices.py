@@ -230,6 +230,8 @@ def _rows(variant: AuctionVariant, n: int, exact: bool):
 def build_matrix(variant: AuctionVariant, n: int, exact: bool = False) -> CountdownMatrix:
     """Build the countdown matrix of size n, row-major from each row's boundary: O(n^2) entries.
 
+    A float fill runs the recurrence in floats, so an entry can differ in its last digits from
+    ``closed_form``'s exact value rounded once (fp-set x[7][7] reads 2.333333333333333 for 7/3).
     Raises ResourceError above ``MAX_EXACT_SIDE``/``MAX_FLOAT_SIDE``.
     """
     rows = _rows(variant, n, exact)

@@ -117,6 +117,19 @@ def test_matrix_csv(capsys):
     assert out == "i\\j,1,2,3\n1,1,1/2,1/3\n2,inf,3/2,4/5\n3,inf,inf,9/5\n"
 
 
+def test_float_matrix_entries_run_the_float_recurrence_and_obr_rounds_once(capsys):
+    # Known last-digit gaps, kept as they are: a float fill runs the recurrence
+    # in floats, while obr rounds the exact entry once (fp-set x[7][7] = 7/3,
+    # fp-fixed x[10][5] = 2).
+    _, out, _ = run(capsys, "matrix", "--variant", "fp-set", "--size", "7")
+    assert out.splitlines()[-1] == "7,inf,inf,inf,inf,inf,inf,2.333333333333333"
+    assert run(capsys, "obr", "--variant", "fp-set", "--turns", "13") == (0, "2.3333333333333335\n", "")
+    _, out, _ = run(capsys, "matrix", "--variant", "fp-fixed", "--size", "10")
+    assert out.splitlines()[-1].split(",")[5] == "1.9999999999999998"
+    _, out, _ = run(capsys, "matrix", "--variant", "fp-fixed", "--size", "10", "--exact")
+    assert out.splitlines()[-1].split(",")[5] == "2"
+
+
 class _HashingSink:
     """A stdout that keeps only a hash of what is written to it."""
 
@@ -249,6 +262,21 @@ def test_oracle_grid_unit_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)["b_star"] == 6
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--b1", "--b2 4 --b1 3/2 --grid-unit 1/2"),
+    ("--b2", "--b2 3/2 --grid-unit 1/2"),
+])
+def test_oracle_budgets_are_integer_amounts(flag, argv, capsys):
+    # The help says so: a fractional amount on a fine grid is refused, though it is a multiple of the unit.
+    code, out, err = run(capsys, "oracle", "--variant", "fp-set", "--turns", "3", *argv.split())
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"error: argument {flag}: invalid int value: '3/2'"
+    helps = {action.option_strings[0]: action.help for path, action in _options(cli.build_parser())
+             if path == ("oracle",) and action.option_strings[0] in ("--b1", "--b2")}
+    assert len(helps) == 2
+    assert all("an integer amount, a multiple of --grid-unit" in text for text in helps.values()), helps
 
 
 def test_simulate_writes_a_trace_file(tmp_path, capsys):

@@ -722,10 +722,10 @@ def _frame_depth():
 def test_the_search_recurses_one_frame_per_remaining_turn():
     """MAX_TURNS frames and a small slack hold the deepest query at the ceiling.
 
-    The slack covers ``win`` and, under the last node, its successors'
-    fetch and the memo's row factory: the query needs 3 of the 10. A
-    zero-value step that took a second frame, as through a lookup helper,
-    needs about MAX_TURNS more.
+    The slack covers ``win`` and, under the last node, the memo's row
+    factory: the query needs 2 of the 10, as a node fetches its row's
+    successors inline. A zero-value step that took a second frame, as
+    through a lookup helper, needs about MAX_TURNS more.
     """
     h, slack = oracle_module.MAX_TURNS // 2, 10
     ev = GridEvaluator(FP_SET01)
@@ -768,6 +768,9 @@ def test_rows_hold_their_successors_and_a_given_value_stores_none():
 
     A query with its value given solves its turn without a row: nothing
     is stored at its own position, neither a verdict nor successors.
+    After a search, every row that holds a key (a verdict or a watermark,
+    written only by node calls on it) holds the successors the
+    GridEvaluator docstring names.
     """
     ev = GridEvaluator(FP_SET01)
     ev.win(5, 3, 3, 7, 5, 1)
@@ -777,3 +780,51 @@ def test_rows_hold_their_successors_and_a_given_value_stores_none():
     row = memo[5, 3, 3][5]
     # i + j = remaining + 1: the zero-value turn shifts the countdown pair to (2, 2).
     assert row.concede is memo[4, 2, 3][5] and row.beat is memo[4, 3, 2] and row.zero is memo[4, 2, 2][5]
+
+    for variant in (FP_SET01, FP_FIXED1, AP_SET01, AP_FIXED1):
+        ev, (h1, h2) = GridEvaluator(variant), countdown_for(5, 0, 0, 0)
+        assert any(ev.win(5, h1, h2, k, 8) for k in range(32))
+        memo, checked = ev._memo, 0
+        for (remaining, i, j), table in list(memo.items()):
+            r, s = remaining - 1, 1 if i + j == remaining + 1 else 0
+            for b, row in table.items():
+                if not row:
+                    continue
+                assert all(hasattr(row, slot) for slot in ("concede", "beat", "zero")), (remaining, i, j, b)
+                assert row.concede is (memo.get((r, i - 1, j), {}).get(b) if r and i > 1 else None)
+                assert row.beat is (memo.get((r, i, j - 1)) if r and j > 1 else None)
+                if not variant.is_triangular:
+                    assert row.zero is None
+                elif i - s <= 0 or j - s <= 0 or not r:  # decided, or left to the tie rule
+                    assert row.zero is (i - s <= 0 or (j - s > 0 and i <= j))
+                else:
+                    assert row.zero is memo.get((r, i - s, j - s), {}).get(b)
+                checked += 1
+        assert checked > 20, variant
+
+
+def test_no_search_frame_raises_an_exception():
+    """A search and a value-1 query run without raising, and catching, an exception in the oracle.
+
+    A row finds its first expansion by holding no position, not by a
+    missing successor slot, which would raise once per memo row.
+    """
+    events = []
+
+    def local(frame, event, arg):
+        if event == "exception":
+            events.append((frame.f_code.co_name, arg[0].__name__))
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename == oracle_module.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = min_winning_budget(FP_SET01, 5, 8)
+        won = GridEvaluator(FP_SET01).win(5, 3, 3, 7, 5, 1)
+    finally:
+        sys.settrace(previous)
+    assert result.nodes_expanded > 100 and isinstance(won, bool)
+    assert events == []
