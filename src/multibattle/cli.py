@@ -148,7 +148,7 @@ def build_parser() -> _Parser:
         "--adversary",
         required=True,
         choices=sorted(_ADVERSARIES),
-        help="P2's play: omnipotent = best reply from the exact grid oracle, allin = its whole budget "
+        help="P2's play: omnipotent = best reply from an exact threshold table on a grid of b2/8, allin = its whole budget "
         "on value 1, match = P1's bid plus 1/100 when affordable, random = seeded random values and bids",
     )
     p.add_argument("--seed", type=int, default=0, help="seed of the random adversary (default 0; others ignore it)")

@@ -28,8 +28,11 @@ the dearer bids that its row still lacks, so the nodes expanded, and the
 order they are expanded in, stay those of the full bid loop.
 
 This module is the ground truth the matrices and the strategy are checked
-against on small instances, and the brain of the simulator's omnipotent
-adversary.
+against on small instances. ``ThresholdTable`` answers the same grid game
+without a search, from the least winning P1 budget of each position, and
+is the brain of the simulator's omnipotent adversary; it fills at most
+``MAX_CELLS`` cells, about 85 MB of memo. ``evaluate`` and
+``min_winning_budget`` keep the node search, whose node counts they report.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ MAX_NODES = 2_000_000
 # The search recurses one frame per remaining turn; this leaves its callers
 # room under CPython's default limit of 1000 frames.
 MAX_TURNS = 400
+# A threshold table raises ResourceError when its stored cells reach this:
+# about 85 MB of memo at ~65 bytes a cell.
+MAX_CELLS = 1_300_000
 # min_winning_budget scans P1's budget up to this many times b2, above every
 # variant's limiting ratio.
 MAX_RATIO = 4
@@ -244,6 +250,166 @@ class GridEvaluator:
         row = self._memo[remaining, i, j][b]
         won = row.get(A)
         return self._node(remaining, i, j, A, b, row) if won is None else won
+
+
+class ThresholdTable:
+    """The grid game of ``GridEvaluator``, answered from the least winning P1 budget of each position.
+
+    Winnability is monotone in P1's budget, so a position (r turns left,
+    countdown pair (i, j), P2 budget b grid units) has one threshold
+    tau(r, i, j, b): the least scaled P1 budget ``A = a * d`` that wins,
+    infinite if none does (the threshold view of discrete Richman games,
+    Develin and Payne 2010). With alpha = an/d (an = 0, d = 1 under
+    first-price), c = tau(r - 1, i - 1, j, b) the threshold after P2
+    concedes, and h(p) = tau(r - 1, i, j - 1, b - p - 1) the one after she
+    beats a bid of p units by one unit:
+
+    * i <= 0 gives 0, j <= 0 gives infinity, and with no turn left the tie
+      rule gives 0 if i <= j, else infinity;
+    * the value-1 turn gives tau1 = min(b*d + c, min over p < b of
+      max(p*d + c, an*p + h(p))): a bid of b units is never beaten;
+    * on value-set variants tau = max(tau1, tau(r - 1, i - s, j - s, b)),
+      the zero-value turn with the countdown shift s = 1 if i + j = r + 1,
+      else 0; on fixed-value variants tau = tau1.
+
+    The inner minimum bisects the crossing p0, the least p with
+    p*d + c >= h(p) (p*d + c rises with p, and h does not, as tau never
+    falls as b grows), then scans up from p0 while p*d + c, and down from
+    p0 - 1 while h(p), stays below the best so far. Both are lower bounds
+    of the max term that grow away from p0, so the scan is exact for every
+    alpha; under first-price it stops within two reads.
+
+    The memo persists across queries: ``(r, i, j)`` maps to a dict from b
+    to tau. A query fills the cells it needs from an explicit stack, not
+    by recursion: a cell that meets a missing child pushes it and is tried
+    again once the child is stored. A table stops at ``MAX_CELLS`` stored
+    cells with ResourceError.
+    """
+
+    # P1's budget, checked and scaled as the node search does it.
+    _scaled = GridEvaluator._scaled
+
+    def __init__(self, variant: AuctionVariant):
+        check_variant(variant)
+        self.variant = variant
+        an, d = variant.alpha_pair
+        self._d, set01 = d, variant.is_triangular
+        memo = self._memo = defaultdict(dict)  # (r, i, j) -> b -> tau; a lookup makes a missing row
+        inf = float("inf")
+        count = 0
+
+        def cell(r: int, i: int, j: int, b: int, zeroed: bool):
+            """tau at r, i, j >= 1 (tau1 unless ``zeroed``), or the key of its first missing child."""
+            r1 = r - 1
+            if not r1:  # every child is settled by the tie rule
+                t1 = 0 if i < j else b * d if i <= j + 1 else inf
+                return max(t1, 0 if i <= j else inf) if set01 and zeroed else t1
+            if i == 1:
+                c = 0
+            else:
+                c = memo[r1, i - 1, j].get(b)
+                if c is None:
+                    return r1, i - 1, j, b
+            best = b * d + c
+            zero = 0
+            if set01 and zeroed:
+                s = 1 if i + j == r + 1 else 0
+                if i > s:  # i <= s: the zero-value turn wins the game
+                    if j <= s:
+                        return inf
+                    zero = memo[r1, i - s, j - s].get(b)
+                    if zero is None:
+                        return r1, i - s, j - s, b
+                    if zero >= best:  # tau1 <= b*d + c: the zero-value turn decides
+                        return zero
+            if j > 1 and c != inf:  # a beat at j = 1 takes P2's last point; c = inf loses every bid
+                row = memo[r1, i, j - 1]
+                lo, hi = 0, b
+                while lo < hi:
+                    p = (lo + hi) >> 1
+                    h = row.get(b - p - 1)
+                    if h is None:
+                        return r1, i, j - 1, b - p - 1
+                    if p * d + c >= h:
+                        hi = p
+                    else:
+                        lo = p + 1
+                for p in range(lo, b):
+                    f = p * d + c
+                    if f >= best:
+                        break
+                    h = row.get(b - p - 1)
+                    if h is None:
+                        return r1, i, j - 1, b - p - 1
+                    h += an * p
+                    if h < best:
+                        best = h if h > f else f
+                for p in range(lo - 1, -1, -1):
+                    h = row.get(b - p - 1)
+                    if h is None:
+                        return r1, i, j - 1, b - p - 1
+                    if h >= best:
+                        break
+                    h += an * p
+                    if h < best:
+                        best = h
+            return best if best > zero else zero
+
+        def tau(remaining: int, i: int, j: int, b: int, zeroed: bool, query: tuple):
+            """tau (tau1 unless ``zeroed``) at remaining, i, j >= 1, filling and storing every cell it needs.
+
+            A tau1 of a value-set variant is not a memo cell: it is returned, not stored.
+            """
+            nonlocal count
+            if zeroed or not set01:
+                t = memo[remaining, i, j].get(b)
+                if t is not None:
+                    return t
+            stack = [(remaining, i, j, b)]
+            while True:
+                r, i, j, b = stack[-1]
+                t = cell(r, i, j, b, zeroed or len(stack) > 1)
+                if t.__class__ is tuple:
+                    stack.append(t)
+                    continue
+                stack.pop()
+                if stack or zeroed or not set01:
+                    count += 1
+                    if count >= MAX_CELLS:
+                        raise ResourceError("threshold table reached its ceiling of %d cells at turns=%d, b2=%d "
+                                            "grid units; use fewer turns or a smaller b2" % (MAX_CELLS, *query))
+                    memo[r, i, j][b] = t
+                if not stack:
+                    return t
+
+        self._tau, self._count = tau, lambda: count
+
+    cells = property(lambda self: self._count(), doc="Thresholds computed and stored, over all queries.")
+
+    def win(self, remaining: int, i: int, j: int, a, b: int, value: int | None = None) -> bool:
+        """True iff P1 forces a win with ``remaining`` turns left: ``GridEvaluator.win``'s verdict and checks.
+
+        More than ``MAX_TURNS`` remaining turns raise ResourceError before
+        any work, as for the node search, and reaching ``MAX_CELLS`` cells
+        raises ResourceError naming the query's turns and b2.
+        """
+        check_count(b, "P2 budget", 0)
+        check_countdowns(i, j)
+        check_count(remaining, "turns left", 0)
+        if value is not None:
+            check_value(value)
+            if not remaining:
+                raise DomainError("no turn left to evaluate a pending value for")
+        if remaining > MAX_TURNS:
+            raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
+        A = self._scaled(a)
+        query = remaining, b
+        if value == 0 and i > 0 and j > 0:
+            shift = 1 if i + j == remaining + 1 else 0
+            remaining, i, j, value = remaining - 1, i - shift, j - shift, None
+        if i <= 0 or j <= 0 or remaining <= 0:
+            return i <= 0 or i <= j
+        return A >= self._tau(remaining, i, j, b, not value, query)
 
 
 @dataclass(frozen=True)

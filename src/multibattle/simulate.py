@@ -49,7 +49,7 @@ from .core import (
 # This module calls neither build_matrix nor optimal_bid_fraction, but
 # perfbench/tracing.py wraps both under this module's names, so they stay.
 from .matrices import build_matrix  # noqa: F401
-from .oracle import GridEvaluator
+from .oracle import ThresholdTable
 from .strategy import StrategyState, next_bid, observe_outcome, optimal_bid_fraction  # noqa: F401
 
 # run_game keeps one TurnRecord per turn played: about 0.35 KB with its amounts.
@@ -153,27 +153,31 @@ class RandomSeededAdversary:
 
 
 class OmnipotentAdversary:
-    """Best response computed by the exact grid oracle at each turn.
+    """Best response read from an exact threshold table at each turn.
 
-    Oracle queries floor both budgets onto the bid grid (the adversary's
-    aggressive reading of off-grid amounts). Against P1's bid it settles
-    the turn with ``settle_turn`` and concedes if that leaves P1 lost,
-    else bids one grid step above P1 if affordable and that leaves P1
-    lost, else concedes. Values: it prefers a value it can win under,
-    trying 1 first, and plays value 1 when the oracle sees no win anywhere.
+    Its bids lie on a grid of ``grid_unit``, b2/8 by default. Each game
+    position's verdict comes from one ``oracle.ThresholdTable``, kept
+    across games of one variant: the least winning P1 budget of every
+    position it meets, at most ``oracle.MAX_CELLS`` of them. Queries floor
+    both budgets onto the bid grid (the adversary's aggressive reading of
+    off-grid amounts). Against P1's bid it settles the turn with
+    ``settle_turn`` and concedes if that leaves P1 lost, else bids one grid
+    step above P1 if affordable and that leaves P1 lost, else concedes.
+    Values: it prefers a value it can win under, trying 1 first, and plays
+    value 1 when the table sees no win anywhere.
     """
 
     def __init__(self, grid_unit: Numeric | None = None):
         self.grid_unit = None if grid_unit is None else amount(grid_unit, "grid_unit", positive=True)
-        self._ev: GridEvaluator | None = None
+        self._table: ThresholdTable | None = None
         self._config: GameConfig | None = None
         self._grid: Fraction | None = None
 
     def begin(self, config: GameConfig, budget_p1: Fraction) -> None:
         self._config = config
-        self._grid = self.grid_unit or 1 / (8 * config.budget_p2)
-        if self._ev is None or self._ev.variant != config.variant:
-            self._ev = GridEvaluator(config.variant)
+        self._grid = self.grid_unit or config.budget_p2 / 8
+        if self._table is None or self._table.variant != config.variant:
+            self._table = ThresholdTable(config.variant)
 
     def _grid_steps(self, amount: Fraction) -> int:
         """How many whole grid units a nonnegative ``amount`` holds."""
@@ -184,7 +188,7 @@ class OmnipotentAdversary:
         """The oracle's verdict on ``state``, with this turn's value fixed if given."""
         turns, idx, steps = self._config.turns, state.turn_index, self._grid_steps
         i, j = countdown_for(turns, idx, state.score_p1, state.score_p2)
-        return self._ev.win(turns - idx, i, j, steps(state.budget_p1), steps(state.budget_p2), value)
+        return self._table.win(turns - idx, i, j, steps(state.budget_p1), steps(state.budget_p2), value)
 
     def choose_value(self, state: GameState, rng: random.Random) -> int:
         for value in (1, 0):

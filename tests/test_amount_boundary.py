@@ -41,6 +41,7 @@ from multibattle import (
 from multibattle import cli, core
 from multibattle.core import affordable, at_least, paid
 from multibattle.matrices import matrix_csv_lines, matrix_json_chunks
+from multibattle.oracle import ThresholdTable
 
 F = Fraction
 SRC = Path(__file__).resolve().parent.parent / "src" / "multibattle"
@@ -168,6 +169,7 @@ VARIANT_ENTRY_POINTS = {
     "OracleInstance": lambda v: OracleInstance(v, 3, 6, 4),
     "min_winning_budget": lambda v: min_winning_budget(v, 3, 4),
     "GridEvaluator": lambda v: GridEvaluator(v),
+    "ThresholdTable": lambda v: ThresholdTable(v),
     "StrategyState.fresh": lambda v: StrategyState.fresh(v, 3, 1),
     "build_matrix": lambda v: build_matrix(v, 3),
     "build_matrix exact": lambda v: build_matrix(v, 3, exact=True),

@@ -9,12 +9,15 @@ with it everywhere the reference can reach.
 
 import gc
 import itertools
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 import weakref
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,12 +44,22 @@ from multibattle import (
     settle_turn,
 )
 from multibattle.core import countdown_for
+from multibattle.oracle import ThresholdTable
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src"
 AP_SET_HALF = AuctionVariant.all_pay(ValueModel.SET01, F(1, 2))
 AP_FIXED_HALF = AuctionVariant.all_pay(ValueModel.FIXED1, F(1, 2))
 AP_SET_THIRD = AuctionVariant.all_pay(ValueModel.SET01, F(1, 3))
 ALL_VARIANTS = [FP_SET01, FP_FIXED1, AP_SET01, AP_FIXED1, AP_SET_THIRD, AP_FIXED_HALF]
+# The node search and the threshold table answer the same win queries.
+EVALUATORS = [GridEvaluator, ThresholdTable]
+each_evaluator = pytest.mark.parametrize("evaluator", EVALUATORS, ids=lambda cls: cls.__name__)
+
+
+def _work(ev):
+    """Nodes a node search expanded, or cells a threshold table stored."""
+    return ev.cells if isinstance(ev, ThresholdTable) else ev.nodes_expanded
 
 
 def variant_id(v):
@@ -252,12 +265,13 @@ def test_evaluate_rejects_a_pending_value_that_is_not_an_int(value):
 
 @pytest.mark.parametrize("variant", [FP_SET01, FP_FIXED1, AP_SET_HALF], ids=lambda v: f"{v.short_name}-{v.alpha}")
 @pytest.mark.parametrize("value", [0, 1])
-def test_win_refuses_a_value_with_no_turn_left(variant, value):
+@each_evaluator
+def test_win_refuses_a_value_with_no_turn_left(evaluator, variant, value):
     # win(0, 1, 1, 0, 0, value) used to answer True, scoring a turn that does not exist by the tie rule.
-    ev = GridEvaluator(variant)
+    ev = evaluator(variant)
     with pytest.raises(DomainError, match="^no turn left to evaluate a pending value for$"):
         ev.win(0, 1, 1, 0, 0, value)
-    assert ev.nodes_expanded == 0
+    assert _work(ev) == 0
     assert ev.win(0, 1, 1, 0, 0) is True  # without a value, the tie rule settles the position
     cfg = GameConfig(variant, 1)
     last = settle_turn(cfg, initial_state(cfg, F(6)), 1, F(0), F(0))
@@ -266,8 +280,9 @@ def test_win_refuses_a_value_with_no_turn_left(variant, value):
 
 
 @pytest.mark.parametrize("value", [2, -1, True, False, 1.0])
-def test_win_rejects_a_value_outside_none_zero_and_one(value):
-    ev = GridEvaluator(FP_FIXED1)
+@each_evaluator
+def test_win_rejects_a_value_outside_none_zero_and_one(evaluator, value):
+    ev = evaluator(FP_FIXED1)
     with pytest.raises(DomainError, match="^turn value must be 0 or 1, got "):
         ev.win(3, 2, 2, 3, 4, value)
     with pytest.raises(DomainError, match="^turn value must be 0 or 1, got "):
@@ -277,13 +292,14 @@ def test_win_rejects_a_value_outside_none_zero_and_one(value):
 
 
 @pytest.mark.parametrize("a, b", [(6, -4), (-6, 4), (F(-1, 2), 4), (6, True), (6, 4.0), (6, F(4))])
-def test_win_rejects_a_negative_budget_or_a_p2_budget_that_is_not_an_int(a, b):
+@each_evaluator
+def test_win_rejects_a_negative_budget_or_a_p2_budget_that_is_not_an_int(evaluator, a, b):
     # (6, -4) used to answer True and (-6, 4) False.
-    ev = GridEvaluator(AP_SET_HALF)
+    ev = evaluator(AP_SET_HALF)
     message = "^(P[12] budget must be >= 0, got -.*|P2 budget must be an int, got .*)$"
     with pytest.raises(DomainError, match=message):
         ev.win(3, 2, 2, a, b)
-    assert ev.nodes_expanded == 0
+    assert _work(ev) == 0
 
 
 @pytest.mark.parametrize(
@@ -294,21 +310,24 @@ def test_win_rejects_a_negative_budget_or_a_p2_budget_that_is_not_an_int(a, b):
      (3, 2, False, 6, "countdowns must be ints"), (3, 2, 2, True, "P1 budget must be an int, Fraction or float"),
      (3, 2, 2, False, "P1 budget must be an int, Fraction or float")],
 )
-def test_win_rejects_turns_left_or_countdowns_that_are_no_ints_and_a_bool_budget(remaining, i, j, a, message):
+@each_evaluator
+def test_win_rejects_turns_left_or_countdowns_that_are_no_ints_and_a_bool_budget(evaluator, remaining, i, j, a,
+                                                                                  message):
     # (-1, 2, 2, 6) and (3.5, 2, 2, 6) used to answer True, and a = True read as a budget of 1.
-    ev = GridEvaluator(FP_SET01)
+    ev = evaluator(FP_SET01)
     with pytest.raises(DomainError, match=f"^{message}, got "):
         ev.win(remaining, i, j, a, 4)
-    assert ev.nodes_expanded == 0
+    assert _work(ev) == 0
 
 
 @pytest.mark.parametrize("a", ["6", "5", None, Decimal(6)])
-def test_win_rejects_a_p1_budget_that_is_not_a_number(a):
+@each_evaluator
+def test_win_rejects_a_p1_budget_that_is_not_a_number(evaluator, a):
     # '6' used to parse as a budget and answer True, and '5' False.
-    ev = GridEvaluator(FP_SET01)
+    ev = evaluator(FP_SET01)
     with pytest.raises(DomainError, match="^P1 budget must be an int, Fraction or float, got "):
         ev.win(3, 2, 2, a, 4)
-    assert ev.nodes_expanded == 0
+    assert _work(ev) == 0
     assert ev.win(3, 2, 2, 6.0, 4) and ev.win(3, 2, 2, F(6), 4) and not ev.win(3, 2, 2, 5.0, 4)
 
 
@@ -328,12 +347,13 @@ NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 @pytest.mark.parametrize("a", NON_FINITE, ids=repr)
-def test_win_rejects_a_p1_budget_that_is_not_finite(a):
+@each_evaluator
+def test_win_rejects_a_p1_budget_that_is_not_finite(evaluator, a):
     # nan used to escape as a bare ValueError, and inf as an OverflowError.
-    ev = GridEvaluator(FP_SET01)
+    ev = evaluator(FP_SET01)
     with pytest.raises(DomainError, match=f"^P1 budget must be finite, got {a!r}$"):
         ev.win(3, 2, 2, a, 4)
-    assert ev.nodes_expanded == 0
+    assert _work(ev) == 0
 
 
 @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
@@ -659,23 +679,24 @@ def test_the_memo_of_a_search_stays_small():
 
 @settings(max_examples=60, deadline=None)
 @given(
+    evaluator=st.sampled_from(EVALUATORS),
     variant=st.sampled_from(ALL_VARIANTS),
     remaining=st.integers(1, 6),
     data=st.data(),
 )
-def test_winnability_is_monotone_in_both_budgets(variant, remaining, data):
+def test_winnability_is_monotone_in_both_budgets(evaluator, variant, remaining, data):
     """More P1 budget never hurts P1; more P2 budget never helps P1.
 
     The budget search relies on this: it makes the scan's first winning
     budget the least one (the threshold property of Richman games). The
-    omnipotent adversary relies on it too.
+    omnipotent adversary's threshold table relies on it too.
     """
     i = data.draw(st.integers(1, remaining), label="i")
     j = data.draw(st.integers(1, remaining + 1 - i), label="j")
     d = variant.alpha.denominator
     a = F(data.draw(st.integers(0, 10 * d), label="a units of 1/d"), d)
     b = data.draw(st.integers(0, 8), label="b")
-    ev = GridEvaluator(variant)
+    ev = evaluator(variant)
     if ev.win(remaining, i, j, a, b):
         assert ev.win(remaining, i, j, a + F(1, d), b)
     if ev.win(remaining, i, j, a, b + 1):
@@ -699,15 +720,17 @@ def test_node_ceiling_raises_resource_error(monkeypatch):
     assert ev.nodes_expanded == 10
 
 
-def test_depth_ceiling_raises_before_any_work():
-    ev = GridEvaluator(FP_SET01)
+@each_evaluator
+def test_depth_ceiling_raises_before_any_work(evaluator):
+    ev = evaluator(FP_SET01)
     over = oracle_module.MAX_TURNS + 1
     for query in (ev.win, lambda *args: ev.win(*args, 0)):
-        with pytest.raises(ResourceError, match=f"depth ceiling is {oracle_module.MAX_TURNS} turns"):
+        with pytest.raises(ResourceError, match=f"^grid oracle depth ceiling is {oracle_module.MAX_TURNS} turns, "
+                                                f"asked for {over}$"):
             query(over, 0, 1, 0, 0)  # P1 needs nothing, yet the depth is checked first
-    assert ev.nodes_expanded == 0
-    # At the ceiling the deepest recursion, one frame a turn on a value-set
-    # variant, still fits under the default limit.
+    assert _work(ev) == 0
+    # At the ceiling the deepest query still fits under the default limit:
+    # the node search recurses one frame a turn on a value-set variant.
     h = oracle_module.MAX_TURNS // 2
     assert not ev.win(oracle_module.MAX_TURNS, h, h, 0, 1)
 
@@ -736,6 +759,96 @@ def test_the_search_recurses_one_frame_per_remaining_turn():
     finally:
         sys.setrecursionlimit(limit)
     assert not won
+
+
+def test_the_threshold_table_fills_without_recursion():
+    """A query at MAX_TURNS fills from an explicit stack, under _frame_depth() + 10 like the node search's slack.
+
+    It runs in a fresh interpreter: under CPython 3.11 the C calls in
+    pytest's own stack count toward the limit too (seven of them here,
+    beyond the frames _frame_depth sees), and the query needs five levels.
+    A fill that recursed would need about MAX_TURNS more.
+    """
+    code = """
+import sys
+from multibattle import FP_SET01
+from multibattle.oracle import MAX_TURNS, ThresholdTable
+h, table = MAX_TURNS // 2, ThresholdTable(FP_SET01)
+sys.setrecursionlimit(1 + 10)  # _frame_depth() is 1 here: the module's own frame
+print(table.win(MAX_TURNS, h, h, 0, 1), table.win(MAX_TURNS, h, h, 6, 4, 1), table.cells > MAX_TURNS)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False False True\n"), done.stderr
+
+
+def test_cell_ceiling_raises_resource_error(monkeypatch):
+    """A table stops when its stored cells reach MAX_CELLS, naming cells, the query's turns and b2."""
+    table = ThresholdTable(FP_SET01)
+    won = table.win(5, 3, 3, 7, 5)
+    monkeypatch.setattr(oracle_module, "MAX_CELLS", table.cells + 1)
+    assert ThresholdTable(FP_SET01).win(5, 3, 3, 7, 5) is won
+    for ceiling, values in ((table.cells, [None]), (3, [None, 0, 1])):
+        monkeypatch.setattr(oracle_module, "MAX_CELLS", ceiling)
+        for value in values:
+            with pytest.raises(ResourceError, match=f"^threshold table reached its ceiling of {ceiling} cells at "
+                                                    "turns=5, b2=5 grid units; use fewer turns or a smaller b2$"):
+                ThresholdTable(FP_SET01).win(5, 3, 3, 7, 5, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    variant=st.sampled_from(ALL_VARIANTS),
+    remaining=st.integers(0, 7),
+    value=st.sampled_from([None, 0, 1]),
+    data=st.data(),
+)
+def test_the_threshold_table_answers_as_the_node_search(variant, remaining, value, data):
+    """ThresholdTable.win gives GridEvaluator.win's verdict, with or without the turn's value, at any a on 1/d."""
+    if not remaining:
+        value = None
+    i = data.draw(st.integers(0, remaining + 1), label="i")
+    j = data.draw(st.integers(0, remaining + 1), label="j")
+    d = variant.alpha.denominator
+    a = F(data.draw(st.integers(0, 24 * d), label="a units of 1/d"), d)
+    b = data.draw(st.integers(0, 12), label="b")
+    table = ThresholdTable(variant)
+    assert table.win(remaining, i, j, a, b, value) == GridEvaluator(variant).win(remaining, i, j, a, b, value)
+    # A second query on the same table reads the cells the first one stored.
+    a2 = F(data.draw(st.integers(0, 24 * d), label="a2 units of 1/d"), d)
+    assert table.win(remaining, i, j, a2, b, value) == GridEvaluator(variant).win(remaining, i, j, a2, b, value)
+
+
+def _least_winning(win, top):
+    """The least k in [0, top] with win(k), else top + 1, by bisection: win is monotone in k."""
+    lo, hi = 0, top + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if win(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
+def test_the_threshold_table_finds_the_node_search_threshold_at_every_small_position(variant):
+    """Every position with r <= 5 turns left, countdowns up to r + 1 and b <= 14, the value free, 0 or 1.
+
+    The table's least winning P1 budget on the 1/d grid wins in the node
+    search and one 1/d step less loses there. A threshold the inner
+    minimum gets wrong is often off by one 1/d step at a few positions,
+    which verdicts at random budgets rarely meet: scanning at most two
+    bids up from the crossing first errs at b = 13 on all-pay.
+    """
+    d = variant.alpha.denominator
+    table, ev = ThresholdTable(variant), GridEvaluator(variant)
+    for r, b, value in itertools.product(range(1, 6), range(15), (None, 0, 1)):
+        top = (r + 1) * (b + 1) * d  # above every finite threshold: a bid of b + 1 units wins each turn
+        for i, j in itertools.product(range(1, r + 2), repeat=2):
+            k = _least_winning(lambda k: table.win(r, i, j, F(k, d), b, value), top)
+            assert k > top or ev.win(r, i, j, F(k, d), b, value), (r, i, j, b, value, k)
+            assert k == 0 or not ev.win(r, i, j, F(k - 1, d), b, value), (r, i, j, b, value, k)
 
 
 def test_a_dropped_evaluator_and_its_memo_are_freed_at_once():

@@ -6,6 +6,8 @@ the same scan), and ``can_win`` and ``nodes_expanded`` of ``evaluate`` at
 ``b_star - 1`` and ``b_star``.
 The differential tests in ``test_oracle.py`` stop at T = 7; these cases go
 to T = 11, so a faster oracle must expand exactly the same nodes there too.
+They also check the omnipotent adversary's threshold table, which expands
+no nodes, against each pinned ``b_star`` and verdict.
 
 The instances are the benchmark's search instances, copied here so the
 test does not depend on the benchmark, plus fp-set T=11 b2=24, and
@@ -16,6 +18,7 @@ Re-record (only for an intended change of the search) with
 ``PYTHONPATH=src python tests/test_oracle_counts.py > tests/oracle_counts.json``.
 """
 
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -32,6 +35,8 @@ from multibattle import (
     evaluate,
     min_winning_budget,
 )
+from multibattle.core import countdown_for
+from multibattle.oracle import ThresholdTable
 
 COUNTS = Path(__file__).with_name("oracle_counts.json")
 
@@ -77,6 +82,18 @@ def test_node_counts_match_the_pinned_counts():
     assert list(seen) == list(pinned), "the case list changed; the counts no longer apply"
     for name, got in seen.items():
         assert got == pinned[name], f"first differing case: {name}: {got} != {pinned[name]}"
+
+
+def test_the_threshold_table_reads_every_pinned_b_star():
+    """The omnipotent adversary's ThresholdTable finds each pinned b_star and, cold, each pinned verdict."""
+    pinned = json.loads(COUNTS.read_text())
+    for name, turns, b2 in INSTANCES:
+        variant, tag = VARIANTS[name], f"{name} T={turns} b2={b2}"
+        (i, j), table = countdown_for(turns, 0, 0, 0), ThresholdTable(variant)
+        b_star = next(k for k in itertools.count() if table.win(turns, i, j, k, b2))
+        assert b_star == pinned[f"{tag} linear"][0], tag
+        for b1 in (b_star - 1, b_star):
+            assert ThresholdTable(variant).win(turns, i, j, b1, b2) is pinned[f"{tag} evaluate b1={b1}"][0], tag
 
 
 if __name__ == "__main__":

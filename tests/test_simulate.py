@@ -62,9 +62,11 @@ def test_strategy_beats_the_all_in_adversary_at_the_optimal_ratio():
     assert len(trace.turns) == 3
 
 
-def test_omnipotent_adversary_punishes_a_short_budget():
-    cfg = GameConfig(FP_SET01, turns=3)
-    trace = run_game(cfg, F(149, 100), StrategyPolicy(), OmnipotentAdversary())
+@pytest.mark.parametrize("b2", [F(1, 4), F(1), F(4)], ids=str)
+def test_omnipotent_adversary_punishes_a_short_budget(b2):
+    # Its default grid is b2/8 at every b2; a grid of 1/(8*b2) left P2 0 units at b2 = 1/4, and P1 won.
+    cfg = GameConfig(FP_SET01, turns=3, budget_p2=b2)
+    trace = run_game(cfg, F(149, 100) * b2, StrategyPolicy(), OmnipotentAdversary())
     assert trace.winner is Player.P2
     # The known killing line: take the opening bid, then outbid twice.
     assert [t.winner for t in trace.turns].count(Player.P2) >= 2
@@ -95,6 +97,23 @@ def test_omnipotent_adversary_on_all_pay_variants(variant, turns):
     assert (held.winner, held.reason) == (Player.P1, "countdown")
     short = run_game(cfg, ratio * F(9, 10), StrategyPolicy(), OmnipotentAdversary(F(1, 24)))
     assert (short.winner, short.reason) == (Player.P2, "exhausted")
+
+
+@pytest.mark.parametrize("variant", [FP_SET01, FP_FIXED1, AP_SET01, AP_FIXED1], ids=lambda v: v.short_name)
+def test_the_policy_at_obr_beats_the_omnipotent_adversary_at_41_turns(variant):
+    # A node search ran out of nodes here on ap-set, after seconds; the threshold table takes milliseconds.
+    cfg = GameConfig(variant, 41)
+    trace = run_game(cfg, obr(variant, 41, exact=True), StrategyPolicy(), OmnipotentAdversary(F(1, 40)))
+    assert (trace.winner, trace.reason) == (Player.P1, "countdown")
+
+
+def test_the_omnipotent_adversary_beats_one_percent_below_obr_up_to_41_turns():
+    # One adversary, so one threshold table, serves all three lengths.
+    adversary = OmnipotentAdversary(F(1, 40))
+    for turns in (11, 21, 41):
+        short = obr(FP_SET01, turns, exact=True) * F(99, 100)
+        trace = run_game(GameConfig(FP_SET01, turns), short, StrategyPolicy(), adversary)
+        assert (trace.winner, trace.reason) == (Player.P2, "exhausted"), turns
 
 
 def test_fixed_value_games_need_no_more_than_matching_budgets():
