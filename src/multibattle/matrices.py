@@ -6,7 +6,7 @@ P2 needs j. The two value-set variants are upper triangular (with i > j
 the adversary can zero out every turn P1 could take, so no budget
 suffices); the two fixed-value variants are full grids.
 
-Every variant fills by one recurrence. First-price pricing is all-pay
+Every variant obeys one recurrence. First-price pricing is all-pay
 with alpha = 0 (the loser pays alpha times her bid), so the pricing rule
 enters only through alpha. Row 0 is all zero (a player who needs nothing
 has won), and each row starts from its boundary: the diagonal
@@ -19,8 +19,10 @@ winning and losing the turn at the optimal bid fraction:
 
 Closed forms exist at every alpha: O(1) at alpha in {0, 1}, binomial
 sums of O(j) terms elsewhere (``_binomial_pair``); ``verify_matrix``
-checks the recurrence against them exactly. A float read at another
-alpha is the exact pair divided once, so it rounds correctly.
+checks the recurrence against them exactly. At alpha in {0, 1} fills
+read the O(1) form row by row (``_closed_rows``), so a float entry is the
+exact value rounded once; elsewhere the recurrence fills, and only float
+reads (``closed_form``, ``obr``) divide the exact pair once.
 
 Exact values are reduced integer pairs ``(num, den)`` with a positive
 denominator, not ``Fraction`` objects. With left = ln/ld, up = un/ud and
@@ -57,8 +59,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, starmap
+from itertools import accumulate, islice, repeat, starmap
 from math import comb, gcd
+from operator import floordiv, truediv
 from struct import Struct
 
 from .core import (
@@ -96,7 +99,7 @@ class CountdownMatrix:
     needs nothing wins for free). For triangular variants, entries with
     i > j read as the UNWINNABLE sentinel. An exact matrix stores row i as
     ``(numerators, denominators)``; a float matrix as an ``array("d")`` of
-    n + 1 doubles, packed from the list ``_float_rows`` yields.
+    n + 1 doubles, packed from the list that ``_rows`` yields.
     """
 
     def __init__(self, variant: AuctionVariant, n: int, rows: list, exact: bool):
@@ -175,7 +178,8 @@ def _float_rows(variant: AuctionVariant, n: int):
 
     Only the row above is kept, so a caller that needs one row holds O(n)
     numbers. Value-set rows start on the diagonal; their entries left of
-    it are zero placeholders.
+    it are zero placeholders. Only a fractional alpha fills this way, until
+    a correctly rounded fill exists there.
     """
     keep = 1 - float(variant.alpha)  # loser keeps this share of a bid
     above = [0.0] * (n + 1)
@@ -194,8 +198,8 @@ def _float_rows(variant: AuctionVariant, n: int):
 def _pair_rows(variant: AuctionVariant, n: int):
     """Yield rows 0..n exactly, each as (numerators, denominators) of reduced pairs.
 
-    The same recurrence and row order as ``_float_rows``; placeholders
-    left of a value-set diagonal are (0, 1).
+    Row i starts at its boundary as in ``_float_rows`` and holds n + 1
+    pairs; placeholders left of a value-set diagonal are (0, 1).
     """
     an, ad = variant.alpha_pair
     kn = ad - an  # the loser keeps kn/ad of a bid
@@ -220,18 +224,52 @@ def _pair_rows(variant: AuctionVariant, n: int):
         above_n, above_d = nums, dens
 
 
+def _closed_rows(variant: AuctionVariant, n: int, exact: bool):
+    """Yield rows 0..n at alpha in {0, 1} in the layout of ``_pair_rows`` (exact) or of ``_float_rows``.
+
+    ``closed_form_pair``'s unreduced terms come from a table ``t[k] == k`` of ints or of whole-number
+    floats, exact since every term is below 4n^2 + 4n < 2**53 at ``MAX_FLOAT_SIDE``: one true division
+    rounds a float entry once. Along a value-set row (k = j - i + 1) each term accumulates its steps.
+    """
+    t = range(2 * n + 2) if exact else list(map(float, range(2 * n + 2)))
+    first_price = variant.alpha_pair[0] == 0
+    yield ([0] * (n + 1), [1] * (n + 1)) if exact else [0.0] * (n + 1)
+    for i in range(1, n + 1):
+        start = i if variant.is_triangular else 1
+        if not variant.is_triangular:  # i / j, or (i + j - 1) / j
+            den = t[1:n + 1]
+            num = repeat(t[i], n) if first_price else t[i:i + n]
+        elif first_price:  # i(k + 2) / k(k + i + 1); the denominator grows by 2k + i + 2
+            num = accumulate(repeat(t[i], n - i), initial=3 * t[i])
+            den = accumulate(t[i + 4:2 * n - i + 3:2], initial=t[i] + 2)
+        else:  # [k(k + i) + (i - 1)(k + 2)] / k(k + i); steps 2k + 2i and 2k + i + 1
+            num = accumulate(t[2 * i + 2:2 * n + 1:2], initial=4 * t[i] - 2)
+            den = accumulate(t[i + 3:2 * n - i + 2:2], initial=t[i] + 1)
+        if exact:
+            num, den = list(num), list(den)
+            g = list(map(gcd, num, den))
+            yield [0] * start + list(map(floordiv, num, g)), [1] * start + list(map(floordiv, den, g))
+        else:
+            row = [0.0] * start
+            row += map(truediv, num, den)
+            yield row
+
+
 def _rows(variant: AuctionVariant, n: int, exact: bool):
-    """The exact or float fill of rows 0..n; checks the variant and n's ceiling on the call, not on row 0."""
+    """Rows 0..n of the closed form at alpha in {0, 1}, else of the recurrence; checks on the call, not on row 0."""
     check_variant(variant)
     _check_side(n, exact)
+    if variant.has_closed_form:
+        return _closed_rows(variant, n, exact)
     return _pair_rows(variant, n) if exact else _float_rows(variant, n)
 
 
 def build_matrix(variant: AuctionVariant, n: int, exact: bool = False) -> CountdownMatrix:
     """Build the countdown matrix of size n, row-major from each row's boundary: O(n^2) entries.
 
-    A float fill runs the recurrence in floats, so an entry can differ in its last digits from
-    ``closed_form``'s exact value rounded once (fp-set x[7][7] reads 2.333333333333333 for 7/3).
+    At alpha in {0, 1} each float entry is ``closed_form``'s exact value rounded once (fp-set
+    x[7][7] reads 2.3333333333333335 for 7/3); at a fractional alpha a float fill runs the
+    recurrence in floats, so an entry can differ from it in its last digits.
     Raises ResourceError above ``MAX_EXACT_SIDE``/``MAX_FLOAT_SIDE``.
     """
     rows = _rows(variant, n, exact)
@@ -394,14 +432,22 @@ class MatrixVerifyReport:
 
 
 def verify_matrix(variant: AuctionVariant, n: int) -> MatrixVerifyReport:
-    """Check every defined DP entry against ``closed_form_pair`` exactly, holding two rows at a time.
+    """Check the recurrence (``_pair_rows``) against ``closed_form_pair`` exactly, two rows at a time.
 
-    At every alpha; the binomial sums bypass ``entry_pair``'s memo.
+    At every alpha; the binomial sums bypass ``entry_pair``'s memo. At alpha in {0, 1} a row is
+    compared whole with its ``_closed_rows`` row, and walked only to name its first mismatch.
     """
-    rows = _rows(variant, n, exact=True)
+    check_variant(variant)
+    _check_side(n, True)
+    closed = _closed_rows(variant, n, True) if variant.has_closed_form else repeat(None)
     checked = 0
-    for i, (nums, dens) in enumerate(islice(rows, 1, None), 1):
-        for j in range(i if variant.is_triangular else 1, n + 1):
+    rows = zip(islice(_pair_rows(variant, n), 1, None), islice(closed, 1, None))
+    for i, ((nums, dens), want) in enumerate(rows, 1):
+        start = i if variant.is_triangular else 1
+        if want == (nums, dens):
+            checked += n + 1 - start
+            continue
+        for j in range(start, n + 1):
             checked += 1
             dp, cf = (nums[j], dens[j]), closed_form_pair(variant, i, j)
             if dp != cf:

@@ -117,15 +117,14 @@ def test_matrix_csv(capsys):
     assert out == "i\\j,1,2,3\n1,1,1/2,1/3\n2,inf,3/2,4/5\n3,inf,inf,9/5\n"
 
 
-def test_float_matrix_entries_run_the_float_recurrence_and_obr_rounds_once(capsys):
-    # Known last-digit gaps, kept as they are: a float fill runs the recurrence
-    # in floats, while obr rounds the exact entry once (fp-set x[7][7] = 7/3,
-    # fp-fixed x[10][5] = 2).
+def test_float_matrix_entries_round_the_exact_value_once_as_obr_does(capsys):
+    # At alpha in {0, 1} a float fill divides the closed form's exact terms
+    # once, as obr does: fp-set x[7][7] = 7/3, fp-fixed x[10][5] = 2.
     _, out, _ = run(capsys, "matrix", "--variant", "fp-set", "--size", "7")
-    assert out.splitlines()[-1] == "7,inf,inf,inf,inf,inf,inf,2.333333333333333"
+    assert out.splitlines()[-1] == "7,inf,inf,inf,inf,inf,inf,2.3333333333333335"
     assert run(capsys, "obr", "--variant", "fp-set", "--turns", "13") == (0, "2.3333333333333335\n", "")
     _, out, _ = run(capsys, "matrix", "--variant", "fp-fixed", "--size", "10")
-    assert out.splitlines()[-1].split(",")[5] == "1.9999999999999998"
+    assert out.splitlines()[-1].split(",")[5] == "2"
     _, out, _ = run(capsys, "matrix", "--variant", "fp-fixed", "--size", "10", "--exact")
     assert out.splitlines()[-1].split(",")[5] == "2"
 

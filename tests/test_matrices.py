@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -192,9 +193,10 @@ def test_first_price_entries_satisfy_their_recurrence(variant, i, j):
 
 
 def test_float_mode_tracks_exact_mode():
-    # The one recurrence in floats stays within a few ulps of the exact
-    # fill: measured at most 3.9e-15 relative (fp-fixed at n=250). Without
-    # a closed form the exact fill is slower, so those sides stop at 150.
+    # At alpha in {0, 1} a float entry is the exact one rounded once. At a
+    # fractional alpha the float recurrence stays within a few ulps of the
+    # exact fill: measured at most 8.0e-16 relative (ap-set alpha=1/3 at
+    # n=150); its exact fill is slower, so those sides stop at 150.
     sides = [(v, 250) for v in ALL_VARIANTS] + [(v, 150) for v in FRACTIONAL_VARIANTS]
     for variant, n in sides:
         exact = build_matrix(variant, n, exact=True)
@@ -413,8 +415,14 @@ def test_exact_obr_is_nondecreasing_and_bounded_up_to_400_turns(variant):
 # ------------------------------------------- row-at-a-time float reference
 
 
+def _rounded_once_rows(variant, n):
+    """Rows 0..n of the Fraction recurrence, each entry rounded once: the float fill's reference at alpha in {0, 1}."""
+    for row in _fraction_rows(variant, n):
+        yield [float(x) for x in row]
+
+
 def _float_reference_rows(variant, n):
-    """Rows 0..n of the float recurrence one row at a time: the reference for ``build_matrix``'s float fill."""
+    """Rows 0..n of the float recurrence one row at a time: the float fill's reference at a fractional alpha."""
     keep = 1 - float(variant.alpha)
     above = [0.0] * (n + 1)
     yield above
@@ -448,9 +456,10 @@ FLOAT_ROW_VARIANTS = [
 
 @pytest.mark.parametrize("variant", FLOAT_ROW_VARIANTS)
 def test_stored_float_matrix_matches_the_row_at_a_time_fill(variant):
+    reference = _rounded_once_rows if variant.has_closed_form else _float_reference_rows
     for n in [*range(1, 42), 97, 128]:
         m = build_matrix(variant, n)
-        rows = list(_float_reference_rows(variant, n))
+        rows = list(reference(variant, n))
         starts = [max(i, 1) if variant.is_triangular else 1 for i in range(n + 1)]
         for i, (want, start) in enumerate(zip(rows, starts)):
             cols = range(start, n + 1)
@@ -467,6 +476,65 @@ def test_stored_float_matrix_matches_the_row_at_a_time_fill(variant):
             "entries": [[None] * (starts[i] - 1) + rows[i][starts[i]:] for i in range(1, n + 1)],
         }
         assert json.dumps(m.to_json_dict()) == json.dumps(doc), n
+
+
+# ------------------------------------------- closed-form fills at alpha in {0, 1}
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.short_name)
+def test_every_float_entry_is_the_exact_entry_rounded_once(variant):
+    for n in (1, 2, 3, 7, 200):
+        m = build_matrix(variant, n)
+        for i, j, value in m.defined_entries():
+            assert value.hex() == float(closed_form(variant, i, j, exact=True)).hex(), (n, i, j)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.short_name)
+def test_the_float_diagonal_is_the_float_obr(variant):
+    # An entry does not depend on the side, so one side-600 fill holds x[h][h] for every h <= 600.
+    m = build_matrix(variant, 600)
+    for h in range(1, 601):
+        assert m.entry(h, h).hex() == obr(variant, 2 * h - 1).hex(), h
+    for h in (1, 2, 7, 300):
+        assert build_matrix(variant, h).entry(h, h).hex() == obr(variant, 2 * h - 1).hex(), h
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.short_name)
+def test_the_exact_closed_form_fill_equals_the_recurrence(variant):
+    # Row i of a side-n fill is row i of the side-150 fill cut to n + 1 columns.
+    recurrence = list(_pair_rows(variant, 150))
+    for n in range(1, 151):
+        want = [(nums[:n + 1], dens[:n + 1]) for nums, dens in recurrence[:n + 1]]
+        assert list(matrices._rows(variant, n, True)) == want, n
+
+
+def _largest_term(variant, n):
+    """The largest unreduced numerator or denominator of closed_form_pair's formulas at side n, row by row at j = n."""
+    an = variant.alpha_pair[0]
+    terms = []
+    for i in range(1, n + 1):
+        k = n - i + 1
+        if not variant.is_triangular:
+            terms += [i + an * (n - 1), n]
+        elif an == 0:
+            terms += [i * (k + 2), k * (n + 2)]
+        else:
+            terms += [k * (n + 1) + (i - 1) * (k + 2), k * (n + 1)]
+    return max(terms)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.short_name)
+def test_the_float_fill_is_exact_up_to_its_division_at_the_float_ceiling(variant, monkeypatch):
+    # With max in place of the division, each float entry is the larger of its two
+    # accumulated terms: all below 2**53, so every sum and the table itself are exact.
+    n = MAX_FLOAT_SIDE
+    with monkeypatch.context() as patch:
+        patch.setattr(matrices, "truediv", max)
+        largest = max(max(row) for row in matrices._closed_rows(variant, n, False))
+    assert largest == _largest_term(variant, n) <= 4 * n * n + 4 * n < 2**53
+    for i, row in enumerate(islice(matrices._closed_rows(variant, n, False), 2008, None), 2008):
+        for j in range(i if variant.is_triangular else 1, n + 1, 7):
+            assert row[j].hex() == float(closed_form(variant, i, j, exact=True)).hex(), (i, j)
 
 
 # The fractional FLOAT_ROW_VARIANTS, plus both value models at a 17-bit denominator.
@@ -632,6 +700,38 @@ def test_verify_matrix_at_a_fractional_alpha(variant):
     assert report.entries_checked == (60 * 61 // 2 if variant.is_triangular else 3600)
     assert report.summary().endswith(f"{report.entries_checked} entries match closed form")
     assert matrices._binomial_memo.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("variant", [FP_SET01, AP_FIXED1, FRACTIONAL_VARIANTS[0]], ids=_alpha_id)
+def test_verify_matrix_names_an_entry_the_recurrence_got_wrong(variant, monkeypatch):
+    recurrence = matrices._pair_rows
+
+    def off_by_one_at_5_7(v, n):
+        for i, (nums, dens) in enumerate(recurrence(v, n)):
+            if i == 5:
+                nums = nums[:]
+                nums[7] += dens[7]
+            yield nums, dens
+
+    monkeypatch.setattr(matrices, "_pair_rows", off_by_one_at_5_7)
+    report = verify_matrix(variant, 12)
+    assert not report.ok
+    i, j, dp, cf = report.first_mismatch
+    assert (i, j, dp) == (5, 7, cf + 1)
+    assert report.entries_checked == (12 + 11 + 10 + 9 + 3 if variant.is_triangular else 4 * 12 + 7)
+    assert "mismatch at (5, 7)" in report.summary()
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.short_name)
+def test_verify_matrix_runs_the_recurrence_the_fills_skip(variant, monkeypatch):
+    def broken(v, n):
+        raise RuntimeError("the recurrence ran")
+        yield
+
+    monkeypatch.setattr(matrices, "_pair_rows", broken)
+    with pytest.raises(RuntimeError, match="the recurrence ran"):
+        verify_matrix(variant, 12)
+    assert build_matrix(variant, 12, exact=True).entry(1, 12) == closed_form(variant, 1, 12, exact=True)
 
 
 def test_verify_report_mismatch_summary():
