@@ -31,8 +31,9 @@ This module is the ground truth the matrices and the strategy are checked
 against on small instances. ``ThresholdTable`` answers the same grid game
 without a search, from the least winning P1 budget of each position, and
 is the brain of the simulator's omnipotent adversary; it fills at most
-``MAX_CELLS`` cells, about 85 MB of memo. ``evaluate`` and
-``min_winning_budget`` keep the node search, whose node counts they report.
+``MAX_CELLS`` cells, about 85 MB of memo. Both take queries through one
+checked ``win``. ``evaluate`` and ``min_winning_budget`` keep the node
+search, whose node counts they report.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ class _Row(dict):
     __slots__ = ("concede", "beat", "zero")
 
 
-class GridEvaluator:
-    """Reusable memoized evaluator for one variant, in grid units.
+class _GridGame:
+    """The grid game of one variant, in grid units: the query both engines answer.
 
     Budgets and bids are integers of grid units, except that under all-pay
     with fractional alpha = an/d a lost turn costs P1 ``an/d`` of its bid,
@@ -87,6 +88,59 @@ class GridEvaluator:
     bid p leaves ``A - p * d``, losing an all-pay turn leaves ``A - an * p``
     (an = 0 under first-price, where d = 1), and P1 can bid at most
     ``A // d``. A budget off the 1/d grid raises DomainError.
+
+    ``win``, the one query, checks it, settles a zero-value turn and a
+    decided position, and hands the rest to the engine's ``_solve``.
+    """
+
+    def __init__(self, variant: AuctionVariant):
+        check_variant(variant)
+        self.variant = variant
+        self._d = variant.alpha_pair[1]
+
+    def _scaled(self, a) -> int:
+        """P1's budget ``a`` (grid units) as an integer count of 1/d units."""
+        if a.__class__ is int:
+            check_count(a, "P1 budget", 0)
+            return a * self._d
+        scaled = amount(a, "P1 budget") * self._d
+        if scaled.denominator != 1:
+            raise DomainError(f"P1 budget {a} is not a multiple of 1/{self._d} grid unit")
+        return scaled.numerator
+
+    def win(self, remaining: int, i: int, j: int, a, b: int, value: int | None = None) -> bool:
+        """True iff P1 forces a win with ``remaining`` turns left.
+
+        ``a`` and ``b`` are the players' budgets in grid units, ``b`` an int;
+        ``value``, if given, fixes this turn's value (an int, 0 or 1) before
+        P1 bids. A negative budget or ``remaining``, a ``remaining``, ``i``,
+        ``j`` or ``b`` that is not an int (a bool included), a bool ``a``, any
+        other value or one with no turn left raises DomainError. More than
+        ``MAX_TURNS`` remaining turns raise ResourceError before any work.
+        """
+        check_count(b, "P2 budget", 0)
+        check_countdowns(i, j)
+        check_count(remaining, "turns left", 0)
+        if value is not None:
+            check_value(value)
+            if not remaining:
+                raise DomainError("no turn left to evaluate a pending value for")
+        if remaining > MAX_TURNS:
+            raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
+        A = self._scaled(a)
+        query = remaining, b
+        if value == 0 and i > 0 and j > 0:
+            shift = 1 if i + j == remaining + 1 else 0
+            remaining, i, j, value = remaining - 1, i - shift, j - shift, None
+        if i <= 0 or j <= 0 or remaining <= 0:
+            # Decided, or (unreachable from consistent states) no turn left:
+            # the score tie rules (i <= j means P1 is not behind).
+            return i <= 0 or i <= j
+        return self._solve(remaining, i, j, A, b, value, query)
+
+
+class GridEvaluator(_GridGame):
+    """Reusable memoized node search for one variant.
 
     The memo is nested: ``(remaining, i, j)`` maps to P2's budget ``b``,
     which maps to a row, a dict from ``A`` to the verdict. Scores enter a
@@ -108,16 +162,15 @@ class GridEvaluator:
     ``-1 - (A mod d)``, a watermark per residue: every position of the
     residue at or below it is in the row, and a later tail stops there.
 
-    ``win`` is the one query. The memo persists across calls, so a single
-    evaluator can serve a whole budget search or a whole simulated game, up
-    to ``MAX_NODES`` nodes.
+    The memo persists across ``win`` calls, so a single evaluator can serve
+    a whole budget search or a whole simulated game, up to ``MAX_NODES``
+    nodes.
     """
 
     def __init__(self, variant: AuctionVariant):
-        check_variant(variant)
-        self.variant = variant
+        super().__init__(variant)
         an, d = variant.alpha_pair  # first-price variants carry alpha = 0: an = 0, d = 1
-        self._d, set01 = d, variant.is_triangular
+        set01 = variant.is_triangular
         # (remaining, i, j) -> b -> row; a lookup makes a missing table or row.
         memo = self._memo = defaultdict(lambda: defaultdict(_Row))
         query = self._query = [0, 0]  # (remaining, b) of the current win call, for the node-ceiling message
@@ -207,44 +260,9 @@ class GridEvaluator:
 
     nodes_expanded = property(lambda self: self._count(), doc="Positions solved and stored, over all queries.")
 
-    def _scaled(self, a) -> int:
-        """P1's budget ``a`` (grid units) as an integer count of 1/d units."""
-        if a.__class__ is int:
-            check_count(a, "P1 budget", 0)
-            return a * self._d
-        scaled = amount(a, "P1 budget") * self._d
-        if scaled.denominator != 1:
-            raise DomainError(f"P1 budget {a} is not a multiple of 1/{self._d} grid unit")
-        return scaled.numerator
-
-    def win(self, remaining: int, i: int, j: int, a, b: int, value: int | None = None) -> bool:
-        """True iff P1 forces a win with ``remaining`` turns left.
-
-        ``a`` and ``b`` are the players' budgets in grid units, ``b`` an int;
-        ``value``, if given, fixes this turn's value (an int, 0 or 1) before
-        P1 bids. A negative budget or ``remaining``, a ``remaining``, ``i``,
-        ``j`` or ``b`` that is not an int (a bool included), a bool ``a``, any
-        other value or one with no turn left raises DomainError. More than
-        ``MAX_TURNS`` remaining turns raise ResourceError.
-        """
-        check_count(b, "P2 budget", 0)
-        check_countdowns(i, j)
-        check_count(remaining, "turns left", 0)
-        if value is not None:
-            check_value(value)
-            if not remaining:
-                raise DomainError("no turn left to evaluate a pending value for")
-        if remaining > MAX_TURNS:
-            raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
-        A = self._scaled(a)
-        self._query[:] = remaining, b
-        if value == 0 and i > 0 and j > 0:
-            shift = 1 if i + j == remaining + 1 else 0
-            remaining, i, j, value = remaining - 1, i - shift, j - shift, None
-        if i <= 0 or j <= 0 or remaining <= 0:
-            # Decided, or (unreachable from consistent states) no turn left:
-            # the score tie rules (i <= j means P1 is not behind).
-            return i <= 0 or i <= j
+    def _solve(self, remaining: int, i: int, j: int, A: int, b: int, value: int | None, query: tuple) -> bool:
+        """The verdict at remaining, i, j >= 1, from the row of the memo, or its one node if the value is 1."""
+        self._query[:] = query
         if value:
             return self._node(remaining, i, j, A, b, None)
         row = self._memo[remaining, i, j][b]
@@ -252,7 +270,7 @@ class GridEvaluator:
         return self._node(remaining, i, j, A, b, row) if won is None else won
 
 
-class ThresholdTable:
+class ThresholdTable(_GridGame):
     """The grid game of ``GridEvaluator``, answered from the least winning P1 budget of each position.
 
     Winnability is monotone in P1's budget, so a position (r turns left,
@@ -280,26 +298,22 @@ class ThresholdTable:
     alpha; under first-price it stops within two reads.
 
     The memo persists across queries: ``(r, i, j)`` maps to a dict from b
-    to tau. A query fills the cells it needs from an explicit stack, not
-    by recursion: a cell that meets a missing child pushes it and is tried
-    again once the child is stored. A table stops at ``MAX_CELLS`` stored
-    cells with ResourceError.
+    to tau. A query fills the cells it needs from an explicit stack of
+    cells, not by recursion: a cell that meets a missing child pushes it
+    and resumes with its tau once it is stored, so each cell is computed
+    once. A table stops at ``MAX_CELLS`` stored cells with ResourceError.
     """
 
-    # P1's budget, checked and scaled as the node search does it.
-    _scaled = GridEvaluator._scaled
-
     def __init__(self, variant: AuctionVariant):
-        check_variant(variant)
-        self.variant = variant
+        super().__init__(variant)
         an, d = variant.alpha_pair
-        self._d, set01 = d, variant.is_triangular
+        set01 = variant.is_triangular
         memo = self._memo = defaultdict(dict)  # (r, i, j) -> b -> tau; a lookup makes a missing row
         inf = float("inf")
         count = 0
 
         def cell(r: int, i: int, j: int, b: int, zeroed: bool):
-            """tau at r, i, j >= 1 (tau1 unless ``zeroed``), or the key of its first missing child."""
+            """tau at r, i, j >= 1 (tau1 unless ``zeroed``): yields each missing child's key, is sent its tau."""
             r1 = r - 1
             if not r1:  # every child is settled by the tie rule
                 t1 = 0 if i < j else b * d if i <= j + 1 else inf
@@ -309,7 +323,7 @@ class ThresholdTable:
             else:
                 c = memo[r1, i - 1, j].get(b)
                 if c is None:
-                    return r1, i - 1, j, b
+                    c = yield r1, i - 1, j, b
             best = b * d + c
             zero = 0
             if set01 and zeroed:
@@ -319,7 +333,7 @@ class ThresholdTable:
                         return inf
                     zero = memo[r1, i - s, j - s].get(b)
                     if zero is None:
-                        return r1, i - s, j - s, b
+                        zero = yield r1, i - s, j - s, b
                     if zero >= best:  # tau1 <= b*d + c: the zero-value turn decides
                         return zero
             if j > 1 and c != inf:  # a beat at j = 1 takes P2's last point; c = inf loses every bid
@@ -329,7 +343,7 @@ class ThresholdTable:
                     p = (lo + hi) >> 1
                     h = row.get(b - p - 1)
                     if h is None:
-                        return r1, i, j - 1, b - p - 1
+                        h = yield r1, i, j - 1, b - p - 1
                     if p * d + c >= h:
                         hi = p
                     else:
@@ -340,14 +354,14 @@ class ThresholdTable:
                         break
                     h = row.get(b - p - 1)
                     if h is None:
-                        return r1, i, j - 1, b - p - 1
+                        h = yield r1, i, j - 1, b - p - 1
                     h += an * p
                     if h < best:
                         best = h if h > f else f
                 for p in range(lo - 1, -1, -1):
                     h = row.get(b - p - 1)
                     if h is None:
-                        return r1, i, j - 1, b - p - 1
+                        h = yield r1, i, j - 1, b - p - 1
                     if h >= best:
                         break
                     h += an * p
@@ -365,50 +379,34 @@ class ThresholdTable:
                 t = memo[remaining, i, j].get(b)
                 if t is not None:
                     return t
-            stack = [(remaining, i, j, b)]
+            key = remaining, i, j, b
+            stack, gen, t = [], cell(*key, zeroed), None
             while True:
-                r, i, j, b = stack[-1]
-                t = cell(r, i, j, b, zeroed or len(stack) > 1)
-                if t.__class__ is tuple:
-                    stack.append(t)
+                try:
+                    child = gen.send(t)
+                except StopIteration as done:
+                    t = done.value
+                else:  # a missing child: fill it first, then send its tau to this cell
+                    stack.append((key, gen))
+                    key, gen, t = child, cell(*child, True), None
                     continue
-                stack.pop()
                 if stack or zeroed or not set01:
                     count += 1
                     if count >= MAX_CELLS:
                         raise ResourceError("threshold table reached its ceiling of %d cells at turns=%d, b2=%d "
                                             "grid units; use fewer turns or a smaller b2" % (MAX_CELLS, *query))
+                    r, i, j, b = key
                     memo[r, i, j][b] = t
                 if not stack:
                     return t
+                key, gen = stack.pop()
 
         self._tau, self._count = tau, lambda: count
 
     cells = property(lambda self: self._count(), doc="Thresholds computed and stored, over all queries.")
 
-    def win(self, remaining: int, i: int, j: int, a, b: int, value: int | None = None) -> bool:
-        """True iff P1 forces a win with ``remaining`` turns left: ``GridEvaluator.win``'s verdict and checks.
-
-        More than ``MAX_TURNS`` remaining turns raise ResourceError before
-        any work, as for the node search, and reaching ``MAX_CELLS`` cells
-        raises ResourceError naming the query's turns and b2.
-        """
-        check_count(b, "P2 budget", 0)
-        check_countdowns(i, j)
-        check_count(remaining, "turns left", 0)
-        if value is not None:
-            check_value(value)
-            if not remaining:
-                raise DomainError("no turn left to evaluate a pending value for")
-        if remaining > MAX_TURNS:
-            raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
-        A = self._scaled(a)
-        query = remaining, b
-        if value == 0 and i > 0 and j > 0:
-            shift = 1 if i + j == remaining + 1 else 0
-            remaining, i, j, value = remaining - 1, i - shift, j - shift, None
-        if i <= 0 or j <= 0 or remaining <= 0:
-            return i <= 0 or i <= j
+    def _solve(self, remaining: int, i: int, j: int, A: int, b: int, value: int | None, query: tuple) -> bool:
+        """Whether ``A`` reaches tau, or tau1 if the value is 1; ``MAX_CELLS`` cells raise ResourceError."""
         return A >= self._tau(remaining, i, j, b, not value, query)
 
 

@@ -735,51 +735,54 @@ def test_depth_ceiling_raises_before_any_work(evaluator):
     assert not ev.win(oracle_module.MAX_TURNS, h, h, 0, 1)
 
 
-def _frame_depth():
-    frame, depth = sys._getframe(1), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
+def _run_bare(code):
+    """Run ``code`` in a fresh interpreter with the package importable: its exit code, stdout and stderr.
+
+    Under CPython 3.11 the C calls in pytest's own stack count toward the
+    recursion limit too, beyond the frames a test can see, so a test of
+    the frames a query needs runs outside it.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
 
 
 def test_the_search_recurses_one_frame_per_remaining_turn():
     """MAX_TURNS frames and a small slack hold the deepest query at the ceiling.
 
-    The slack covers ``win`` and, under the last node, the memo's row
-    factory: the query needs 2 of the 10, as a node fetches its row's
-    successors inline. A zero-value step that took a second frame, as
-    through a lookup helper, needs about MAX_TURNS more.
+    The slack covers ``win``, the node search's ``_solve`` and, under the
+    last node, the memo's row factory: in a fresh interpreter the query
+    needs 4 of the 10 (3 while ``win`` called the first node itself), as a
+    node fetches its row's successors inline. A zero-value step that took
+    a second frame, as through a lookup helper, needs about MAX_TURNS more.
     """
-    h, slack = oracle_module.MAX_TURNS // 2, 10
-    ev = GridEvaluator(FP_SET01)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_frame_depth() + oracle_module.MAX_TURNS + slack)
-    try:
-        won = ev.win(oracle_module.MAX_TURNS, h, h, 0, 1)
-    finally:
-        sys.setrecursionlimit(limit)
-    assert not won
+    code = """
+import sys
+from multibattle import FP_SET01, GridEvaluator
+from multibattle.oracle import MAX_TURNS
+h, ev = MAX_TURNS // 2, GridEvaluator(FP_SET01)
+sys.setrecursionlimit(1 + MAX_TURNS + 10)  # the module's own frame, one a turn and the slack
+print(ev.win(MAX_TURNS, h, h, 0, 1))
+"""
+    returncode, stdout, stderr = _run_bare(code)
+    assert (returncode, stdout) == (0, "False\n"), stderr
 
 
 def test_the_threshold_table_fills_without_recursion():
-    """A query at MAX_TURNS fills from an explicit stack, under _frame_depth() + 10 like the node search's slack.
+    """A query at MAX_TURNS fills from an explicit stack, under the node search's slack of 10 frames.
 
-    It runs in a fresh interpreter: under CPython 3.11 the C calls in
-    pytest's own stack count toward the limit too (seven of them here,
-    beyond the frames _frame_depth sees), and the query needs five levels.
-    A fill that recursed would need about MAX_TURNS more.
+    The query needs seven levels. A fill that recursed would need about MAX_TURNS more.
     """
     code = """
 import sys
 from multibattle import FP_SET01
 from multibattle.oracle import MAX_TURNS, ThresholdTable
 h, table = MAX_TURNS // 2, ThresholdTable(FP_SET01)
-sys.setrecursionlimit(1 + 10)  # _frame_depth() is 1 here: the module's own frame
+sys.setrecursionlimit(1 + 10)  # the module's own frame and the slack
 print(table.win(MAX_TURNS, h, h, 0, 1), table.win(MAX_TURNS, h, h, 6, 4, 1), table.cells > MAX_TURNS)
 """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout) == (0, "False False True\n"), done.stderr
+    returncode, stdout, stderr = _run_bare(code)
+    assert (returncode, stdout) == (0, "False False True\n"), stderr
 
 
 def test_cell_ceiling_raises_resource_error(monkeypatch):
@@ -792,8 +795,45 @@ def test_cell_ceiling_raises_resource_error(monkeypatch):
         monkeypatch.setattr(oracle_module, "MAX_CELLS", ceiling)
         for value in values:
             with pytest.raises(ResourceError, match=f"^threshold table reached its ceiling of {ceiling} cells at "
-                                                    "turns=5, b2=5 grid units; use fewer turns or a smaller b2$"):
+                                                    "turns=5, b2=5 grid units; use fewer turns or a smaller b2$") as err:
                 ThresholdTable(FP_SET01).win(5, 3, 3, 7, 5, value)
+            # Raised after the fill's StopIteration is handled, so it chains none.
+            assert err.value.__context__ is None and err.value.__cause__ is None, repr(err.value.__context__)
+
+
+def test_both_engines_answer_through_one_checked_win():
+    """The node search and the threshold table share one ``win`` and one P1 budget scaling."""
+    assert ThresholdTable.win is GridEvaluator.win
+    assert ThresholdTable._scaled is GridEvaluator._scaled
+
+
+@pytest.mark.parametrize("variant", [AP_SET01, FP_FIXED1], ids=variant_id)
+def test_each_stored_cell_is_computed_once(variant):
+    """A cell that meets a missing child resumes with its tau instead of starting over.
+
+    Counted as distinct ``cell`` frames over a query with the value free and
+    one with the value 1 at the same position. On a value-set variant the
+    value-1 query's own tau1 is computed and returned, not stored: one frame
+    more than the stored cells. On a fixed-value variant tau is tau1, and
+    the second query reads it.
+    """
+    frames = set()  # held, so no frame is freed and its identity reused
+
+    def trace(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "cell" and frame.f_code.co_filename == oracle_module.__file__:
+            frames.add(frame)
+
+    table, (i, j) = ThresholdTable(variant), countdown_for(11, 0, 0, 0)
+    gc.collect()  # a fill stopped by an error leaves suspended cells, which run again as they are closed
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        table.win(11, i, j, 80, 40)
+        table.win(11, i, j, 80, 40, 1)
+    finally:
+        sys.settrace(previous)
+    assert table.cells > 400
+    assert len(frames) == table.cells + variant.is_triangular, (len(frames), table.cells)
 
 
 @settings(max_examples=300, deadline=None)
