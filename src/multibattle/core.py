@@ -44,7 +44,8 @@ tuples of the same fields. A ``GameState`` holds no countdown pair:
 readers derive it with ``countdown_for`` from the turn count, the turn
 index and the scores, so the two cannot disagree. The three validating
 records (``CountdownPair``, ``GameState`` and ``StrategyState``) check
-their fields in ``__new__`` on a thin subclass (``_replace`` included).
+their fields in ``__new__`` on a thin subclass, and ``_replace`` re-checks
+through the one ``_make`` of their shared first base, ``_Checked``.
 Where that check cannot fail, a record is built with ``tuple.__new__``:
 ``_settle``'s ``GameState`` (budgets stay >= 0 after checked bids,
 counts only grow, and a turn adds at most one to the score sum and one
@@ -316,12 +317,22 @@ class GameConfig:
         check_count(self.turns, "turns")
 
 
+class _Checked:
+    """First base of a checked record: ``_make`` (so ``_replace``) goes through ``__new__``, as NamedTuple's does not."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
 class _CountdownPair(NamedTuple):
     i: int
     j: int
 
 
-class CountdownPair(_CountdownPair):
+class CountdownPair(_Checked, _CountdownPair):
     """How many more value-1 wins each player needs to clinch the game."""
 
     __slots__ = ()
@@ -330,11 +341,6 @@ class CountdownPair(_CountdownPair):
         check_count(i, "countdown i", 0)
         check_count(j, "countdown j", 0)
         return tuple.__new__(cls, (i, j))
-
-    @classmethod
-    def _make(cls, fields) -> "CountdownPair":
-        # NamedTuple's _make, which _replace calls, skips __new__.
-        return cls(*fields)
 
 
 def countdown_for(turns: int, turn_index: int, score_p1: int, score_p2: int) -> CountdownPair:
@@ -359,7 +365,7 @@ class _GameState(NamedTuple):
     turn_index: int
 
 
-class GameState(_GameState):
+class GameState(_Checked, _GameState):
     """Live contest state between turns, countdown not stored; ``__new__`` makes both budgets Fractions."""
 
     __slots__ = ()
@@ -373,11 +379,6 @@ class GameState(_GameState):
         if score_p1 + score_p2 > turn_index:  # no game reaches it: a turn scores at most one point
             raise DomainError(f"scores must sum to at most turn_index {turn_index}, got {score_p1} + {score_p2}")
         return tuple.__new__(cls, (budget_p1, budget_p2, score_p1, score_p2, turn_index))
-
-    @classmethod
-    def _make(cls, fields) -> "GameState":
-        # NamedTuple's _make, which _replace calls, skips __new__.
-        return cls(*fields)
 
 
 def initial_state(config: GameConfig, budget_p1: Numeric) -> GameState:

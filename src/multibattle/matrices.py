@@ -17,9 +17,11 @@ winning and losing the turn at the optimal bid fraction:
 
     x[i][j] = x[i-1][j] + (x[i][j-1] - x[i-1][j]) / (x[i][j-1] + 1 - alpha)
 
-Closed forms exist at every alpha: O(1) at alpha in {0, 1}, binomial
-sums of O(j) terms elsewhere (``_binomial_pair``); ``verify_matrix``
-checks the recurrence against them exactly. At alpha in {0, 1} fills
+Closed forms exist at every alpha. At alpha = a in {0, 1} they are O(1):
+a + (i - a)(j - i + 3) / ((j - i + 1)(j + 2 - a)) on value-set matrices
+(i <= j) and (i + a(j - 1)) / j on fixed-value ones. Elsewhere they are
+binomial sums of O(j) terms (``_binomial_pair``). ``verify_matrix``
+checks the recurrence against them exactly. Fills at alpha in {0, 1}
 read the O(1) form row by row (``_closed_rows``), so a float entry is the
 exact value rounded once; elsewhere the recurrence fills, and only float
 reads (``closed_form``, ``obr``) divide the exact pair once.
@@ -225,26 +227,24 @@ def _pair_rows(variant: AuctionVariant, n: int):
 
 
 def _closed_rows(variant: AuctionVariant, n: int, exact: bool):
-    """Yield rows 0..n at alpha in {0, 1} in the layout of ``_pair_rows`` (exact) or of ``_float_rows``.
+    """Yield rows 0..n at alpha = a in {0, 1} in the layout of ``_pair_rows`` (exact) or of ``_float_rows``.
 
     ``closed_form_pair``'s unreduced terms come from a table ``t[k] == k`` of ints or of whole-number
     floats, exact since every term is below 4n^2 + 4n < 2**53 at ``MAX_FLOAT_SIDE``: one true division
-    rounds a float entry once. Along a value-set row (k = j - i + 1) each term accumulates its steps.
+    rounds a float entry once. A fixed-value row is (i + a(j - 1)) / j: i / j, or (i + j - 1) / j. A value-set
+    row, with k = j - i + 1, is [a k(k + i + 1 - a) + (i - a)(k + 2)] / k(k + i + 1 - a): i(k + 2) / k(k + i + 1),
+    or [k(k + i) + (i - 1)(k + 2)] / k(k + i). Its terms accumulate their steps, 2k + i + 2 - a below and i or
+    2k + 2i above, the latter picked on a as a C-level iterator: a per-entry product would slow the fills.
     """
     t = range(2 * n + 2) if exact else list(map(float, range(2 * n + 2)))
-    first_price = variant.alpha_pair[0] == 0
+    a = variant.alpha_pair[0]
     yield ([0] * (n + 1), [1] * (n + 1)) if exact else [0.0] * (n + 1)
     for i in range(1, n + 1):
-        start = i if variant.is_triangular else 1
-        if not variant.is_triangular:  # i / j, or (i + j - 1) / j
-            den = t[1:n + 1]
-            num = repeat(t[i], n) if first_price else t[i:i + n]
-        elif first_price:  # i(k + 2) / k(k + i + 1); the denominator grows by 2k + i + 2
-            num = accumulate(repeat(t[i], n - i), initial=3 * t[i])
-            den = accumulate(t[i + 4:2 * n - i + 3:2], initial=t[i] + 2)
-        else:  # [k(k + i) + (i - 1)(k + 2)] / k(k + i); steps 2k + 2i and 2k + i + 1
-            num = accumulate(t[2 * i + 2:2 * n + 1:2], initial=4 * t[i] - 2)
-            den = accumulate(t[i + 3:2 * n - i + 2:2], initial=t[i] + 1)
+        if variant.is_triangular:
+            start, den = i, accumulate(t[i + 4 - a:2 * n - i + 3 - a:2], initial=t[i] + 2 - a)
+            num = accumulate(t[2 * i + 2:2 * n + 1:2] if a else repeat(t[i], n - i), initial=(3 + a) * t[i] - 2 * a)
+        else:
+            start, den, num = 1, t[1:n + 1], (t[i:i + n] if a else repeat(t[i], n))
         if exact:
             num, den = list(num), list(den)
             g = list(map(gcd, num, den))
@@ -334,20 +334,16 @@ _binomial_memo = lru_cache(maxsize=1 << 14)(_binomial_pair)
 def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
     """Closed-form entry (i, j), i, j >= 1 (i <= j if triangular), as a reduced pair.
 
-    O(1) at alpha in {0, 1}, ``_binomial_pair`` elsewhere; unchecked.
+    O(1) at alpha = a in {0, 1}, ``closed_form``'s two forms in a; ``_binomial_pair`` elsewhere; unchecked.
     """
     if not variant.has_closed_form:
         return _binomial_pair(variant.is_triangular, *variant.alpha_pair, i, j)
+    a = variant.alpha_pair[0]
     if variant.is_triangular:
-        if variant.alpha_pair[0] == 0:
-            num, den = i * (j - i + 3), (j - i + 1) * (j + 2)
-        else:
-            den = (j - i + 1) * (j + 1)
-            num = den + (i - 1) * (j - i + 3)
-    elif variant.alpha_pair[0] == 0:
-        num, den = i, j
+        den = (j - i + 1) * (j + 2 - a)
+        num = a * den + (i - a) * (j - i + 3)
     else:
-        num, den = i + j - 1, j
+        num, den = i + a * (j - 1), j
     g = gcd(num, den)
     return num // g, den // g
 
@@ -365,12 +361,14 @@ def entry_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
 
 
 def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) -> Ratio:
-    """Closed-form matrix entry.
+    """Closed-form matrix entry; O(1) at alpha = a in {0, 1}, where it reads the paper's form at a = 0 and a = 1:
 
-    set01, alpha=0:   i * (j - i + 3) / ((j - i + 1) * (j + 2))
-    set01, alpha=1:   1 + (i - 1) * (j - i + 3) / ((j - i + 1) * (j + 1))
-    fixed, alpha=0:   i / j
-    fixed, alpha=1:   (i + j - 1) / j
+    set01:  a + (i - a) * (j - i + 3) / ((j - i + 1) * (j + 2 - a))
+            a = 0: i * (j - i + 3) / ((j - i + 1) * (j + 2))
+            a = 1: 1 + (i - 1) * (j - i + 3) / ((j - i + 1) * (j + 1))
+    fixed:  (i + a * (j - 1)) / j
+            a = 0: i / j
+            a = 1: (i + j - 1) / j
 
     First-price is alpha = 0. Other alphas take ``_binomial_pair``'s sums
     and raise ResourceError for max(i, j) above ``MAX_EXACT_SIDE`` (exact) or

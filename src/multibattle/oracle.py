@@ -115,8 +115,9 @@ class _GridGame:
         ``value``, if given, fixes this turn's value (an int, 0 or 1) before
         P1 bids. A negative budget or ``remaining``, a ``remaining``, ``i``,
         ``j`` or ``b`` that is not an int (a bool included), a bool ``a``, any
-        other value or one with no turn left raises DomainError. More than
-        ``MAX_TURNS`` remaining turns raise ResourceError before any work.
+        other value, one with no turn left, or a value 0 that a fixed-value
+        variant cannot auction raises DomainError. More than ``MAX_TURNS``
+        remaining turns raise ResourceError before any work.
         """
         check_count(b, "P2 budget", 0)
         check_countdowns(i, j)
@@ -129,9 +130,11 @@ class _GridGame:
             raise ResourceError(f"grid oracle depth ceiling is {MAX_TURNS} turns, asked for {remaining}")
         A = self._scaled(a)
         query = remaining, b
-        if value == 0 and i > 0 and j > 0:
-            shift = 1 if i + j == remaining + 1 else 0
-            remaining, i, j, value = remaining - 1, i - shift, j - shift, None
+        if value == 0:
+            check_value(value, variant=self.variant)  # last, so every other refusal keeps its message
+            if i > 0 and j > 0:
+                shift = 1 if i + j == remaining + 1 else 0
+                remaining, i, j, value = remaining - 1, i - shift, j - shift, None
         if i <= 0 or j <= 0 or remaining <= 0:
             # Decided, or (unreachable from consistent states) no turn left:
             # the score tie rules (i <= j means P1 is not behind).
@@ -163,8 +166,7 @@ class GridEvaluator(_GridGame):
     residue at or below it is in the row, and a later tail stops there.
 
     The memo persists across ``win`` calls, so a single evaluator can serve
-    a whole budget search or a whole simulated game, up to ``MAX_NODES``
-    nodes.
+    a whole budget search, up to ``MAX_NODES`` nodes.
     """
 
     def __init__(self, variant: AuctionVariant):

@@ -50,6 +50,7 @@ from .core import (
     Numeric,
     UnwinnableStateError,
     ZERO,
+    _Checked,
     _fraction,
     amount,
     check_count,
@@ -108,7 +109,7 @@ class _StrategyState(NamedTuple):
     countdown: CountdownPair
 
 
-class StrategyState(_StrategyState):
+class StrategyState(_Checked, _StrategyState):
     """What the policy knows between turns; ``__new__`` makes the tracked budget a Fraction.
 
     ``tracked_opponent_budget`` starts at P2's true budget and only ever
@@ -122,11 +123,6 @@ class StrategyState(_StrategyState):
 
     def __new__(cls, variant, tracked_opponent_budget, countdown):
         return tuple.__new__(cls, (variant, amount(tracked_opponent_budget, "opponent_budget"), countdown))
-
-    @classmethod
-    def _make(cls, fields) -> "StrategyState":
-        # NamedTuple's _make, which _replace calls, skips __new__.
-        return cls(*fields)
 
     @classmethod
     def fresh(cls, variant: AuctionVariant, turns: int, opponent_budget: Numeric) -> "StrategyState":

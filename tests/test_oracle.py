@@ -287,8 +287,18 @@ def test_win_rejects_a_value_outside_none_zero_and_one(evaluator, value):
         ev.win(3, 2, 2, 3, 4, value)
     with pytest.raises(DomainError, match="^turn value must be 0 or 1, got "):
         ev.win(3, 0, 2, 3, 4, value)  # even where the countdown has decided the game
-    # Value 0 stays a legal query on a fixed-value variant.
-    assert ev.win(3, 2, 2, 3, 4, 0) == ev.win(2, 1, 1, 3, 4)
+
+
+@pytest.mark.parametrize("variant", [FP_FIXED1, AP_FIXED_HALF], ids=variant_id)
+@each_evaluator
+def test_win_refuses_value_0_on_a_fixed_value_variant(evaluator, variant):
+    # win(3, 2, 2, 5, 4, 0) on fp-fixed used to answer True, while settle_turn and evaluate refused the same turn.
+    ev = evaluator(variant)
+    for i, j in ((2, 2), (0, 2), (2, 0)):  # decided positions too
+        with pytest.raises(DomainError, match="^fixed-value contests only auction value-1 objects$"):
+            ev.win(3, i, j, 5, 4, 0)
+    assert _work(ev) == 0
+    assert ev.win(3, 2, 2, 5, 4, 1) is ev.win(3, 2, 2, 5, 4)
 
 
 @pytest.mark.parametrize("a, b", [(6, -4), (-6, 4), (F(-1, 2), 4), (6, True), (6, 4.0), (6, F(4))])
@@ -587,7 +597,7 @@ def test_budgets_on_the_alpha_grid_match_the_fraction_reference(variant):
         for k, b in itertools.product(range(0, 10 * d), range(0, 6)):
             a = F(k, d)
             assert new.win(remaining, i, j, a, b) == old.win(remaining, i, j, a, b), (remaining, i, j, a, b)
-            for value in (0, 1):
+            for value in (0, 1) if variant.is_triangular else (1,):  # fixed-value: value-1 objects only
                 assert new.win(remaining, i, j, a, b, value) == old.win_given_value(
                     remaining, i, j, a, b, value
                 )
@@ -607,9 +617,10 @@ def test_a_shared_evaluator_matches_the_fraction_reference_across_queries(varian
     new, old = GridEvaluator(variant), FractionGridEvaluator(variant)
     budgets = [(16, 8), (12, 6), (F(25, d), 5), (6, 3), (2, 1), (0, 2), (9, 7), (F(61, d), 9), (20, 8)]
     positions = [(6, 3, 3), (5, 3, 3), (5, 2, 3), (4, 2, 2), (3, 2, 2), (3, 1, 2), (2, 1, 1)]
+    values = (None, 1, 0) if variant.is_triangular else (None, 1, 1)  # fixed-value: value-1 objects only
     for step, (a, b) in enumerate(budgets):
         for remaining, i, j in positions:
-            value = (None, 1, 0)[(step + remaining) % 3]
+            value = values[(step + remaining) % 3]
             if value is None:
                 got, want = new.win(remaining, i, j, a, b), old.win(remaining, i, j, a, b)
             else:
@@ -840,11 +851,12 @@ def test_each_stored_cell_is_computed_once(variant):
 @given(
     variant=st.sampled_from(ALL_VARIANTS),
     remaining=st.integers(0, 7),
-    value=st.sampled_from([None, 0, 1]),
     data=st.data(),
 )
-def test_the_threshold_table_answers_as_the_node_search(variant, remaining, value, data):
+def test_the_threshold_table_answers_as_the_node_search(variant, remaining, data):
     """ThresholdTable.win gives GridEvaluator.win's verdict, with or without the turn's value, at any a on 1/d."""
+    # A fixed-value variant auctions only value-1 objects.
+    value = data.draw(st.sampled_from([None, 0, 1] if variant.is_triangular else [None, 1]), label="value")
     if not remaining:
         value = None
     i = data.draw(st.integers(0, remaining + 1), label="i")
@@ -873,7 +885,7 @@ def _least_winning(win, top):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=variant_id)
 def test_the_threshold_table_finds_the_node_search_threshold_at_every_small_position(variant):
-    """Every position with r <= 5 turns left, countdowns up to r + 1 and b <= 14, the value free, 0 or 1.
+    """Every position with r <= 5 turns left, countdowns up to r + 1 and b <= 14, the value free, 0 (value-set) or 1.
 
     The table's least winning P1 budget on the 1/d grid wins in the node
     search and one 1/d step less loses there. A threshold the inner
@@ -883,7 +895,8 @@ def test_the_threshold_table_finds_the_node_search_threshold_at_every_small_posi
     """
     d = variant.alpha.denominator
     table, ev = ThresholdTable(variant), GridEvaluator(variant)
-    for r, b, value in itertools.product(range(1, 6), range(15), (None, 0, 1)):
+    values = (None, 0, 1) if variant.is_triangular else (None, 1)  # fixed-value variants auction value 1 only
+    for r, b, value in itertools.product(range(1, 6), range(15), values):
         top = (r + 1) * (b + 1) * d  # above every finite threshold: a bid of b + 1 units wins each turn
         for i, j in itertools.product(range(1, r + 2), repeat=2):
             k = _least_winning(lambda k: table.win(r, i, j, F(k, d), b, value), top)
