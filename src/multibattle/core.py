@@ -61,8 +61,13 @@ Each argument rule is one helper here with one message: ``check_value``
 ``finite_fraction``'s result). ``closed_form``,
 ``optimal_bid_fraction`` and ``handicap_obr`` guard the call with an
 inline class test: they are solve's hot path, where plain calls cost
-``obr`` a sixth of its time. ``next_bid`` and ``observe_outcome`` do the
-same with the turn value, on every playout and sweep turn. Each turn is
+``obr`` a sixth of its time. Each ratio read is checked once:
+``handicap_obr`` checks T and k, then hands the countdown pair it derives
+from them, ints with 1 <= i <= j, to the unchecked reader that
+``closed_form`` calls after its own checks. ``next_bid`` and
+``observe_outcome`` guard the turn value the same way, on every playout
+and sweep turn, and call ``check_value`` with the variant only for value
+0, which a fixed-value variant refuses. Each turn is
 checked once: ``settle_turn`` checks the value, the turn count and both
 bids, then calls ``_settle``, the one step of payments and scores;
 ``run_game`` makes the same checks and calls ``_settle`` directly, as

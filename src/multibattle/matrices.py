@@ -26,6 +26,10 @@ read the O(1) form row by row (``_closed_rows``), so a float entry is the
 exact value rounded once; elsewhere the recurrence fills, and only float
 reads (``closed_form``, ``obr``) divide the exact pair once.
 
+``obr``, ``handicap_obr`` and ``closed_form`` check their arguments once,
+then read one entry through ``_read``: ``_closed_terms``, the O(1) forms
+unreduced, which only an exact read reduces (see ``_read``).
+
 Exact values are reduced integer pairs ``(num, den)`` with a positive
 denominator, not ``Fraction`` objects. With left = ln/ld, up = un/ud and
 alpha = an/ad, one entry is
@@ -73,7 +77,6 @@ from .core import (
     Ratio,
     ResourceError,
     _fraction,
-    ceil_div,
     check_count,
     check_countdowns,
     check_variant,
@@ -229,7 +232,7 @@ def _pair_rows(variant: AuctionVariant, n: int):
 def _closed_rows(variant: AuctionVariant, n: int, exact: bool):
     """Yield rows 0..n at alpha = a in {0, 1} in the layout of ``_pair_rows`` (exact) or of ``_float_rows``.
 
-    ``closed_form_pair``'s unreduced terms come from a table ``t[k] == k`` of ints or of whole-number
+    ``_closed_terms``'s unreduced forms come from a table ``t[k] == k`` of ints or of whole-number
     floats, exact since every term is below 4n^2 + 4n < 2**53 at ``MAX_FLOAT_SIDE``: one true division
     rounds a float entry once. A fixed-value row is (i + a(j - 1)) / j: i / j, or (i + j - 1) / j. A value-set
     row, with k = j - i + 1, is [a k(k + i + 1 - a) + (i - a)(k + 2)] / k(k + i + 1 - a): i(k + 2) / k(k + i + 1),
@@ -331,19 +334,26 @@ def _binomial_pair(is_triangular: bool, an: int, ad: int, i: int, j: int) -> tup
 _binomial_memo = lru_cache(maxsize=1 << 14)(_binomial_pair)
 
 
-def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
-    """Closed-form entry (i, j), i, j >= 1 (i <= j if triangular), as a reduced pair.
+def _closed_terms(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
+    """Entry (i, j), i, j >= 1 (i <= j if triangular), as an unchecked pair with a positive denominator.
 
-    O(1) at alpha = a in {0, 1}, ``closed_form``'s two forms in a; ``_binomial_pair`` elsewhere; unchecked.
+    At alpha = a in {0, 1} ``closed_form``'s two O(1) forms in a, not reduced; ``_binomial_pair``'s
+    reduced pair elsewhere.
     """
     if not variant.has_closed_form:
         return _binomial_pair(variant.is_triangular, *variant.alpha_pair, i, j)
     a = variant.alpha_pair[0]
     if variant.is_triangular:
         den = (j - i + 1) * (j + 2 - a)
-        num = a * den + (i - a) * (j - i + 3)
-    else:
-        num, den = i + a * (j - 1), j
+        return a * den + (i - a) * (j - i + 3), den
+    return i + a * (j - 1), j
+
+
+def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
+    """Closed-form entry (i, j), i, j >= 1 (i <= j if triangular): ``_closed_terms`` reduced; unchecked."""
+    num, den = _closed_terms(variant, i, j)
+    if not variant.has_closed_form:  # _binomial_pair's pair is reduced already
+        return num, den
     g = gcd(num, den)
     return num // g, den // g
 
@@ -373,18 +383,29 @@ def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) ->
     First-price is alpha = 0. Other alphas take ``_binomial_pair``'s sums
     and raise ResourceError for max(i, j) above ``MAX_EXACT_SIDE`` (exact) or
     ``MAX_FLOAT_SIDE`` (float). Floats round the exact value once, at every
-    alpha. Triangular variants return UNWINNABLE for i > j.
+    alpha, and an exact read is reduced once (see ``_read``). Triangular
+    variants return UNWINNABLE for i > j.
     Countdowns that are not ints (bools included) raise DomainError.
     """
     if i.__class__ is not int or j.__class__ is not int:  # inline: solve's hot path
         check_countdowns(i, j)
     if i < 1 or j < 1:
         raise DomainError(f"closed form needs i, j >= 1, got ({i}, {j})")
+    return _read(variant, i, j, exact)
+
+
+def _read(variant: AuctionVariant, i: int, j: int, exact: bool) -> Ratio:
+    """``closed_form`` of int countdowns i, j >= 1, checked by the caller.
+
+    The one reduction of an exact read is ``_fraction``'s gcd. A float read
+    reduces nothing: true division of two Python ints is correctly rounded at
+    any size, so ``num / den`` is the exact value rounded once.
+    """
     if not variant.has_closed_form:
         _check_side(max(i, j), exact)
     if variant.is_triangular and i > j:
         return UNWINNABLE
-    num, den = closed_form_pair(variant, i, j)
+    num, den = _closed_terms(variant, i, j)
     return _fraction(num, den) if exact else num / den
 
 
@@ -404,11 +425,10 @@ def handicap_obr(variant: AuctionVariant, turns: int, k: int, exact: bool = Fals
         check_count(turns, "turns")
     if k.__class__ is not int or k < 0:  # inline, as above
         check_count(k, "handicap", 0)
-    i = ceil_div(turns - k, 2)
-    j = ceil_div(turns + k, 2)
+    i = (turns - k + 1) // 2  # ceil((T - k) / 2); j below is ceil((T + k) / 2)
     if i <= 0:
         return Fraction(0) if exact else 0.0
-    return closed_form(variant, i, j, exact=exact)
+    return _read(variant, i, (turns + k + 1) // 2, exact)  # 1 <= i <= j, ints
 
 
 @dataclass(frozen=True)

@@ -138,11 +138,13 @@ def next_bid(state: StrategyState, turn_value: int) -> Fraction:
     """The policy's bid for a turn of the given value.
 
     Zero-value turns get a zero bid (the shared ``ZERO``); there is nothing
-    at stake and spending would only erode the guarantee.
+    at stake and spending would only erode the guarantee. A fixed-value
+    variant has no zero-value turns, so there value 0 raises DomainError.
     """
     if turn_value.__class__ is not int or turn_value not in (0, 1):  # inline: the turn's hot path
         check_value(turn_value)
     if turn_value == 0:
+        check_value(turn_value, "turn value", state.variant)
         return ZERO
     variant, b, (i, j) = state
     num, den = _bid_fraction_pair(variant, i, j)
@@ -162,7 +164,8 @@ def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_wo
     (she had to beat it and pays it in full), so the tracked budget drops
     by it, clamped at zero, whatever P2 actually bid.
 
-    The turn value is checked as in ``next_bid``. Both records skip
+    The turn value is checked as in ``next_bid``, value 0 against the
+    variant on the zero-value branch only. Both records skip
     ``__new__`` (see ``core``): the countdown dropped is clamped at zero,
     and the tracked budget, a Fraction already, is clamped at zero too.
     """
@@ -172,6 +175,8 @@ def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_wo
     if turn_value:
         i, j = cd
         cd = tuple.__new__(CountdownPair, (i - 1 if i > 0 else 0, j) if i_won else (i, j - 1 if j > 0 else 0))
+    else:
+        check_value(turn_value, "turn value", variant)
     if not i_won:
         b = paid(b, finite_fraction(my_bid, "my_bid"))
         if b._numerator < 0:

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,13 +29,15 @@ from multibattle import (
     optimal_bid_fraction,
     verify_matrix,
 )
-from multibattle import matrices
+from multibattle import core, matrices
+from multibattle.core import ceil_div
 from multibattle.matrices import (
     MAX_EXACT_SIDE,
     MAX_FLOAT_SIDE,
     MatrixVerifyReport,
     _binomial_pair,
     _pair_rows,
+    closed_form_pair,
     entry_pair,
 )
 
@@ -537,20 +540,55 @@ def test_the_float_fill_is_exact_up_to_its_division_at_the_float_ceiling(variant
             assert row[j].hex() == float(closed_form(variant, i, j, exact=True)).hex(), (i, j)
 
 
-# The fractional FLOAT_ROW_VARIANTS, plus both value models at a 17-bit denominator.
-FLOAT_OBR_VARIANTS = FLOAT_ROW_VARIANTS[4:] + [
+# FLOAT_ROW_VARIANTS, plus both value models at a 17-bit denominator.
+FLOAT_OBR_VARIANTS = FLOAT_ROW_VARIANTS + [
     pytest.param(AuctionVariant.all_pay(values, F(12345, 65536)), id=f"{name}-12345/65536")
     for values, name in ((ValueModel.SET01, "ap-set"), (ValueModel.FIXED1, "ap-fixed"))
 ]
+# Turns whose O(1) terms pass 2**53, where a float of each term would round before the division.
+HUGE_TURNS = [10**18 + 1, 10**300 + 1]
 
 
 @pytest.mark.parametrize("variant", FLOAT_OBR_VARIANTS)
 def test_float_obr_rounds_the_exact_one(variant):
-    for turns in [*range(1, 202), *range(209, 1025, 8)]:
+    for turns in [*range(1, 202), *range(209, 1025, 8), *(HUGE_TURNS if variant.has_closed_form else ())]:
         assert obr(variant, turns).hex() == float(obr(variant, turns, exact=True)).hex(), turns
         for k in range(6):
             want = float(handicap_obr(variant, turns, k, exact=True))
             assert handicap_obr(variant, turns, k).hex() == want.hex(), (turns, k)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.short_name)
+def test_an_exact_read_returns_the_reduced_closed_form_pair(variant):
+    """obr, handicap_obr and closed_form hold closed_form_pair's reduced pair in their slots."""
+    for turns in [*range(1, 120), *HUGE_TURNS, 10**300]:
+        for k in range(min(turns, 10)):
+            i, j = ceil_div(turns - k, 2), ceil_div(turns + k, 2)
+            want = closed_form_pair(variant, i, j)
+            assert want[1] > 0 and gcd(*want) == 1 and F(*want) == F(*matrices._closed_terms(variant, i, j))
+            reads = [handicap_obr(variant, turns, k, True), closed_form(variant, i, j, True)]
+            if k == 0:
+                reads.append(obr(variant, turns, True))
+            for got in reads:
+                assert type(got) is F and (got.numerator, got.denominator) == want, (turns, k)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.short_name)
+def test_a_float_read_reduces_nothing_and_an_exact_read_once(variant, monkeypatch):
+    calls = []
+
+    def counted_gcd(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(matrices, "gcd", counted_gcd)
+    monkeypatch.setattr(core, "gcd", counted_gcd)
+    for exact, want in ((False, 0), (True, 1)):
+        for read in (lambda: obr(variant, 41, exact), lambda: handicap_obr(variant, 41, 3, exact),
+                     lambda: closed_form(variant, 20, 22, exact)):
+            calls.clear()
+            read()
+            assert len(calls) == want, (exact, calls)
 
 
 @pytest.mark.parametrize("alpha", [F(1, 3), F(0.3), F(12345, 65536)], ids=["third", "float-0.3", "12345/65536"])

@@ -137,8 +137,17 @@ def test_next_bid_rejects_bad_value():
 def test_next_bid_rejects_a_turn_value_that_is_not_an_int(value):
     with pytest.raises(DomainError, match="^turn value must be 0 or 1, got "):
         next_bid(StrategyState.fresh(FP_SET01, 3, 1), value)
-    # Value 0 stays legal on a fixed-value variant: the policy bids nothing.
-    assert next_bid(StrategyState.fresh(FP_FIXED1, 3, 1), 0) == 0
+
+
+@pytest.mark.parametrize("variant", [FP_FIXED1, AP_FIXED1], ids=lambda v: v.short_name)
+def test_a_fixed_value_variant_refuses_turn_value_0(variant):
+    """A fixed-value contest has no zero-value turns: both the bid and the update refuse one."""
+    s = StrategyState.fresh(variant, 3, 1)
+    for call in (lambda: next_bid(s, 0), lambda: observe_outcome(s, 0, 0, True)):
+        with pytest.raises(DomainError, match="^fixed-value contests only auction value-1 objects$"):
+            call()
+    assert next_bid(s, 1) == F(1, 2)  # value-1 turns pass: 1/j at (2, 2)
+    assert observe_outcome(s, 1, 1, True).countdown == CountdownPair(1, 2)
 
 
 def test_fresh_state_builds_matrix_only_when_needed():
