@@ -41,8 +41,11 @@ The records a turn makes (``CountdownPair``, ``GameState``,
 frozen dataclasses, whose ``__init__`` sets each field through
 ``object.__setattr__``. Being tuples, they also compare equal to plain
 tuples of the same fields. A ``GameState`` holds no countdown pair:
-readers derive it with ``countdown_for`` from the turn count, the turn
-index and the scores, so the two cannot disagree. The three validating
+readers derive it from the turn count, the turn index and the scores, so
+the two cannot disagree. ``_countdown`` states that rule once and returns
+a plain tuple; ``countdown_for`` wraps it in a ``CountdownPair``, while
+the decided test, ``winner_if_decided``, and the omnipotent adversary
+unpack it and build no pair. The three validating
 records (``CountdownPair``, ``GameState`` and ``StrategyState``) check
 their fields in ``__new__`` on a thin subclass, and ``_replace`` re-checks
 through the one ``_make`` of their shared first base, ``_Checked``.
@@ -77,9 +80,9 @@ does the sweep.
 ``json.dumps(trace.to_json_dict(), indent=indent)`` without building the
 dict or running the generic encoder (whose indented form is pure
 Python): it lays out the turn object once per call as a %-template and
-fills it per turn, writing a budget the turn left unchanged from the
-previous turn's text. ``to_json_dict`` stays as the dict form and as the
-reference the tests compare against.
+fills it per turn, writing any amount equal in value to the previous
+turn's from that turn's text. ``to_json_dict`` stays as the dict form and
+as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -348,18 +351,28 @@ class CountdownPair(_Checked, _CountdownPair):
         return tuple.__new__(cls, (i, j))
 
 
-def countdown_for(turns: int, turn_index: int, score_p1: int, score_p2: int) -> CountdownPair:
-    """Countdown pair for the given scores with ``turns - turn_index`` turns left.
+def _countdown(turns: int, turn_index: int, score_p1: int, score_p2: int) -> tuple[int, int]:
+    """The countdown rule: the clamped (i, j) for these scores with ``turns - turn_index`` turns left.
 
     The maximum combined score still achievable is the points already scored
     plus one per remaining turn; each player needs the majority of that.
-    Values are clamped at zero (a negative need means the game is over),
-    so the pair skips ``CountdownPair.__new__``, whose one check is that.
+    Values are clamped at zero (a negative need means the game is over).
+    A plain tuple, for readers that only unpack it.
     """
     achievable = score_p1 + score_p2 + (turns - turn_index)
     h = (achievable + 1) // 2 if achievable > 0 else 0
     i, j = h - score_p1, h - score_p2
-    return tuple.__new__(CountdownPair, (i if i > 0 else 0, j if j > 0 else 0))
+    return i if i > 0 else 0, j if j > 0 else 0
+
+
+def countdown_for(turns: int, turn_index: int, score_p1: int, score_p2: int) -> CountdownPair:
+    """Countdown pair for the given scores with ``turns - turn_index`` turns left.
+
+    ``_countdown``'s clamped (i, j) as a ``CountdownPair``. Both are clamped
+    at zero, so the pair skips ``CountdownPair.__new__``, whose one check
+    is that.
+    """
+    return tuple.__new__(CountdownPair, _countdown(turns, turn_index, score_p1, score_p2))
 
 
 class _GameState(NamedTuple):
@@ -448,9 +461,10 @@ def _settle(
 def winner_if_decided(config: GameConfig, state: GameState) -> Player | None:
     """The winner if the game is already decided, else None.
 
-    P1's countdown (derived by ``countdown_for``) is checked first, so a
-    double zero (an exact split of the achievable score) goes to the
-    dealer, matching the tie rule; once the turns run out, one is zero.
+    P1's countdown is checked first, so a double zero (an exact split of
+    the achievable score) goes to the dealer, matching the tie rule; once
+    the turns run out, one is zero. The pair is ``countdown_for``'s,
+    unpacked from ``_countdown`` without building a ``CountdownPair``.
 
     Reaching a countdown of zero is decisive by convention, everywhere.
     For value-set contests this is also exact: an adversary at her
@@ -460,7 +474,8 @@ def winner_if_decided(config: GameConfig, state: GameState) -> Player | None:
     countdown model still scores that game for P2. All win guarantees in
     this package are with respect to this (conservative for P1) rule.
     """
-    i, j = countdown_for(config.turns, state.turn_index, state.score_p1, state.score_p2)
+    _, _, s1, s2, idx = state
+    i, j = _countdown(config.turns, idx, s1, s2)
     if i == 0:
         return Player.P1
     return Player.P2 if j == 0 else None
@@ -558,10 +573,13 @@ class GameTrace:
         %-template; each amount goes in as ``float.__repr__`` of
         ``_float(x)``, as ``json`` writes a float. A turn's four amounts are
         Fractions (``run_game`` records no other kind), so they are divided
-        from their slots. ``paid`` returns the budget itself when nothing is
-        paid, so a turn's budget that ``is`` the previous turn's reuses that
-        turn's text instead of dividing and formatting again. An amount
-        beyond float range raises ``OverflowError``, as ``to_json_dict`` does.
+        from their slots. Each amount field keeps the previous turn's slots
+        and text, and divides and formats again only when either slot
+        differs: equal slots are the same number, so the same text. The
+        slots are compared as ints, not through ``Fraction.__eq__``; every
+        Fraction the package makes is reduced, so an equal value has equal
+        slots. An amount beyond float range raises ``OverflowError``, as
+        ``to_json_dict`` does.
         """
         if indent is not None and not isinstance(indent, str):
             indent = " " * indent
@@ -577,22 +595,23 @@ class GameTrace:
         template = _json_layout("{", "}", _TURN_FIELDS, 2, indent)
         p1, p1_text, p2_text = Player.P1, _json_str(Player.P1.value), _json_str(Player.P2.value)
         rows = []
-        last1 = last2 = text1 = text2 = None
+        # Per amount field, the previous turn's slots (n, d) and their text.
+        bn1 = bd1 = bn2 = bd2 = ln1 = ld1 = ln2 = ld2 = bt1 = bt2 = lt1 = lt2 = None
         for index, value, bid1, bid2, winner, left1, left2, score1, score2 in self.turns:
-            if left1 is not last1:
-                last1, text1 = left1, repr(left1._numerator / left1._denominator)
-            if left2 is not last2:
-                last2, text2 = left2, repr(left2._numerator / left2._denominator)
+            n, d = bid1._numerator, bid1._denominator
+            if n != bn1 or d != bd1:
+                bn1, bd1, bt1 = n, d, repr(n / d)
+            n, d = bid2._numerator, bid2._denominator
+            if n != bn2 or d != bd2:
+                bn2, bd2, bt2 = n, d, repr(n / d)
+            n, d = left1._numerator, left1._denominator
+            if n != ln1 or d != ld1:
+                ln1, ld1, lt1 = n, d, repr(n / d)
+            n, d = left2._numerator, left2._denominator
+            if n != ln2 or d != ld2:
+                ln2, ld2, lt2 = n, d, repr(n / d)
             rows.append(template % (
-                index,
-                value,
-                bid1._numerator / bid1._denominator,
-                bid2._numerator / bid2._denominator,
-                p1_text if winner is p1 else p2_text,
-                text1,
-                text2,
-                score1,
-                score2,
+                index, value, bt1, bt2, p1_text if winner is p1 else p2_text, lt1, lt2, score1, score2,
             ))
         turns = _json_layout("[", "]", rows, 1, indent)
         members = [
@@ -611,10 +630,10 @@ class GameTrace:
         return _json_layout("{", "}", members, 0, indent)
 
 
-# TurnRecord's fields as JSON members, in order: bids are %r of a float; the
-# winner, and budgets as float.__repr__ text, go in as %s.
+# TurnRecord's fields as JSON members, in order: the winner, and the four
+# amounts as float.__repr__ text, go in as %s.
 _TURN_FIELDS = [
-    '"index": %d', '"value": %d', '"bid_p1": %r', '"bid_p2": %r', '"winner": %s',
+    '"index": %d', '"value": %d', '"bid_p1": %s', '"bid_p2": %s', '"winner": %s',
     '"budget_p1": %s', '"budget_p2": %s', '"score_p1": %d', '"score_p2": %d',
 ]
 

@@ -33,6 +33,7 @@ from .core import (
     TurnRecord,
     UnwinnableStateError,
     ZERO,
+    _countdown,
     _fraction,
     _settle,
     affordable,
@@ -40,7 +41,6 @@ from .core import (
     at_least,
     check_count,
     check_value,
-    countdown_for,
     finite_fraction,
     initial_state,
     settle_turn,
@@ -187,7 +187,7 @@ class OmnipotentAdversary:
     def _p1_wins(self, state: GameState, value: int | None = None) -> bool:
         """The oracle's verdict on ``state``, with this turn's value fixed if given."""
         turns, idx, steps = self._config.turns, state.turn_index, self._grid_steps
-        i, j = countdown_for(turns, idx, state.score_p1, state.score_p2)
+        i, j = _countdown(turns, idx, state.score_p1, state.score_p2)
         return self._table.win(turns - idx, i, j, steps(state.budget_p1), steps(state.budget_p2), value)
 
     def choose_value(self, state: GameState, rng: random.Random) -> int:

@@ -58,7 +58,6 @@ from .core import (
     check_value,
     check_variant,
     countdown_for,
-    finite_fraction,
     paid,
 )
 from .matrices import entry_pair
@@ -165,9 +164,14 @@ def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_wo
     by it, clamped at zero, whatever P2 actually bid.
 
     The turn value is checked as in ``next_bid``, value 0 against the
-    variant on the zero-value branch only. Both records skip
-    ``__new__`` (see ``core``): the countdown dropped is clamped at zero,
-    and the tracked budget, a Fraction already, is clamped at zero too.
+    variant on the zero-value branch only. A zero-value turn that P1 won,
+    or lost bidding the shared ``ZERO`` (``next_bid``'s zero-value bid),
+    changes nothing, so it returns ``state`` itself. ``my_bid`` is read
+    through ``amount``: a negative one raises DomainError ("my_bid must be
+    >= 0, got …"), so the tracked budget only ever decreases. Both records
+    skip ``__new__`` (see ``core``): the countdown dropped is clamped at
+    zero, and the tracked budget, a Fraction already, is clamped at zero
+    too.
     """
     if turn_value.__class__ is not int or turn_value not in (0, 1):  # inline: the turn's hot path
         check_value(turn_value)
@@ -177,8 +181,10 @@ def observe_outcome(state: StrategyState, turn_value: int, my_bid: Numeric, i_wo
         cd = tuple.__new__(CountdownPair, (i - 1 if i > 0 else 0, j) if i_won else (i, j - 1 if j > 0 else 0))
     else:
         check_value(turn_value, "turn value", variant)
+        if i_won or my_bid is ZERO:
+            return state
     if not i_won:
-        b = paid(b, finite_fraction(my_bid, "my_bid"))
+        b = paid(b, amount(my_bid, "my_bid"))
         if b._numerator < 0:
             b = ZERO
     return tuple.__new__(StrategyState, (variant, b, cd))

@@ -181,13 +181,18 @@ def test_exhausted_score_tie_goes_to_dealer():
 
 
 def test_a_finished_game_is_always_decided_by_its_scores():
-    # The countdown is derived, so once the turns run out one of its two needs is zero.
+    # The countdown is derived, so once the turns run out one of its two needs is zero. At every
+    # index, winner_if_decided reads the zeros of countdown_for's pair, P1's first.
     for turns in range(1, 41):
         cfg = GameConfig(FP_SET01, turns)
-        for s1 in range(turns + 1):
-            for s2 in range(turns + 1 - s1):
-                winner = winner_if_decided(cfg, GameState(1, 1, s1, s2, turns))
-                assert winner is (Player.P1 if s1 >= s2 else Player.P2), (turns, s1, s2)
+        for idx in range(turns + 1) if turns <= 20 else (turns,):
+            for s1 in range(idx + 1):
+                for s2 in range(idx + 1 - s1):
+                    winner = winner_if_decided(cfg, GameState(1, 1, s1, s2, idx))
+                    i, j = countdown_for(turns, idx, s1, s2)
+                    assert winner is (Player.P1 if i == 0 else Player.P2 if j == 0 else None), (turns, idx, s1, s2)
+                    if idx == turns:
+                        assert winner is (Player.P1 if s1 >= s2 else Player.P2), (turns, s1, s2)
 
 
 def test_a_state_takes_no_countdown():

@@ -30,7 +30,7 @@ from multibattle import (
     verify_matrix,
 )
 from multibattle import matrices
-from multibattle.core import GameDecidedError, UnwinnableStateError
+from multibattle.core import ZERO, GameDecidedError, UnwinnableStateError
 from multibattle.matrices import MAX_EXACT_SIDE, entry_pair
 from multibattle.strategy import _bid_fraction_pair
 
@@ -207,6 +207,20 @@ def test_observe_value_zero_leaves_countdown_alone():
     after = observe_outcome(s, 0, F(0), i_won=True)
     assert after.countdown == CountdownPair(2, 3)
     assert after.tracked_opponent_budget == 1
+    # A zero-value turn won, or lost bidding the shared ZERO, changes nothing: the state itself comes back.
+    for won in (True, False):
+        assert observe_outcome(s, 0, ZERO, won) is s
+    # Lost with a nonzero bid, it still charges that bid.
+    lost = observe_outcome(s, 0, F(1, 4), i_won=False)
+    assert lost == (FP_SET01, F(3, 4), CountdownPair(2, 3))
+
+
+def test_observe_refuses_a_negative_bid_on_a_loss():
+    # A negative bid on a loss would raise the tracked budget, which only ever decreases: 1 - (-1/2) = 3/2.
+    s = StrategyState.fresh(FP_SET01, 5, 1)
+    for value, bid, shown in ((1, F(-1, 2), "-1/2"), (0, F(-1, 2), "-1/2"), (1, -1, "-1"), (1, -0.25, "-0.25")):
+        with pytest.raises(DomainError, match=f"^my_bid must be >= 0, got {shown}$"):
+            observe_outcome(s, value, bid, i_won=False)
 
 
 def test_observe_all_pay_losses():

@@ -16,6 +16,7 @@ from multibattle import (
     AuctionVariant,
     DomainError,
     GameConfig,
+    GameTrace,
     MatchPlusEpsilonAdversary,
     OmnipotentAdversary,
     Player,
@@ -25,6 +26,7 @@ from multibattle import (
     obr,
     run_game,
 )
+from multibattle.core import TurnRecord
 
 F = Fraction
 
@@ -59,6 +61,21 @@ def test_to_json_writes_what_json_dumps_writes(variant, turns, adversary, scale,
     trace = run_game(GameConfig(variant, turns), obr(variant, turns, exact=True) * scale,
                      StrategyPolicy(), adversary(), seed=seed)
     assert trace.to_json(indent) == json.dumps(trace.to_json_dict(), indent=indent)
+
+
+def test_each_amount_field_rewrites_its_text_when_either_slot_changes():
+    # The writer reuses an amount's text while its (numerator, denominator) slots repeat. Each of the
+    # four amount fields steps through this cycle: an equal value in a distinct Fraction, the same
+    # numerator over a new denominator, the same denominator under a new numerator, and zero.
+    cycle = [F(1, 3), F(1, 3), F(1, 4), F(3, 4), F(3, 5), F(7, 5), F(7, 5), F(0), F(0, 5), F(1, 5)]
+    n = len(cycle)
+    turns = tuple(
+        TurnRecord(k, 1, cycle[k % n], cycle[(k + 3) % n], Player.P1 if k % 3 else Player.P2,
+                   cycle[(k + 5) % n], cycle[(k + 7) % n], k - k // 3, k // 3)
+        for k in range(2 * n)
+    )
+    trace = GameTrace(GameConfig(FP_SET01, 2 * n), F(3), turns, Player.P1, "exhausted")
+    assert_writes_json_dumps(trace, [None, 2])
 
 
 class _Overbidder:
