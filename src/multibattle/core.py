@@ -67,7 +67,10 @@ inline class test: they are solve's hot path, where plain calls cost
 ``obr`` a sixth of its time. Each ratio read is checked once:
 ``handicap_obr`` checks T and k, then hands the countdown pair it derives
 from them, ints with 1 <= i <= j, to the unchecked reader that
-``closed_form`` calls after its own checks. ``next_bid`` and
+``closed_form`` calls after its own checks. No variant is tested on the
+way in: that reader and ``matrices.bid_fraction_pair`` catch a
+non-variant's AttributeError and refuse it through ``check_variant`` once
+the handler ends, so the DomainError chains no context. ``next_bid`` and
 ``observe_outcome`` guard the turn value the same way, on every playout
 and sweep turn, and call ``check_value`` with the variant only for value
 0, which a fixed-value variant refuses. Each turn is

@@ -30,6 +30,15 @@ reads (``closed_form``, ``obr``) divide the exact pair once.
 then read one entry through ``_read``: ``_closed_terms``, the O(1) forms
 unreduced, which only an exact read reduces (see ``_read``).
 
+The policy's bid fraction is the row step r* = x[i][j] - x[i-1][j], and
+``bid_fraction_pair`` is its one reader. At alpha = a in {0, 1} it is O(1):
+with k = j - i + 1, 1 at a = i = 1, else 1/j on fixed-value matrices and
+(2(i - a) + k(k + 3)) / (k(k + 1)(j + 2 - a)) on value-set ones, whose row
+i - 1 has k + 1 in place of k: over that common denominator the numerators
+differ by (i - a)(k + 2)(k + 1) - (i - 1 - a)(k + 3)k. Row 0 is the virtual
+all-zero row, not the form at i = 0, which is why a = 1 treats i = 1 apart:
+there r* is all of x[1][j] = 1.
+
 Exact values are reduced integer pairs ``(num, den)`` with a positive
 denominator, not ``Fraction`` objects. With left = ln/ld, up = un/ud and
 alpha = an/ad, one entry is
@@ -41,10 +50,9 @@ alpha = an/ad, one entry is
 divided by their gcd. A value becomes a ``Fraction`` only where it
 leaves this module; CSV and JSON format each row as it is filled.
 
-``entry_pair`` is the strategy's reader of x at alpha not in {0, 1}: the
-binomial sums behind a memo of at most 16384 entries (the O(1) closed
-form at alpha in {0, 1}, where the strategy reads its bid fraction from
-a closed form of its own instead).
+``entry_pair`` is the one reduced reader of x: ``_closed_terms`` reduced at
+alpha in {0, 1}, else the binomial sums behind a memo of at most 16384
+entries, where ``bid_fraction_pair`` is the difference of two of its reads.
 
 A fill is O(n^2) entries, so ``build_matrix``, the CSV and JSON streams
 and ``verify_matrix`` refuse a side above ``MAX_EXACT_SIDE`` (exact) or
@@ -74,8 +82,10 @@ from .core import (
     UNWINNABLE,
     AuctionVariant,
     DomainError,
+    GameDecidedError,
     Ratio,
     ResourceError,
+    UnwinnableStateError,
     _fraction,
     check_count,
     check_countdowns,
@@ -349,25 +359,45 @@ def _closed_terms(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
     return i + a * (j - 1), j
 
 
-def closed_form_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
-    """Closed-form entry (i, j), i, j >= 1 (i <= j if triangular): ``_closed_terms`` reduced; unchecked."""
-    num, den = _closed_terms(variant, i, j)
-    if not variant.has_closed_form:  # _binomial_pair's pair is reduced already
-        return num, den
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 def entry_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
     """Exact defined entry (i, j), i >= 0 and j >= 1, as a reduced (numerator, denominator) pair.
 
-    The O(1) closed form, else the binomial sums memoized for the last
+    ``_closed_terms`` reduced, else the binomial sums memoized for the last
     16384 distinct reads; ResourceError for max(i, j) above ``MAX_EXACT_SIDE``.
     """
     if variant.has_closed_form:
-        return closed_form_pair(variant, i, j) if i else (0, 1)
+        num, den = _closed_terms(variant, i, j) if i else (0, 1)
+        g = gcd(num, den)
+        return num // g, den // g
     _check_side(max(i, j), True)
     return _binomial_memo(variant.is_triangular, *variant.alpha_pair, i, j) if i else (0, 1)
+
+
+def bid_fraction_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
+    """The bid fraction r* = x[i][j] - x[i-1][j] at int countdowns (i, j), unreduced (see the module docstring).
+
+    Raises GameDecidedError at a zero countdown, UnwinnableStateError at triangular i > j, DomainError on a non-variant.
+    """
+    if i <= 0 or j <= 0:
+        raise GameDecidedError(f"countdown ({i}, {j}) already decides the game")
+    try:
+        if variant.is_triangular and i > j:
+            raise UnwinnableStateError(f"state ({i}, {j}) cannot be won under {variant.short_name}")
+        if variant.has_closed_form:  # a is alpha, 0 or 1
+            a = variant.alpha_pair[0]
+            if a and i == 1:
+                return 1, 1
+            if not variant.is_triangular:
+                return 1, j
+            k = j - i + 1
+            return 2 * (i - a) + k * (k + 3), k * (k + 1) * (j + 2 - a)
+        xn, xd = entry_pair(variant, i, j)
+        wn, wd = entry_pair(variant, i - 1, j)
+        return xn * wd - wn * xd, xd * wd
+    except AttributeError:  # a variant attribute read on a non-variant
+        if isinstance(variant, AuctionVariant):
+            raise
+    check_variant(variant)  # outside the handler, so its DomainError chains no AttributeError
 
 
 def closed_form(variant: AuctionVariant, i: int, j: int, exact: bool = False) -> Ratio:
@@ -401,12 +431,17 @@ def _read(variant: AuctionVariant, i: int, j: int, exact: bool) -> Ratio:
     reduces nothing: true division of two Python ints is correctly rounded at
     any size, so ``num / den`` is the exact value rounded once.
     """
-    if not variant.has_closed_form:
-        _check_side(max(i, j), exact)
-    if variant.is_triangular and i > j:
-        return UNWINNABLE
-    num, den = _closed_terms(variant, i, j)
-    return _fraction(num, den) if exact else num / den
+    try:
+        if not variant.has_closed_form:
+            _check_side(max(i, j), exact)
+        if variant.is_triangular and i > j:
+            return UNWINNABLE
+        num, den = _closed_terms(variant, i, j)
+        return _fraction(num, den) if exact else num / den
+    except AttributeError:  # as in ``bid_fraction_pair``
+        if isinstance(variant, AuctionVariant):
+            raise
+    check_variant(variant)
 
 
 def obr(variant: AuctionVariant, turns: int, exact: bool = False) -> Ratio:
@@ -427,6 +462,7 @@ def handicap_obr(variant: AuctionVariant, turns: int, k: int, exact: bool = Fals
         check_count(k, "handicap", 0)
     i = (turns - k + 1) // 2  # ceil((T - k) / 2); j below is ceil((T + k) / 2)
     if i <= 0:
+        check_variant(variant)
         return Fraction(0) if exact else 0.0
     return _read(variant, i, (turns + k + 1) // 2, exact)  # 1 <= i <= j, ints
 
@@ -450,10 +486,10 @@ class MatrixVerifyReport:
 
 
 def verify_matrix(variant: AuctionVariant, n: int) -> MatrixVerifyReport:
-    """Check the recurrence (``_pair_rows``) against ``closed_form_pair`` exactly, two rows at a time.
+    """Check the recurrence (``_pair_rows``) against the closed forms exactly, two rows at a time.
 
-    At every alpha; the binomial sums bypass ``entry_pair``'s memo. At alpha in {0, 1} a row is
-    compared whole with its ``_closed_rows`` row, and walked only to name its first mismatch.
+    At alpha in {0, 1} a row is compared whole with its ``_closed_rows`` row, and walked only to name
+    its first mismatch; elsewhere entry by entry with ``_closed_terms``, bypassing ``entry_pair``'s memo.
     """
     check_variant(variant)
     _check_side(n, True)
@@ -467,7 +503,7 @@ def verify_matrix(variant: AuctionVariant, n: int) -> MatrixVerifyReport:
             continue
         for j in range(start, n + 1):
             checked += 1
-            dp, cf = (nums[j], dens[j]), closed_form_pair(variant, i, j)
+            dp, cf = (nums[j], dens[j]), (want[0][j], want[1][j]) if want else _closed_terms(variant, i, j)
             if dp != cf:
                 return MatrixVerifyReport(variant, n, False, checked, (i, j, _fraction(*dp), _fraction(*cf)))
     return MatrixVerifyReport(variant, n, True, checked)

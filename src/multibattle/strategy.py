@@ -18,24 +18,8 @@ The boundary rules x[i][i] = 1 + x[i-1][i] and x[i][1] = i make r* = 1
 on triangular diagonals and fixed-value column 1: P1 bids the whole
 tracked budget there.
 
-At alpha in {0, 1} r* has its own O(1) closed form, the difference of
-two of ``matrices.closed_form``'s. With k = j - i + 1:
-
-    value-set, alpha = 0:  (2i + k(k+3)) / (k(k+1)(j+2))
-    value-set, alpha = 1:  1 at i = 1, else (2i - 2 + k(k+3)) / (k(k+1)(j+1))
-    fixed-value, alpha = 0:  1/j
-    fixed-value, alpha = 1:  1 at i = 1, else 1/j
-
-On value-set variants x[i][j] = i(k+2) / (k(j+2)) at alpha = 0 and
-1 + (i-1)(k+2) / (k(j+1)) at alpha = 1, and row i - 1 has k + 1 in place
-of k; over the common denominator k(k+1)(j+2) (or (j+1)) the numerators
-differ by i(k+2)(k+1) - (i-1)(k+3)k = 2i + k(k+3), with i - 1 in place
-of i at alpha = 1. On fixed-value ones x[i][j] = i/j and (i+j-1)/j, one
-1/j per row. Row 0 is the virtual all-zero row, not a formula at i = 0,
-which is why alpha = 1 treats i = 1 apart: there r* is all of x[1][j] = 1.
-
-At every other alpha both entries of x come from ``matrices.entry_pair``:
-binomial closed forms of O(j) terms, memoized and shared by every game.
+The policy reads r* from ``matrices.bid_fraction_pair``, beside the
+matrix's closed forms, and reads no fact of the variant itself.
 """
 
 from __future__ import annotations
@@ -46,9 +30,7 @@ from typing import NamedTuple
 from .core import (
     AuctionVariant,
     CountdownPair,
-    GameDecidedError,
     Numeric,
-    UnwinnableStateError,
     ZERO,
     _Checked,
     _fraction,
@@ -60,45 +42,23 @@ from .core import (
     countdown_for,
     paid,
 )
-from .matrices import entry_pair
+from .matrices import bid_fraction_pair, entry_pair
 
 # perfbench/tracing.py wraps build_matrix and closed_form under this
 # module's name, so they stay imported although the policy calls neither.
 from .matrices import build_matrix, closed_form  # noqa: F401
 
 
-def _bid_fraction_pair(variant: AuctionVariant, i: int, j: int) -> tuple[int, int]:
-    """The bid fraction x[i][j] - x[i-1][j] as an integer pair, not reduced."""
-    if i <= 0 or j <= 0:
-        raise GameDecidedError(f"countdown ({i}, {j}) already decides the game")
-    if variant.is_triangular and i > j:
-        raise UnwinnableStateError(f"state ({i}, {j}) cannot be won under {variant.short_name}")
-    if variant.has_closed_form:  # the module docstring's four forms; a is alpha, 0 or 1
-        a = variant.alpha_pair[0]
-        if a and i == 1:
-            return 1, 1
-        if not variant.is_triangular:
-            return 1, j
-        k = j - i + 1
-        return 2 * (i - a) + k * (k + 3), k * (k + 1) * (j + 2 - a)
-    xn, xd = entry_pair(variant, i, j)
-    wn, wd = entry_pair(variant, i - 1, j)
-    return xn * wd - wn * xd, xd * wd
-
-
 def optimal_bid_fraction(variant: AuctionVariant, i: int, j: int) -> Fraction:
     """Exact fraction r* = x[i][j] - x[i-1][j] of the tracked opponent budget at countdown (i, j).
 
-    At alpha in {0, 1} one O(1) closed form (see the module docstring)
-    gives the unreduced pair; at other alphas it is the difference of two
-    integer pairs from ``matrices.entry_pair``. The one Fraction made is
-    the result, reduced by ``_fraction``. Raises DomainError when a
-    countdown is not an int (a bool included), GameDecidedError when
-    either countdown is zero and UnwinnableStateError for triangular i > j.
+    ``matrices.bid_fraction_pair`` gives the unreduced pair, and ``_fraction``
+    reduces the one Fraction made. Raises DomainError when a countdown is
+    not an int (a bool included), and as ``bid_fraction_pair`` does.
     """
     if i.__class__ is not int or j.__class__ is not int:  # inline: solve's hot path
         check_countdowns(i, j)
-    num, den = _bid_fraction_pair(variant, i, j)
+    num, den = bid_fraction_pair(variant, i, j)
     return _fraction(num, den)
 
 
@@ -146,7 +106,7 @@ def next_bid(state: StrategyState, turn_value: int) -> Fraction:
         check_value(turn_value, "turn value", state.variant)
         return ZERO
     variant, b, (i, j) = state
-    num, den = _bid_fraction_pair(variant, i, j)
+    num, den = bid_fraction_pair(variant, i, j)
     return _fraction(num * b._numerator, den * b._denominator)
 
 

@@ -33,8 +33,12 @@ from multibattle import (
     StrategyPolicy,
     StrategyState,
     build_matrix,
+    closed_form,
+    handicap_obr,
     initial_state,
     min_winning_budget,
+    obr,
+    optimal_bid_fraction,
     run_game,
     verify_matrix,
 )
@@ -176,14 +180,20 @@ VARIANT_ENTRY_POINTS = {
     "matrix_csv_lines": lambda v: matrix_csv_lines(v, 3),
     "matrix_json_chunks": lambda v: matrix_json_chunks(v, 3, exact=True),
     "verify_matrix": lambda v: verify_matrix(v, 3),
+    "obr": lambda v: obr(v, 3),
+    "handicap_obr": lambda v: handicap_obr(v, 5, 1),
+    "handicap_obr k >= T": lambda v: handicap_obr(v, 3, 3),
+    "closed_form": lambda v: closed_form(v, 2, 3),
+    "optimal_bid_fraction": lambda v: optimal_bid_fraction(v, 2, 3),
 }
 
 
 @pytest.mark.parametrize("bad", ["fp-set", None, 1], ids=repr)
 @pytest.mark.parametrize("entry", list(VARIANT_ENTRY_POINTS))
 def test_a_variant_that_is_no_auction_variant_raises_domain_error(entry, bad):
-    with pytest.raises(DomainError, match=f"^{re.escape(f'variant must be an AuctionVariant, got {bad!r}')}$"):
+    with pytest.raises(DomainError, match=f"^{re.escape(f'variant must be an AuctionVariant, got {bad!r}')}$") as err:
         VARIANT_ENTRY_POINTS[entry](bad)
+    assert err.value.__context__ is None
 
 
 def _bid(opponent_budget):

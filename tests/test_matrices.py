@@ -37,7 +37,6 @@ from multibattle.matrices import (
     MatrixVerifyReport,
     _binomial_pair,
     _pair_rows,
-    closed_form_pair,
     entry_pair,
 )
 
@@ -512,7 +511,7 @@ def test_the_exact_closed_form_fill_equals_the_recurrence(variant):
 
 
 def _largest_term(variant, n):
-    """The largest unreduced numerator or denominator of closed_form_pair's formulas at side n, row by row at j = n."""
+    """The largest unreduced numerator or denominator of _closed_terms's formulas at side n, row by row at j = n."""
     an = variant.alpha_pair[0]
     terms = []
     for i in range(1, n + 1):
@@ -560,11 +559,11 @@ def test_float_obr_rounds_the_exact_one(variant):
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.short_name)
 def test_an_exact_read_returns_the_reduced_closed_form_pair(variant):
-    """obr, handicap_obr and closed_form hold closed_form_pair's reduced pair in their slots."""
+    """obr, handicap_obr and closed_form hold entry_pair's reduced pair in their slots."""
     for turns in [*range(1, 120), *HUGE_TURNS, 10**300]:
         for k in range(min(turns, 10)):
             i, j = ceil_div(turns - k, 2), ceil_div(turns + k, 2)
-            want = closed_form_pair(variant, i, j)
+            want = entry_pair(variant, i, j)
             assert want[1] > 0 and gcd(*want) == 1 and F(*want) == F(*matrices._closed_terms(variant, i, j))
             reads = [handicap_obr(variant, turns, k, True), closed_form(variant, i, j, True)]
             if k == 0:

@@ -31,8 +31,7 @@ from multibattle import (
 )
 from multibattle import matrices
 from multibattle.core import ZERO, GameDecidedError, UnwinnableStateError
-from multibattle.matrices import MAX_EXACT_SIDE, entry_pair
-from multibattle.strategy import _bid_fraction_pair
+from multibattle.matrices import MAX_EXACT_SIDE, bid_fraction_pair, entry_pair
 
 F = Fraction
 
@@ -88,7 +87,7 @@ def _edge_cells(variant, n):
 def test_bid_fraction_closed_form_is_the_difference_of_two_entries(variant):
     """At alpha in {0, 1} r* has its own closed form; it equals x[i][j] - x[i-1][j] read from entry_pair."""
     for i, j in _defined_cells(variant, 120) + _edge_cells(variant, MAX_EXACT_SIDE):
-        num, den = _bid_fraction_pair(variant, i, j)
+        num, den = bid_fraction_pair(variant, i, j)
         xn, xd = entry_pair(variant, i, j)
         wn, wd = entry_pair(variant, i - 1, j)
         assert den > 0 and num * xd * wd == (xn * wd - wn * xd) * den, (i, j, num, den)
