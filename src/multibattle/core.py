@@ -145,10 +145,6 @@ UNWINNABLE = Unwinnable()
 Ratio = Numeric | Unwinnable
 
 
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def check_count(n: int, name: str, least: int = 1) -> None:
     """Raise DomainError, naming ``name``, unless ``n`` is an int (a bool is not) and at least ``least``."""
     if n.__class__ is not int:

@@ -46,6 +46,7 @@ from .core import (
     settle_turn,
     winner_if_decided,
 )
+from .matrices import entry_pair
 # This module calls neither build_matrix nor optimal_bid_fraction, but
 # perfbench/tracing.py wraps both under this module's names, so they stay.
 from .matrices import build_matrix  # noqa: F401
@@ -61,16 +62,46 @@ MAX_SWEEP_TURNS = 800
 MAX_SWEEP_STATES = 500_000
 
 
-def _policy_bid(s: StrategyState, value: int, budget: Fraction) -> Fraction:
-    """The strategy's bid, capped at the budget P1 holds.
+# The policy's bid grid at a fractional alpha: multiples of b2 / 2**_BID_GRID_BITS.
+_BID_GRID_BITS = 64
+
+
+def _bid_unit(config: GameConfig, budget_p1: Fraction) -> Fraction | None:
+    """The unit u = b2 / 2**64 that P1's value-1 bids round up to in this game, or None.
+
+    None at alpha in {0, 1}, where the closed forms keep exact bids small,
+    and below the start budget x[h][h]*b2 + T*u, (h, h) the opening
+    countdown: that slack of one u per turn pays for rounding every bid up
+    (see ``strategy``). At or above it, a fractional alpha's exact bids would
+    carry the binomial denominators into both budgets, compounding them
+    turn by turn. Reads x[h][h] through ``entry_pair``, the probe
+    ``StrategyState.fresh`` makes, so after ``fresh`` it is a memo hit.
+    """
+    variant, b2 = config.variant, config.budget_p2
+    if variant.has_closed_form:
+        return None
+    unit = _fraction(b2._numerator, b2._denominator << _BID_GRID_BITS)
+    h, _ = _countdown(config.turns, 0, 0, 0)
+    num, den = entry_pair(variant, h, h)
+    return unit if budget_p1 >= _fraction(num, den) * b2 + config.turns * unit else None
+
+
+def _policy_bid(s: StrategyState, value: int, budget: Fraction, unit: Fraction | None) -> Fraction:
+    """The strategy's bid, rounded up to a multiple of ``unit`` unless it is None, capped at the budget P1 holds.
 
     Where the strategy cannot plan (``next_bid`` raises GameDecidedError
     or UnwinnableStateError, by the strategy's own rule) it bids zero.
+    ``unit`` is ``_bid_unit``'s for the game; when it is not None, the
+    start budget pays for the rounding and the cap never binds (see
+    ``strategy``).
     """
     try:
         bid = next_bid(s, value)
     except (GameDecidedError, UnwinnableStateError):
         return ZERO
+    if unit is not None and bid._numerator:
+        un, ud = unit._numerator, unit._denominator
+        bid = _fraction(-(-(bid._numerator * ud) // (bid._denominator * un)) * un, ud)
     return bid if at_least(budget, bid) else budget
 
 
@@ -80,15 +111,21 @@ class StrategyPolicy:
     Bids are capped at the remaining budget; with a starting budget at or
     above the variant's optimal ratio the cap never binds, below it the
     policy degrades gracefully instead of overbidding (see ``_policy_bid``).
+    At a fractional alpha, a game that starts with one b2 / 2**64 of slack
+    per turn above the optimal ratio rounds its value-1 bids up to that
+    grid (``_bid_unit``, decided once in ``begin``); every other game bids
+    ``next_bid``'s exact amounts.
     """
 
     _state: StrategyState | None = None
+    _unit: Fraction | None = None
 
     def begin(self, config: GameConfig, budget_p1: Fraction) -> None:
         self._state = StrategyState.fresh(config.variant, config.turns, config.budget_p2)
+        self._unit = _bid_unit(config, budget_p1)
 
     def bid(self, state: GameState, value: int) -> Fraction:
-        return _policy_bid(self._state, value, state.budget_p1)
+        return _policy_bid(self._state, value, state.budget_p1, self._unit)
 
     def observe(self, value: int, my_bid: Fraction, i_won: bool) -> None:
         self._state = observe_outcome(self._state, value, my_bid, i_won)
@@ -335,8 +372,10 @@ def exhaustive_adversary_check(
     at most ``denominator_bound * b2``) that it can afford. Returns a
     win-all verdict or one losing trace. P1 takes every move, zero-value
     turns included, from ``_policy_bid`` and ``observe_outcome``, like
-    ``StrategyPolicy``. Successors come from ``core._settle``, as in
-    ``run_game``: each move is built legal (see the comment in ``explore``).
+    ``StrategyPolicy``, and rounds its bids by the same ``_bid_unit`` rule,
+    decided once from ``budget_p1``. Successors come from ``core._settle``,
+    as in ``run_game``: each move is built legal (see the comment in
+    ``explore``).
 
     Other adversary moves are dominated. Nonzero bids that lose, or on a
     zero-value turn, only waste adversary budget. After any winning bid
@@ -402,7 +441,7 @@ def exhaustive_adversary_check(
         # P1's bid at its budget, and a beat bid q passes at_least(budget_p2, q).
         line = None
         for value in values:
-            p = _policy_bid(policy, value, b1)
+            p = _policy_bid(policy, value, b1, unit)
             conceded = _settle(config, state, value, p, ZERO, True)
             sub = explore(conceded, observe_outcome(policy, value, p, True))
             if sub is not None:
@@ -418,9 +457,9 @@ def exhaustive_adversary_check(
         memo[key] = line
         return line
 
-    line = explore(
-        initial_state(config, budget_p1), StrategyState.fresh(config.variant, config.turns, config.budget_p2)
-    )
+    start = initial_state(config, budget_p1)
+    unit = _bid_unit(config, start.budget_p1)
+    line = explore(start, StrategyState.fresh(config.variant, config.turns, config.budget_p2))
     if line is None:
         return AdversarySweepVerdict(True, None, len(memo))
     trace = run_game(config, budget_p1, StrategyPolicy(), _ScriptedAdversary(line), seed=0)

@@ -18,6 +18,27 @@ The boundary rules x[i][i] = 1 + x[i-1][i] and x[i][1] = i make r* = 1
 on triangular diagonals and fixed-value column 1: P1 bids the whole
 tracked budget there.
 
+Rounded bids. At an alpha outside {0, 1}, r* carries the binomial
+closed form's denominator, and exact bids r*·b compound it into both
+budgets turn after turn. So a playout (``simulate._bid_unit``) rounds each
+nonzero value-1 bid up to a multiple of u = b2·2**-64 when P1 starts with
+a ≥ x[h][h]·b2 + T·u, (h, h) the opening countdown; ``next_bid`` itself
+stays exact. The guarantee survives as the invariant a ≥ x·b + R·u, with
+a P1's budget, b the tracked budget, x = x[i][j] and R the value-1 turns
+left, which holds at the start because R ≤ T. Let a turn's bid be
+r*·b + δ, 0 ≤ δ < u.
+
+- A win pays r*·b + δ. As r* = x - x[i-1][j], it leaves at least
+  x[i-1][j]·b + (R-1)·u + (u - δ) ≥ x[i-1][j]·b + (R-1)·u.
+- A loss pays α(r*·b + δ), and the tracked budget drops to
+  b' = (1 - r*)·b - δ. By the indifference x·b - α·r*·b =
+  x[i][j-1]·(1 - r*)·b, P1 keeps at least x[i][j-1]·b' + (R-1)·u +
+  (u - α·δ + x[i][j-1]·δ), and the last bracket is ≥ 0 since α ≤ 1.
+- b2 is a multiple of u, and so is every bid, so the tracked budget stays
+  a multiple of u: a bid rounded up from r*·b ≤ b never exceeds it. On a
+  value-1 turn R ≥ 1, so a ≥ x·b + u ≥ r*·b + u exceeds the bid: the
+  budget cap never binds.
+
 The policy reads r* from ``matrices.bid_fraction_pair``, beside the
 matrix's closed forms, and reads no fact of the variant itself.
 """
@@ -69,23 +90,28 @@ class _StrategyState(NamedTuple):
 
 
 class StrategyState(_Checked, _StrategyState):
-    """What the policy knows between turns; ``__new__`` makes the tracked budget a Fraction.
+    """What the policy knows between turns; ``__new__`` checks the variant and makes the tracked budget a Fraction.
 
     ``tracked_opponent_budget`` starts at P2's true budget and only ever
     decreases; pessimistic updates keep it an upper bound on the truth,
-    which is the safe side for every bid computed from it. An int or float
-    budget is stored as its ``Fraction``, and a negative one raises
-    DomainError ("opponent_budget must be >= 0, got …").
+    which is the safe side for every bid computed from it. A variant that
+    is no AuctionVariant raises DomainError, through ``_replace`` too. An
+    int or float budget is stored as its ``Fraction``, and a negative one
+    raises DomainError ("opponent_budget must be >= 0, got …").
     """
 
     __slots__ = ()
 
     def __new__(cls, variant, tracked_opponent_budget, countdown):
+        check_variant(variant)
         return tuple.__new__(cls, (variant, amount(tracked_opponent_budget, "opponent_budget"), countdown))
 
     @classmethod
     def fresh(cls, variant: AuctionVariant, turns: int, opponent_budget: Numeric) -> "StrategyState":
-        """Start-of-game state; reading entry (h, h) raises ResourceError above the exact ceiling."""
+        """Start-of-game state; reading entry (h, h) raises ResourceError above the exact ceiling.
+
+        The variant is checked first, before the turn count and that read.
+        """
         check_variant(variant)
         check_count(turns, "turns")
         countdown = countdown_for(turns, 0, 0, 0)

@@ -41,7 +41,6 @@ from multibattle.core import (
     TurnRecord,
     Unwinnable,
     ZERO,
-    ceil_div,
     check_count,
     check_value,
 )
@@ -304,12 +303,6 @@ def test_unwinnable_is_one_sentinel_that_neither_orders_nor_converts():
     for read in (lambda: UNWINNABLE < 1, lambda: UNWINNABLE >= F(1, 2), lambda: float(UNWINNABLE)):
         with pytest.raises(TypeError):
             read()
-
-
-def test_ceil_div():
-    assert ceil_div(7, 2) == 4
-    assert ceil_div(8, 2) == 4
-    assert ceil_div(1, 3) == 1
 
 
 @given(

@@ -30,7 +30,6 @@ from multibattle import (
     verify_matrix,
 )
 from multibattle import core, matrices
-from multibattle.core import ceil_div
 from multibattle.matrices import (
     MAX_EXACT_SIDE,
     MAX_FLOAT_SIDE,
@@ -41,6 +40,12 @@ from multibattle.matrices import (
 )
 
 F = Fraction
+
+
+def ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) for ints a and b > 0."""
+    return -(-a // b)
+
 
 ALL_VARIANTS = [FP_SET01, FP_FIXED1, AP_SET01, AP_FIXED1]
 # Fractional alpha: no O(1) closed form, only the binomial sums.

@@ -39,7 +39,7 @@ from multibattle import (
 )
 from multibattle import simulate
 from multibattle.core import GameDecidedError, UnwinnableStateError
-from multibattle.simulate import _least_above, _policy_bid, _ScriptedAdversary
+from multibattle.simulate import _bid_unit, _least_above, _policy_bid, _ScriptedAdversary
 
 F = Fraction
 
@@ -503,6 +503,7 @@ def reference_sweep(config, budget_p1, denominator_bound):
     bids = _grid_bids(b2, denominator_bound)
     alpha = config.variant.alpha
     set01 = config.variant.values is ValueModel.SET01
+    unit = _bid_unit(config, b1)  # the policy's own bid rule, not the grid enumeration under test
     memo = {}
 
     def explore(remaining, s1, s2, rem, policy, adv_budget):
@@ -520,7 +521,7 @@ def reference_sweep(config, budget_p1, denominator_bound):
             if sub is not None:
                 line = ((0, F(0)),) + sub
         if line is None:
-            p = _policy_bid(policy, 1, rem)
+            p = _policy_bid(policy, 1, rem, unit)
             won = observe_outcome(policy, 1, p, True)
             sub = explore(remaining - 1, s1 + 1, s2, rem - p, won, adv_budget)
             if sub is not None:

@@ -167,6 +167,20 @@ def test_fresh_state_builds_matrix_only_when_needed():
         StrategyState.fresh(FP_SET01, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StrategyState("fp-set", 1, CountdownPair(2, 2)),
+        lambda: observe_outcome(StrategyState("fp-set", 1, CountdownPair(2, 2)), 1, F(1, 2), False),
+        lambda: StrategyState.fresh(FP_SET01, 3, 1)._replace(variant=None),
+    ],
+    ids=["built", "observed", "replaced"],
+)
+def test_a_state_refuses_a_variant_that_is_no_auction_variant(build):
+    with pytest.raises(DomainError, match="^variant must be an AuctionVariant, got "):
+        build()
+
+
 def test_a_small_game_leaves_no_large_table():
     """A T=5 game at an alpha nothing else reads memoizes a few small pairs; a verify sweep adds none."""
     variant = AuctionVariant.all_pay(ValueModel.FIXED1, F(3, 11))

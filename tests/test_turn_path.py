@@ -15,6 +15,7 @@ fail there; the tests at the end hold those records to their reference
 values and exact types, and check that ``_replace`` still validates.
 """
 
+import math
 import random
 import re
 from decimal import Decimal
@@ -54,10 +55,16 @@ from multibattle import (
     settle_turn,
     winner_if_decided,
 )
-from multibattle.core import CountdownPair, GameDecidedError, OverbidError, TurnRecord, ceil_div, finite_fraction
+from multibattle.core import CountdownPair, GameDecidedError, OverbidError, TurnRecord, finite_fraction
 from multibattle.simulate import _policy_bid, _ScriptedAdversary
 
 F = Fraction
+
+
+def ceil_div(a: int, b: int) -> int:
+    """ceil(a / b) for ints a and b > 0."""
+    return -(-a // b)
+
 
 VARIANTS = [
     FP_SET01,
@@ -130,13 +137,16 @@ def ref_observe_outcome(state, turn_value, my_bid, i_won):
     return StrategyState(state.variant, b, cd)
 
 
-def ref_policy_bid(s, value, budget):
-    """Zero from unplannable states, once the value itself is valid."""
+def ref_policy_bid(s, value, budget, unit):
+    """Zero from unplannable states, once the value itself is valid; else the bid rounded up to ``unit``'s multiples."""
     ref_check_value(s.variant, value)
     cd = s.countdown
     if cd.i <= 0 or cd.j <= 0 or (s.variant.is_triangular and cd.i > cd.j):
         return Fraction(0)
-    return min(ref_next_bid(s, value), budget)
+    bid = ref_next_bid(s, value)
+    if unit is not None:
+        bid = math.ceil(bid / unit) * unit
+    return min(bid, budget)
 
 
 def outcome(fn, *args):
@@ -213,7 +223,9 @@ def test_policy_matches_the_fraction_reference(variant, turns, opponent_budget, 
     assert outcome(next_bid, new, value) == outcome(ref_next_bid, ref, value)
     # run_game and the sweep pass P1's GameState budget, always a Fraction.
     budget = F(data.draw(st.one_of(budgets, st.floats(0, 6, allow_nan=False, allow_infinity=False))))
-    assert outcome(_policy_bid, new, value, budget) == outcome(ref_policy_bid, ref, value, budget)
+    # No rounding, the 2**-64 grid, or a grid coarse enough for the cap to bind.
+    unit = data.draw(st.sampled_from([None, F(opponent_budget) / 2**64, F(1, 3)]))
+    assert outcome(_policy_bid, new, value, budget, unit) == outcome(ref_policy_bid, ref, value, budget, unit)
 
 
 
